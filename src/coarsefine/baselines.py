@@ -13,7 +13,7 @@ import numpy as np
 
 from .allocation import SparsityPlan, allocate_sparsity, round_half_up, uniform_plan
 from .errors import InputError
-from .localprune import build_hessian, sequential_prune
+from .localprune import sequential_prune, sparsegpt_layer_score
 from .model import CalibrationSet, ModelGraph, forward_with_activations, set_layer_weights
 from .scoring import ScoreMap, first_order_saliency
 
@@ -159,9 +159,7 @@ def local_layer_scores(
                     (np.abs(l.weight) * col_norms[None, :] ** norm_exponent).sum()
                 )
             else:
-                state = build_hessian(x, lam)
-                diag = np.diag(state.Hinv)
-                entries[l.name] = float((l.weight**2 / diag[None, :]).sum())
+                entries[l.name] = sparsegpt_layer_score(l.weight, x, lam)
     else:
         raise InputError(f"unknown fine method {fine_method!r}")
     method = "local_wanda" if fine_method == "wanda" else (

@@ -53,7 +53,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file {path} does not exist")
-        base = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            base = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise UsageError(f"config file {path} is not valid JSON: {e}") from e
+        if not isinstance(base, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
     config = RunConfig.from_json(base)
     for field in _RUN_FIELDS:
         value = getattr(args, field, None)

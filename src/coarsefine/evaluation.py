@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .localprune import build_hessian
+from .localprune import sparsegpt_layer_score
 from .model import (
     CalibrationSet,
     ModelGraph,
@@ -197,11 +197,10 @@ def distribution_report(model: ModelGraph, batch: CalibrationSet) -> dict:
             )
 
     _, activations = forward_with_activations(model, batch)
-    local_scores = {}
-    for layer in model.prunable_layers():
-        state = build_hessian(activations[layer.name])
-        diag = np.diag(state.Hinv)
-        local_scores[layer.name] = float((layer.weight**2 / diag[None, :]).sum())
+    local_scores = {
+        layer.name: sparsegpt_layer_score(layer.weight, activations[layer.name])
+        for layer in model.prunable_layers()
+    }
     score_values = np.array(list(local_scores.values()))
     skew = {
         "min": float(score_values.min()),

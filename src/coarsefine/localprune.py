@@ -9,7 +9,10 @@ Three local criteria fill the per-layer budgets of a SparsityPlan:
   H = X^T X + lam*I - greedily prune the lowest score W_ij^2 / [H^-1]_jj,
   compensate the surviving weights of the row, and downdate the inverse
   after every elimination (so survivors equal the least-squares refit of
-  the chosen mask);
+  the chosen mask).  Blocks of rows eliminate in lockstep, each row's
+  inverse held in Woodbury form H^-1 - U U^T, so one greedy step is a
+  handful of numpy calls for the whole block; the block's U buffer is
+  bounded by about two cols x cols matrices;
 * magnitude: plain |W| top-k within the layer.
 
 The sequential driver prunes layers in model order, feeding each layer
@@ -54,12 +57,12 @@ def build_hessian(activations: np.ndarray, lam: float | None = None) -> HessianS
     x = np.asarray(activations, dtype=np.float64)
     if x.ndim != 2:
         raise InputError("activations must be a [rows, d_in] matrix")
-    gram = x.T @ x
+    h = x.T @ x
     if lam is None:
-        lam = 0.01 * float(np.mean(np.diag(gram)))
+        lam = 0.01 * float(np.mean(np.diag(h)))
     if lam < 0:
         raise InputError("damping lambda must be nonnegative")
-    h = gram + lam * np.eye(gram.shape[0])
+    h[np.diag_indices_from(h)] += lam
     try:
         hinv = np.linalg.inv(h)
     except np.linalg.LinAlgError as e:
@@ -71,6 +74,14 @@ def build_hessian(activations: np.ndarray, lam: float | None = None) -> HessianS
             f"inverse Hessian has non-finite entries (lambda={lam}); increase damping"
         )
     return HessianState(H=h, lam=lam, Hinv=hinv)
+
+
+def sparsegpt_layer_score(
+    weight: np.ndarray, activations: np.ndarray, lam: float | None = None
+) -> float:
+    """The layer's local sparsegpt score: sum of W_ij^2 / [H^-1]_jj."""
+    diag = np.diag(build_hessian(activations, lam).Hinv)
+    return float((weight**2 / diag[None, :]).sum())
 
 
 def _row_budgets(keep_count: int, rows: int, cols: int) -> np.ndarray:
@@ -143,6 +154,14 @@ def sparsegpt_prune_layer(
     inverse to the surviving support.  Exact eliminations commute, so the
     final survivors equal the least-squares refit of the chosen mask.
     Returns (mask, new weights); pruned entries are exactly zero.
+
+    Rows are eliminated in lockstep, B = max(1, 2*cols // T) at a time,
+    where T is the largest per-row prune count.  After t steps row r's
+    inverse is H^-1_0 - U_r U_r^T with U_r of shape [cols, t]: the pivot
+    column is H^-1_0[:, q] - U_r U_r[q]^T and its diagonal is tracked
+    as d_r.  The block's U buffer (B x T x cols) is thus no larger than
+    the dense inverse copy plus the rank-1 update a per-row loop holds;
+    only H^-1_0 is kept, not H.
     """
     w = layer.weight
     rows, cols = w.shape
@@ -155,34 +174,61 @@ def sparsegpt_prune_layer(
     if keep_count == w.size:
         return np.ones_like(w, dtype=bool), w.copy()
 
-    state = build_hessian(x, lam)
+    hinv0 = build_hessian(x, lam).Hinv
+    n_prune = cols - budgets  # non-decreasing: the first rows keep one more
+    steps = int(n_prune[-1])
+    block = max(1, 2 * cols // steps)
+    u = np.empty((block, steps, cols))
     mask = np.ones_like(w, dtype=bool)
     new_w = w.copy()
-    for r in range(rows):
-        n_prune = cols - int(budgets[r])
-        if n_prune == 0:
-            continue
-        wr = w[r].copy()
-        hinv = state.Hinv.copy()
-        active = np.ones(cols, dtype=bool)
-        for _ in range(n_prune):
-            diag = np.diag(hinv)
-            if np.any(diag[active] <= 0):
-                raise NumericalError(
-                    f"layer {layer.name!r}: inverse Hessian lost positivity "
-                    "during elimination; increase damping"
-                )
-            scores = np.where(active, wr * wr / np.where(active, diag, 1.0), np.inf)
-            q = int(np.argmin(scores))
-            dq = hinv[q, q]
-            wr[active] -= (wr[q] / dq) * hinv[active, q]
-            wr[q] = 0.0
-            col = hinv[:, q].copy()
-            hinv -= np.outer(col, col) / dq
-            active[q] = False
-            mask[r, q] = False
-        new_w[r] = wr
+    for b0 in range(0, rows, block):
+        b1 = min(b0 + block, rows)
+        _eliminate_block(
+            new_w[b0:b1], mask[b0:b1], n_prune[b0:b1], hinv0, u, layer.name
+        )
+    new_w[~mask] = 0.0
     return mask, new_w
+
+
+def _eliminate_block(
+    w: np.ndarray,
+    active: np.ndarray,
+    n_prune: np.ndarray,
+    hinv0: np.ndarray,
+    u: np.ndarray,
+    name: str,
+) -> None:
+    """Greedy OBS elimination of a block of rows in lockstep, in place.
+
+    Row r's downdated inverse is H^-1_0 - U_r U_r^T, where column t of U_r
+    is the scaled pivot column of its t-th elimination; only its diagonal
+    d_r is kept explicitly.  n_prune is non-decreasing, so the rows still
+    eliminating at step t are a suffix of the block.  Entries of w at
+    pruned positions are left stale for the caller to zero.
+    """
+    u = u[: w.shape[0]]
+    d = np.repeat(np.diag(hinv0)[None, :], w.shape[0], axis=0)
+    r = np.arange(w.shape[0])
+    for t in range(int(n_prune[-1])):
+        if t == n_prune[0]:  # the rows with one prune fewer are done
+            k = int(np.searchsorted(n_prune, t, side="right"))
+            w, active, n_prune, u, d, r = (
+                w[k:], active[k:], n_prune[k:], u[k:], d[k:], r[: r.size - k]
+            )
+        diag = np.where(active, d, 1.0)
+        if (diag <= 0).any():
+            raise NumericalError(
+                f"layer {name!r}: inverse Hessian lost positivity "
+                "during elimination; increase damping"
+            )
+        q = np.where(active, w * w / diag, np.inf).argmin(axis=1)
+        dq = d[r, q]
+        # column q of each row's current inverse, by one batched matmul
+        col = hinv0.T[q] - np.matmul(u[r, :t, q][:, None, :], u[:, :t])[:, 0]
+        w -= (w[r, q] / dq)[:, None] * col
+        u[:, t] = col / np.sqrt(dq)[:, None]
+        d -= u[:, t] ** 2
+        active[r, q] = False
 
 
 def apply_mask(layer: LayerSpec, mask: np.ndarray) -> np.ndarray:

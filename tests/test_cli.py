@@ -318,6 +318,18 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"sparsify": 0.5}))
         assert main(["prune", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("text", ['{"sparsity": 0.5,', "[1, 2]"])
+    def test_malformed_config_is_one_usage_error_line(self, tmp_path, capsys, text):
+        # truncated JSON and a non-object must not escape as a traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["prune", "--config", str(cfg_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "UsageError"
+        assert err["exit_code"] == 1
+
 
 class TestConsoleEntryPoint:
     def test_installed_script_runs(self):

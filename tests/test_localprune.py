@@ -1,6 +1,8 @@
 """Local pruning criteria: hand-scored examples, brute-force oracles,
 sequential conditioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,51 @@ def ls_refit(w0, gram, keep_idx):
 def recon_error(w0, w, gram):
     d = w - w0
     return float(d @ gram @ d)
+
+
+def sparsegpt_row_loop(layer, activations, keep_count, lam=None):
+    """Reference sparsegpt: one greedy OBS loop per row, with a dense
+    cols x cols copy of H^-1 downdated by a rank-1 outer product after
+    every elimination."""
+    w = layer.weight
+    rows, cols = w.shape
+    if keep_count == w.size:
+        return np.ones_like(w, dtype=bool), w.copy()
+    base, rem = divmod(keep_count, rows)
+    state = build_hessian(activations, lam)
+    mask = np.ones_like(w, dtype=bool)
+    new_w = w.copy()
+    for r in range(rows):
+        n_prune = cols - (base + (1 if r < rem else 0))
+        if n_prune == 0:
+            continue
+        wr = w[r].copy()
+        hinv = state.Hinv.copy()
+        active = np.ones(cols, dtype=bool)
+        for _ in range(n_prune):
+            diag = np.diag(hinv)
+            if np.any(diag[active] <= 0):
+                raise NumericalError("inverse Hessian lost positivity")
+            scores = np.where(active, wr * wr / np.where(active, diag, 1.0), np.inf)
+            q = int(np.argmin(scores))
+            dq = hinv[q, q]
+            wr[active] -= (wr[q] / dq) * hinv[active, q]
+            wr[q] = 0.0
+            col = hinv[:, q].copy()
+            hinv -= np.outer(col, col) / dq
+            active[q] = False
+            mask[r, q] = False
+        new_w[r] = wr
+    return mask, new_w
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWanda:
@@ -182,6 +229,17 @@ class TestSparseGPT:
         resid = np.abs(state.Hinv @ state.H - np.eye(10)).max()
         assert resid < 1e-8
 
+    def test_damping_in_place_is_bit_equal_to_adding_lam_eye(self):
+        acts = np.random.default_rng(14).normal(size=(32, 128))
+        gram = acts.T @ acts
+        for lam in (None, 0.0, 0.37):
+            state = build_hessian(acts, lam)
+            expect_lam = 0.01 * float(np.mean(np.diag(gram))) if lam is None else lam
+            h = gram + expect_lam * np.eye(128)
+            assert state.lam == expect_lam
+            assert np.array_equal(state.H, h)
+            assert np.array_equal(state.Hinv, np.linalg.inv(h))
+
     def test_beats_magnitude_reconstruction(self):
         # compensation should beat plain magnitude masking on the same
         # budget in nearly every random trial
@@ -200,6 +258,52 @@ class TestSparseGPT:
             err_mag = recon_error(w[0], np.where(mag_mask[0], w[0], 0.0), gram)
             wins += err_gpt <= err_mag + 1e-12
         assert wins >= 0.95 * trials
+
+
+class TestSparseGPTLockstep:
+    """The lockstep elimination against the per-row reference loop."""
+
+    def test_matches_row_loop_on_random_layers(self):
+        rng = np.random.default_rng(15)
+        ragged_blocks = uneven_budgets = 0
+        for i in range(200):
+            rows, cols = int(rng.integers(1, 25)), int(rng.integers(2, 41))
+            w = rng.normal(size=(rows, cols))  # continuous: no score ties
+            acts = rng.normal(size=(cols + int(rng.integers(1, 9)), cols))
+            keep = int(rng.integers(0, rows * cols + 1))
+            lam = None if i % 2 else 0.0
+            layer = layer_of(w)
+            ref_mask, ref_w = sparsegpt_row_loop(layer, acts, keep, lam)
+            mask, new_w = sparsegpt_prune_layer(layer, acts, keep, lam)
+            np.testing.assert_array_equal(mask, ref_mask)
+            np.testing.assert_allclose(new_w[mask], ref_w[mask], rtol=0, atol=1e-10)
+            assert np.all(new_w[~mask] == 0.0)
+            if keep < rows * cols:
+                steps = cols - keep // rows
+                ragged_blocks += rows % max(1, 2 * cols // steps) != 0
+                uneven_budgets += keep % rows != 0
+        assert ragged_blocks > 20 and uneven_budgets > 20
+
+    @pytest.mark.parametrize("rows,keep", [(7, 7 * 40 - 1), (13, 13 * 3 + 5), (9, 1)])
+    def test_budgets_one_apart_and_partial_last_block(self, rows, keep):
+        rng = np.random.default_rng(rows)
+        w = rng.normal(size=(rows, 40))
+        acts = rng.normal(size=(48, 40))
+        ref_mask, ref_w = sparsegpt_row_loop(layer_of(w), acts, keep)
+        mask, new_w = sparsegpt_prune_layer(layer_of(w), acts, keep)
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_allclose(new_w, ref_w, rtol=0, atol=1e-10)
+        kept = mask.sum(axis=1)
+        assert kept.max() - kept.min() <= 1 and int(kept.sum()) == keep
+
+    def test_peak_memory_not_above_row_loop(self):
+        rng = np.random.default_rng(16)
+        layer = layer_of(rng.normal(size=(128, 128)))
+        acts = rng.normal(size=(256, 128))
+        keep = layer.size // 2
+        ours = peak_bytes(sparsegpt_prune_layer, layer, acts, keep)
+        ref = peak_bytes(sparsegpt_row_loop, layer, acts, keep)
+        assert ours <= ref
 
 
 class TestSequentialPrune:
