@@ -18,13 +18,14 @@ task = make_task("char_lm", seed=0)
 model = train_reference(task)
 calib = get_split(task, "calib")
 
-# --- seed replay: +eps*z, -2*eps*z, +eps*z restores the weights bit-exactly
+# --- seed replay: +1 draws z once and sets W0 + eps*z, -1 moves to
+# W0 - eps*z, and restore puts the original W0 back bit-exactly
 layer = "body.fc1"
 before = model.layer(layer).weight.copy()
 perturb_replay(model, layer, seed=123, epsilon=1e-3, direction=1)
 print("after +eps*z  max |delta| =", np.abs(model.layer(layer).weight - before).max())
 perturb_replay(model, layer, seed=123, epsilon=1e-3, direction=-1)
-print("after -2eps*z max |delta| =", np.abs(model.layer(layer).weight - before).max())
+print("after -eps*z  max |delta| =", np.abs(model.layer(layer).weight - before).max())
 perturb_replay(model, layer, seed=123, epsilon=1e-3, direction="restore")
 restored = model.layer(layer).weight
 print("restored bit-exactly:", restored.tobytes() == before.tobytes())

@@ -285,15 +285,35 @@ def layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     return _act(layer.activation, layer_preact(layer, x))
 
 
-def _forward_trace(model: ModelGraph, batch: CalibrationSet) -> _Trace:
-    """Run the stacked batch through the model, recording layer inputs."""
+def _forward_trace(
+    model: ModelGraph,
+    batch: CalibrationSet,
+    start: int = 0,
+    layer_input: np.ndarray | None = None,
+) -> _Trace:
+    """Run the stacked batch through the model, recording layer inputs.
+
+    With layer_input, the pass starts at layers[start] from that input
+    (the [K*tokens, d_in] matrix the layer sees) and records only the
+    layers from there on.
+    """
     _, ys = batch.stacked()
     layers = model.layers()
     tr = _Trace()
     k = batch.count
-    h, tokens = batch_input_matrix(model, batch)
+    if layer_input is None:
+        if start != 0:
+            raise InputError("a forward from a later layer needs its layer_input")
+        h, tokens = batch_input_matrix(model, batch)
+    else:
+        if not 0 <= start < len(layers):
+            raise InputError(f"start {start} outside the model's {len(layers)} layers")
+        h = layer_input
+        tokens, rest = divmod(h.shape[0], k)
+        if rest or not tokens:
+            raise DimensionError(f"layer_input rows {h.shape[0]} are not a multiple of K={k}")
 
-    for layer in layers:
+    for layer in layers[start:]:
         tr.inputs[layer.name] = h
         pre = layer_preact(layer, h)
         tr.pre_acts[layer.name] = pre
@@ -363,9 +383,18 @@ def forward_loss(model: ModelGraph, batch: CalibrationSet) -> float:
     return _forward_trace(model, batch).loss
 
 
-def per_sample_losses(model: ModelGraph, batch: CalibrationSet) -> np.ndarray:
-    """Loss of each calibration sample individually, shape [K]."""
-    return _forward_trace(model, batch).sample_losses
+def per_sample_losses(
+    model: ModelGraph,
+    batch: CalibrationSet,
+    start: int = 0,
+    layer_input: np.ndarray | None = None,
+) -> np.ndarray:
+    """Loss of each calibration sample individually, shape [K].
+
+    start/layer_input run the forward from layers[start] on its input
+    (see :func:`_forward_trace`); the losses equal the full forward's.
+    """
+    return _forward_trace(model, batch, start, layer_input).sample_losses
 
 
 def forward_outputs(model: ModelGraph, batch: CalibrationSet) -> np.ndarray:

@@ -33,6 +33,8 @@ FORMAT_VERSION = "1"
 
 COARSE_MODES = ("zeroth", "first", "magnitude", "uniform", "local")
 FINE_MODES = ("wanda", "sparsegpt", "magnitude")
+# accepted JSON types per RunConfig annotation: floats take ints too
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -117,6 +119,14 @@ class RunConfig:
         stray = set(obj) - set(known)
         if stray:
             raise UsageError(f"unknown config fields: {sorted(stray)}")
+        for name, value in known.items():
+            kind = cls.__dataclass_fields__[name].type  # e.g. "int", "float | None"
+            if value is None and kind.endswith("| None"):
+                continue
+            accepted = _JSON_TYPES[kind.split(" |")[0]]
+            # bool is an int subclass but never a valid config value
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise UsageError(f"config field {name!r} must be {kind}, got {value!r}")
         return cls(**known)
 
 

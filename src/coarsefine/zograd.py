@@ -2,19 +2,19 @@
 
 A layer's score is the empirical mean over calibration samples d and
 noises z of |(L(W + eps*z, d) - L(W - eps*z, d)) / (2*eps)|, with only
-that layer perturbed.  The noise is never stored: it is regenerated from
-a counter-based seed, so the whole procedure needs one extra layer-sized
-noise buffer at a time (plus one layer-sized rounding-compensation tail
-that makes the restore bit-exact, see below).
+that layer perturbed.  The noise is never stored between cycles: it is
+drawn once per cycle from a counter-based seed, so any noise can be
+replayed from (seed, layer, noise index) alone.
 
-Round-trip exactness.  Applying +eps*z, -2*eps*z, +eps*z naively does
-not return the original weights: float addition rounds, and roughly half
-of all entries come back one ulp off.  Each transition here therefore
-uses an error-free TwoSum, carrying the rounding residue in a tail
-buffer; the restore step folds head, noise, and tail back together and
-lands on the original bits (holds for weights that are exactly zero or
-not astronomically smaller than their perturbation, i.e. any realistic
-model).
+Snapshot and restore.  A cycle keeps a reference to the original weight
+array W0, holds u = eps*z, and works on a new array W0 + u; the minus leg
+subtracts 2u in place and the restore step puts W0 back.  The restore is
+bit-exact by construction and does no arithmetic.  The extra memory of an
+open cycle is one noise buffer plus one perturbed copy of the layer.
+
+Suffix-only forwards.  Perturbing layer i changes nothing before it, so
+the loss legs start at layer i from its clean input activation, which
+:func:`zo_all_scores` advances once per layer.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrozenLayerError, InputError, NumericalError
-from .model import CalibrationSet, ModelGraph, per_sample_losses
+from .model import (
+    CalibrationSet,
+    ModelGraph,
+    batch_input_matrix,
+    layer_forward,
+    per_sample_losses,
+)
 from .scoring import ScoreMap
 
 RESTORE = "restore"
@@ -37,7 +43,6 @@ class ZOConfig:
     epsilon: float = 1e-3
     noises_per_sample: int = 1
     seed: int = 0
-    mode: str = "per_layer"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -46,15 +51,15 @@ class ZOConfig:
             raise InputError("noises_per_sample must be >= 1")
         if self.seed < 0:
             raise InputError("seed must be a nonnegative integer")
-        if self.mode != "per_layer":
-            raise InputError(f"unsupported mode {self.mode!r}")
 
 
 class BufferMeter:
     """Tracks transient buffers so the memory contract can be asserted.
 
-    noise buffers: regenerated Gaussian tensors (at most one alive);
-    extra elements: noise plus the per-cycle compensation tail.
+    An open perturbation cycle holds one noise buffer (eps*z, drawn once)
+    and one perturbed copy of the layer, so it counts as one noise buffer
+    and twice the layer size in extra elements.  The original weight is
+    kept by reference and costs nothing.
     """
 
     def __init__(self):
@@ -64,26 +69,16 @@ class BufferMeter:
         self.peak_extra_elements = 0
         self.peak_noise_elements = 0
 
-    def _bump(self):
+    def open_cycle(self, n: int):
+        self.current_noise_buffers += 1
+        self.current_extra_elements += 2 * n
         self.peak_noise_buffers = max(self.peak_noise_buffers, self.current_noise_buffers)
         self.peak_extra_elements = max(self.peak_extra_elements, self.current_extra_elements)
-
-    def grab_noise(self, n: int):
-        self.current_noise_buffers += 1
-        self.current_extra_elements += n
         self.peak_noise_elements = max(self.peak_noise_elements, n)
-        self._bump()
 
-    def drop_noise(self, n: int):
+    def close_cycle(self, n: int):
         self.current_noise_buffers -= 1
-        self.current_extra_elements -= n
-
-    def grab_tail(self, n: int):
-        self.current_extra_elements += n
-        self._bump()
-
-    def drop_tail(self, n: int):
-        self.current_extra_elements -= n
+        self.current_extra_elements -= 2 * n
 
 
 def noise_seed(global_seed: int, layer_index: int, noise_index: int) -> tuple:
@@ -98,14 +93,6 @@ def _regenerate(seed_key, n: int) -> np.ndarray:
     return gen.standard_normal(n)
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray):
-    """Error-free addition: returns (fl(a+b), exact residue)."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
 def perturb_replay(
     model: ModelGraph,
     layer_name: str,
@@ -114,13 +101,12 @@ def perturb_replay(
     direction,
     meter: BufferMeter | None = None,
 ) -> ModelGraph:
-    """Apply one leg of the +eps*z / -2*eps*z / +eps*z replay cycle.
+    """Apply one leg of the plus / minus / restore cycle.
 
-    direction +1 sets W <- W + eps*z and opens a cycle; -1 follows with
-    W <- W - eps*z by subtracting 2*eps*z regenerated from the same seed;
-    "restore" regenerates z once more and returns W to its original bits.
-    A mismatched seed on replay is undetectable by construction - callers
-    must thread the same seed through the whole cycle.
+    direction +1 draws u = eps*z from the seed, keeps the original weight
+    W0 and sets W <- W0 + u as a new array, opening a cycle; -1 follows
+    with W <- W - 2u in place, i.e. fl(fl(W0 + u) - 2u); "restore" puts
+    W0 back, bit-exact, from either leg.  The seed is read on +1 only.
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive (zero makes the estimate 0/0)")
@@ -140,43 +126,31 @@ def perturb_replay(
     if direction == RESTORE and cycle is None:
         raise InputError(f"no active perturbation cycle on layer {layer_name!r}")
 
-    w = layer.weight.reshape(-1)
-    n = w.size
-    z = _regenerate(seed, n)
-    if meter:
-        meter.grab_noise(n)
-    u = epsilon * z
-
     if direction == 1:
-        head, tail = _two_sum(w, u)
-        layer.weight = head.reshape(layer.weight.shape)
-        layer._perturb_cycle = {"phase": 1, "tail": tail}
+        u = _regenerate(seed, layer.size).reshape(layer.weight.shape)
+        u *= epsilon
+        w0 = layer.weight
+        layer.weight = w0 + u
+        layer._perturb_cycle = {"phase": 1, "w0": w0, "u": u}
         if meter:
-            meter.grab_tail(n)
+            meter.open_cycle(layer.size)
     elif direction == -1:
-        head, res = _two_sum(w, -2.0 * u)
-        layer.weight = head.reshape(layer.weight.shape)
-        cycle["tail"] = res + cycle["tail"]
+        u = cycle["u"]
+        u *= 2.0  # exact; u is not needed again, restore uses w0
+        layer.weight -= u
         cycle["phase"] = -1
     else:
-        delta = u if cycle["phase"] == -1 else -u
-        head, res = _two_sum(w, delta)
-        restored = head + (res + cycle["tail"])
-        layer.weight = restored.reshape(layer.weight.shape)
+        layer.weight = cycle["w0"]
         del layer._perturb_cycle
         if meter:
-            meter.drop_tail(n)
-
-    if meter:
-        meter.drop_noise(n)
+            meter.close_cycle(layer.size)
     return model
 
 
-def _abort_cycle(model: ModelGraph, layer_name: str, seed, epsilon: float, meter):
-    """Best-effort restore when a loss evaluation fails mid-cycle."""
-    layer = model.layer(layer_name)
-    if getattr(layer, "_perturb_cycle", None) is not None:
-        perturb_replay(model, layer_name, seed, epsilon, RESTORE, meter)
+def _advance(layers, h: np.ndarray) -> np.ndarray:
+    for layer in layers:
+        h = layer_forward(layer, h)
+    return h
 
 
 def zo_layer_score(
@@ -185,29 +159,35 @@ def zo_layer_score(
     batch: CalibrationSet,
     cfg: ZOConfig,
     meter: BufferMeter | None = None,
+    layer_input: np.ndarray | None = None,
 ) -> float:
     """Mean |central difference| / (2*eps) over samples and noises.
 
-    Deterministic given (cfg.seed, batch order); costs 2*K forward passes
-    per noise, all on the perturbed model with only this layer touched.
+    Deterministic given (cfg.seed, batch order); costs 2*K loss
+    evaluations per noise, each run from this layer to the loss on
+    layer_input, the clean input of the layer (computed here when not
+    given).  The layer is restored on every exit path.
     """
     layer = model.layer(layer_name)
     if layer.frozen:
         raise FrozenLayerError(f"layer {layer_name!r} is frozen")
     layer_index = model.layer_index(layer_name)
+    h = layer_input
+    if h is None:
+        h = _advance(model.layers()[:layer_index], batch_input_matrix(model, batch)[0])
     eps = cfg.epsilon
     per_noise = np.empty((cfg.noises_per_sample, batch.count))
     for j in range(cfg.noises_per_sample):
         key = noise_seed(cfg.seed, layer_index, j)
         perturb_replay(model, layer_name, key, eps, 1, meter)
         try:
-            loss_plus = per_sample_losses(model, batch)
+            loss_plus = per_sample_losses(model, batch, start=layer_index, layer_input=h)
             perturb_replay(model, layer_name, key, eps, -1, meter)
-            loss_minus = per_sample_losses(model, batch)
+            loss_minus = per_sample_losses(model, batch, start=layer_index, layer_input=h)
         except NumericalError as e:
-            _abort_cycle(model, layer_name, key, eps, meter)
             raise NumericalError(f"layer {layer_name!r}: {e}") from e
-        perturb_replay(model, layer_name, key, eps, RESTORE, meter)
+        finally:
+            perturb_replay(model, layer_name, key, eps, RESTORE, meter)
         per_noise[j] = np.abs((loss_plus - loss_minus) / (2.0 * eps))
     # inner mean over noises, outer mean over samples
     return float(np.mean(np.mean(per_noise, axis=0)))
@@ -219,10 +199,21 @@ def zo_all_scores(
     cfg: ZOConfig,
     meter: BufferMeter | None = None,
 ) -> ScoreMap:
-    """Score every prunable layer in model order; 2*L*K*noises forwards."""
+    """Score every prunable layer in model order; 2*L*K*noises loss evaluations.
+
+    One clean activation is carried through the model (frozen layers
+    included), so each layer's legs run over the suffix only.
+    """
+    layers = model.layers()
     entries = {}
-    for layer in model.prunable_layers():
-        entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter)
+    h, at = None, 0
+    for i, layer in enumerate(layers):
+        if layer.frozen:
+            continue
+        if h is None:
+            h, _ = batch_input_matrix(model, batch)
+        h, at = _advance(layers[at:i], h), i
+        entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter, h)
     return ScoreMap(
         entries=entries,
         method="zeroth_order",

@@ -331,6 +331,44 @@ class TestConfigFile:
         assert err["exit_code"] == 1
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("sparsity", "half"),
+        ("samples", "many"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("epsilon", False),
+        ("noises", 2.0),
+        ("coarse", 3),
+        ("sparsity", None),
+    ])
+    def test_mistyped_config_field_is_one_usage_error_line(
+        self, fixture_dir, tmp_path, capsys, field, value
+    ):
+        cfg = {
+            "model_dir": str(fixture_dir / "model"),
+            "calib_path": str(fixture_dir / "calib.json"),
+            "out_dir": str(tmp_path / "out"),
+            field: value,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["prune", "--config", str(cfg_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "UsageError"
+        assert field in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_config_types_accepted(self):
+        config = RunConfig.from_json(
+            {"sparsity": 0, "epsilon": 1, "max_sparsity": None, "lambda": None,
+             "samples": 8, "coarse": "magnitude"}
+        )
+        assert (config.sparsity, config.epsilon, config.samples) == (0, 1, 8)
+        assert config.max_sparsity is None and config.hessian_lambda is None
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_runs(self):
         proc = subprocess.run(

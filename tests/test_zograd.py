@@ -1,11 +1,22 @@
 """Zeroth-order estimation: seed replay, estimator fidelity, memory."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import coarsefine.zograd as zograd
 from coarsefine.errors import FrozenLayerError, InputError
-from coarsefine.model import CalibrationSet, backprop_gradients, per_sample_losses
+from coarsefine.model import (
+    CalibrationSet,
+    backprop_gradients,
+    batch_input_matrix,
+    layer_forward,
+    per_sample_losses,
+)
+from coarsefine.tasks import build_model, get_split, make_task
 from coarsefine.zograd import (
     BufferMeter,
     ZOConfig,
@@ -200,7 +211,7 @@ class TestAllScores:
         biggest = max(l.size for l in model.prunable_layers())
         assert meter.peak_noise_buffers == 1
         assert meter.peak_noise_elements == biggest
-        # noise plus the one compensation tail, never two layers of noise
+        # noise plus the one perturbed copy, never two layers of noise
         assert meter.peak_extra_elements <= 2 * biggest
         assert meter.current_extra_elements == 0
 
@@ -213,5 +224,190 @@ class TestZOConfig:
             ZOConfig(noises_per_sample=0)
         with pytest.raises(InputError):
             ZOConfig(seed=-1)
+
+
+# -- oracle: the TwoSum seed replay and full-forward scorer it replaced ----
+
+
+def _two_sum(a, b):
+    """Error-free addition: returns (fl(a+b), exact residue)."""
+    s = a + b
+    bb = s - a
+    err = (a - (s - bb)) + (b - bb)
+    return s, err
+
+
+def twosum_replay(layer, seed, epsilon, direction, cycle):
+    """Reference +eps*z / -2*eps*z / +eps*z cycle: the noise is drawn
+    again on every leg and a TwoSum residue tail carried in ``cycle``
+    makes the restore land on the original bits."""
+    w = layer.weight.reshape(-1)
+    u = epsilon * _regenerate(seed, w.size)
+    if direction == 1:
+        head, cycle["tail"] = _two_sum(w, u)
+        cycle["phase"] = 1
+    elif direction == -1:
+        head, res = _two_sum(w, -2.0 * u)
+        cycle["tail"] = res + cycle["tail"]
+        cycle["phase"] = -1
+    else:
+        delta = u if cycle["phase"] == -1 else -u
+        head, res = _two_sum(w, delta)
+        head = head + (res + cycle["tail"])
+        cycle.clear()
+    layer.weight = head.reshape(layer.weight.shape)
+
+
+def full_forward_legs(model, layer_name, batch, cfg):
+    """Reference scorer: per noise, (plus weight, minus weight, plus
+    losses, minus losses), every loss from a full forward."""
+    layer = model.layer(layer_name)
+    index = model.layer_index(layer_name)
+    legs = []
+    for j in range(cfg.noises_per_sample):
+        key, cycle = noise_seed(cfg.seed, index, j), {}
+        twosum_replay(layer, key, cfg.epsilon, 1, cycle)
+        w_plus, loss_plus = layer.weight.copy(), per_sample_losses(model, batch)
+        twosum_replay(layer, key, cfg.epsilon, -1, cycle)
+        w_minus, loss_minus = layer.weight.copy(), per_sample_losses(model, batch)
+        twosum_replay(layer, key, cfg.epsilon, "restore", cycle)
+        legs.append((w_plus, w_minus, loss_plus, loss_minus))
+    return legs
+
+
+def full_forward_score(model, layer_name, batch, cfg):
+    per_noise = np.array([
+        np.abs((lp - lm) / (2.0 * cfg.epsilon))
+        for _, _, lp, lm in full_forward_legs(model, layer_name, batch, cfg)
+    ])
+    return float(np.mean(np.mean(per_noise, axis=0)))
+
+
+def _gelu_mlp():
+    rng = np.random.default_rng(21)
+    return random_mlp(rng, [5, 9, 7, 3]), random_batch(rng, 6, 5, 3)
+
+
+def _relu_mlp():
+    rng = np.random.default_rng(22)
+    return random_mlp(rng, [4, 8, 8, 6, 2], activation="relu"), random_batch(rng, 5, 4, 2)
+
+
+def _frozen_middle():
+    rng = np.random.default_rng(23)
+    model = random_mlp(rng, [6, 10, 8, 4])
+    model.layer("L1").frozen = True
+    return model, random_batch(rng, 4, 6, 4)
+
+
+def _char_lm():
+    task = make_task("char_lm", seed=0)
+    return build_model(task), CalibrationSet(get_split(task, "calib").samples[:8])
+
+
+ORACLE_CASES = {
+    "gelu_mlp": _gelu_mlp,
+    "relu_mlp": _relu_mlp,
+    "frozen_middle": _frozen_middle,
+    "char_lm": _char_lm,
+}
+
+
+class TestSnapshotOracle:
+    """The snapshot cycle and suffix forwards reproduce the TwoSum replay
+    and full forwards bit for bit."""
+
+    @pytest.mark.parametrize("noises", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_legs_match_twosum_full_forward(self, case, noises):
+        model, batch = ORACLE_CASES[case]()
+        oracle = model.copy()
+        cfg = ZOConfig(epsilon=1e-3, noises_per_sample=noises, seed=5)
+        layers = model.layers()
+        h = batch_input_matrix(model, batch)[0]
+        for i, layer in enumerate(layers):
+            if not layer.frozen:
+                before = layer.weight.tobytes()
+                expected = full_forward_legs(oracle, layer.name, batch, cfg)
+                for j, (w_plus, w_minus, loss_plus, loss_minus) in enumerate(expected):
+                    key = noise_seed(cfg.seed, i, j)
+                    perturb_replay(model, layer.name, key, cfg.epsilon, 1)
+                    assert layer.weight.tobytes() == w_plus.tobytes()
+                    got = per_sample_losses(model, batch, start=i, layer_input=h)
+                    assert got.tobytes() == loss_plus.tobytes()
+                    perturb_replay(model, layer.name, key, cfg.epsilon, -1)
+                    assert layer.weight.tobytes() == w_minus.tobytes()
+                    got = per_sample_losses(model, batch, start=i, layer_input=h)
+                    assert got.tobytes() == loss_minus.tobytes()
+                    perturb_replay(model, layer.name, key, cfg.epsilon, "restore")
+                    assert layer.weight.tobytes() == before
+                    assert oracle.layer(layer.name).weight.tobytes() == before
+            h = layer_forward(layer, h)
+
+    @pytest.mark.parametrize("noises", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_all_scores_match_oracle(self, case, noises):
+        model, batch = ORACLE_CASES[case]()
+        oracle = model.copy()
+        cfg = ZOConfig(epsilon=1e-3, noises_per_sample=noises, seed=7)
+        scores = zo_all_scores(model, batch, cfg)
+        expected = {
+            l.name: full_forward_score(oracle, l.name, batch, cfg)
+            for l in oracle.prunable_layers()
+        }
+        assert scores.entries == expected
+        # the loss evaluations are counted as before: 2*L*K*noises
+        assert model.forward_count == oracle.forward_count
+        # standalone calls compute their own prefix input
+        for name, value in expected.items():
+            assert zo_layer_score(model, name, batch, cfg) == value
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_suffix_forward_equals_full_forward(self, case):
+        model, batch = ORACLE_CASES[case]()
+        full = per_sample_losses(model, batch)
+        h = batch_input_matrix(model, batch)[0]
+        for i, layer in enumerate(model.layers()):
+            suffix = per_sample_losses(model, batch, start=i, layer_input=h)
+            assert suffix.tobytes() == full.tobytes(), i
+            h = layer_forward(layer, h)
+
+    def test_suffix_forward_arguments_checked(self):
+        model, batch = _gelu_mlp()
+        h = batch_input_matrix(model, batch)[0]
         with pytest.raises(InputError):
-            ZOConfig(mode="global")
+            per_sample_losses(model, batch, start=1)
+        with pytest.raises(InputError):
+            per_sample_losses(model, batch, start=3, layer_input=h)
+
+
+class TestRestoreOnEveryExit:
+    def test_failed_minus_leg_restores_and_releases(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        model = random_mlp(rng, [4, 6, 3])
+        batch = random_batch(rng, 3, 4, 3)
+        before = model.layer("L1").weight.tobytes()
+        legs = []
+
+        def failing_minus_leg(*args, **kwargs):
+            legs.append(1)
+            if len(legs) == 2:
+                raise InputError("injected failure on the minus leg")
+            return per_sample_losses(*args, **kwargs)
+
+        monkeypatch.setattr(zograd, "per_sample_losses", failing_minus_leg)
+        meter = BufferMeter()
+        with pytest.raises(InputError, match="injected"):
+            zo_layer_score(model, "L1", batch, ZOConfig(seed=0), meter)
+        layer = model.layer("L1")
+        assert layer.weight.tobytes() == before
+        assert not hasattr(layer, "_perturb_cycle")
+        assert meter.current_extra_elements == 0
+        assert meter.current_noise_buffers == 0
+
+
+class TestDemo:
+    def test_demo_restores_bit_exactly(self, capsys):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "demo_02_zeroth_order_scores.py"
+        runpy.run_path(str(demo), run_name="__main__")
+        assert "restored bit-exactly: True" in capsys.readouterr().out
