@@ -16,7 +16,6 @@ plan unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FeasibilityError, InputError, UnknownLayerError
+from .io import FORMAT_VERSION, read_json, write_json
 from .model import ModelGraph
 from .scoring import ScoreMap, aggregate_to_blocks
-
-FORMAT_VERSION = "1"
 
 
 def round_half_up(x: float) -> int:
@@ -89,17 +87,11 @@ class SparsityPlan:
         )
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+        return write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "SparsityPlan":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json(read_json(path))
 
 
 def _canonical(scores: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ import numpy as np
 
 from .allocation import SparsityPlan, allocate_sparsity, round_half_up, uniform_plan
 from .errors import InputError
-from .localprune import sequential_prune, sparsegpt_layer_score
+from .localprune import (
+    apply_mask, sequential_prune, sparsegpt_layer_score, top_k_mask, wanda_scores,
+)
 from .model import CalibrationSet, ModelGraph, forward_with_activations, set_layer_weights
 from .scoring import ScoreMap, first_order_saliency
 
@@ -57,20 +59,13 @@ def _split_mask(model: ModelGraph, flat: np.ndarray) -> dict[str, np.ndarray]:
 
 def _apply_masks(model: ModelGraph, masks: dict[str, np.ndarray]) -> None:
     for name, mask in masks.items():
-        layer = model.layer(name)
-        w = layer.weight.copy()
-        w[~mask] = 0.0
-        set_layer_weights(model, name, w)
+        set_layer_weights(model, name, apply_mask(model.layer(name), mask))
 
 
 def _global_top_k(flat_scores: np.ndarray, keep: int, candidates: np.ndarray) -> np.ndarray:
     """Keep-mask of the top-keep scores among candidate positions, ties by
     lowest flat index."""
-    scores = np.where(candidates, flat_scores, -np.inf)
-    order = np.argsort(-scores, kind="stable")
-    mask = np.zeros(flat_scores.size, dtype=bool)
-    mask[order[:keep]] = True
-    return mask
+    return top_k_mask(np.where(candidates, flat_scores, -np.inf), keep)
 
 
 def global_magnitude_prune(
@@ -154,10 +149,7 @@ def local_layer_scores(
         for l in model.prunable_layers():
             x = activations[l.name]
             if fine_method == "wanda":
-                col_norms = np.sqrt(np.sum(x * x, axis=0))
-                entries[l.name] = float(
-                    (np.abs(l.weight) * col_norms[None, :] ** norm_exponent).sum()
-                )
+                entries[l.name] = float(wanda_scores(l.weight, x, norm_exponent).sum())
             else:
                 entries[l.name] = sparsegpt_layer_score(l.weight, x, lam)
     else:

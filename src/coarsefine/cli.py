@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import CoarseFineError, UsageError
-from .pipeline import RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
+from .localprune import FINE_METHODS
+from .pipeline import COARSE_MODES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
 from .tasks import TASK_KINDS
 
 
@@ -27,8 +29,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--sparsity", type=float, help="global target sparsity p in [0,1)")
     p.add_argument("--max-sparsity", type=float, help="per-layer cap (default p+0.1)")
-    p.add_argument("--coarse", choices=["zeroth", "first", "magnitude", "uniform", "local"])
-    p.add_argument("--fine", choices=["wanda", "sparsegpt", "magnitude"])
+    p.add_argument("--coarse", choices=COARSE_MODES)
+    p.add_argument("--fine", choices=FINE_METHODS)
     p.add_argument("--granularity", choices=["layer", "block"])
     p.add_argument("--samples", type=int, help="calibration samples K (default 32)")
     p.add_argument("--noises", type=int, help="noises per sample (default 1)")
@@ -38,13 +40,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--aggregation", choices=["sum", "mean"])
     p.add_argument("--norm-exponent", type=int, choices=[1, 2])
-
-
-_RUN_FIELDS = (
-    "model_dir", "calib_path", "out_dir", "sparsity", "max_sparsity", "coarse",
-    "fine", "granularity", "samples", "noises", "epsilon", "hessian_lambda",
-    "seed", "aggregation", "norm_exponent",
-)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -60,10 +55,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(base, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
     config = RunConfig.from_json(base)
-    for field in _RUN_FIELDS:
-        value = getattr(args, field, None)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(config, field, value)
+            setattr(config, field.name, value)
     for required in ("model_dir", "calib_path", "out_dir"):
         if not getattr(config, required):
             raise UsageError(f"missing required option --{required.replace('_', '-')}")

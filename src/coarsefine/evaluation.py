@@ -9,7 +9,7 @@ reconstruction errors from the pruning pass.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,8 @@ from .model import (
     CalibrationSet,
     ModelGraph,
     backprop_gradients,
-    forward_outputs,
     forward_with_activations,
-    per_sample_losses,
+    run_forward,
 )
 from .tasks import TaskSpec, get_split
 
@@ -42,17 +41,7 @@ class EvalResult:
     sample_count: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "loss": self.loss,
-            "accuracy": self.accuracy,
-            "perplexity": self.perplexity,
-            "per_layer_sparsity": self.per_layer_sparsity,
-            "global_sparsity": self.global_sparsity,
-            "reconstruction": self.reconstruction,
-            "task": self.task,
-            "split": self.split,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "EvalResult":
@@ -106,15 +95,13 @@ def evaluate_on_batch(
     task: str = "",
     split: str = "",
 ) -> EvalResult:
-    losses = per_sample_losses(model, batch)
+    losses, out, _ = run_forward(model, batch)
     loss = float(np.mean(losses))
     accuracy = None
     perplexity = None
     if model.head == "cross_entropy":
-        out = forward_outputs(model, batch)
-        _, ys = batch.stacked()
         preds = np.argmax(out[:, 0, :], axis=1)
-        accuracy = float(np.mean(preds == ys.astype(np.int64)))
+        accuracy = float(np.mean(preds == batch.ys.astype(np.int64)))
     elif model.head == "next_token_cross_entropy":
         perplexity = float(np.exp(loss))
     per_layer, global_sparsity = sparsity_accounting(model, masks)

@@ -12,11 +12,19 @@ order with the same binary convention.
 
 Masks: ``<layer>.mask.bin`` packed bits (row-major, MSB-first within a
 byte) plus a ``masks.json`` index.
+
+Every JSON file the package writes (these indexes, score maps, plans,
+reports) goes through :func:`write_json`: sorted keys, indent 2, a
+trailing newline, under the one ``FORMAT_VERSION``.  Every JSON file it
+reads goes through :func:`read_json`, and the loaders check each field's
+type and every name or file they name, so a malformed or tampered file
+is a ``ModelFormatError`` and no read leaves the directory it was given.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -28,6 +36,7 @@ from .model import Block, CalibrationSet, LayerSpec, ModelGraph
 FORMAT_VERSION = "1"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_REQUIRED = object()
 
 
 def _check_name(name: str) -> str:
@@ -36,15 +45,60 @@ def _check_name(name: str) -> str:
     return name
 
 
+def write_json(obj: dict, path: str | Path) -> Path:
+    """Write obj as sorted-key, indent-2 JSON with a trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def read_json(path: str | Path) -> dict:
+    """Parse a JSON object; a missing, unreadable or non-object file is a
+    ModelFormatError."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:  # missing file, a directory, no permission
+        raise ModelFormatError(f"cannot read {path}: {e.strerror}") from e
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ModelFormatError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{path} must hold a JSON object")
+    return obj
+
+
+def _field(obj, key: str, kind: type, where: str, default=_REQUIRED):
+    """obj[key], which must have type kind (bool is not an int here)."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
+    if key not in obj and default is not _REQUIRED:
+        return default
+    value = obj.get(key)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ModelFormatError(f"{where}: field {key!r} must be a {kind.__name__}")
+    return value
+
+
+def _shape(obj, key: str, where: str) -> tuple[int, ...]:
+    dims = _field(obj, key, list, where)
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims):
+        raise ModelFormatError(f"{where}: {key!r} must list nonnegative integers")
+    return tuple(dims)
+
+
+def _read_raw(path: Path, dtype: str) -> np.ndarray:
+    if not path.is_file():
+        raise ModelFormatError(f"missing data file {path}")
+    return np.fromfile(path, dtype=dtype)
+
+
 def _write_f32(path: Path, arr: np.ndarray) -> None:
     np.ascontiguousarray(arr, dtype=np.float64).astype("<f4").tofile(path)
 
 
 def _read_f32(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    if not path.exists():
-        raise ModelFormatError(f"missing tensor file {path}")
-    raw = np.fromfile(path, dtype="<f4")
-    expected = int(np.prod(shape)) if shape else 1
+    raw = _read_raw(path, "<f4")
+    expected = math.prod(shape)
     if raw.size != expected:
         raise ModelFormatError(
             f"{path}: {raw.size} floats on disk, expected {expected}"
@@ -79,50 +133,43 @@ def save_model(model: ModelGraph, directory: str | Path) -> Path:
             if layer.bias is not None:
                 _write_f32(directory / f"{layer.name}.bias.bin", layer.bias)
         manifest["blocks"].append(entry)
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest, directory / "manifest.json")
     return directory
 
 
 def load_model(directory: str | Path) -> ModelGraph:
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise ModelFormatError(f"no manifest.json in {directory}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"manifest.json is not valid JSON: {e}") from e
+    manifest = read_json(directory / "manifest.json")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {manifest.get('format_version')!r}"
         )
     blocks = []
-    for bentry in manifest["blocks"]:
+    for bentry in _field(manifest, "blocks", list, "manifest"):
+        bname = _check_name(_field(bentry, "name", str, "manifest block"))
         layers = []
-        for lentry in bentry["layers"]:
-            shape = tuple(int(s) for s in lentry["shape"])
+        for lentry in _field(bentry, "layers", list, f"block {bname!r}"):
+            name = _check_name(_field(lentry, "name", str, f"block {bname!r} layer"))
+            where = f"layer {name!r}"
+            shape = _shape(lentry, "shape", where)
             if len(shape) != 2:
-                raise ModelFormatError(f"layer {lentry['name']!r}: shape must be 2-D")
-            weight = _read_f32(directory / f"{lentry['name']}.bin", shape)
+                raise ModelFormatError(f"{where}: shape must be 2-D")
+            weight = _read_f32(directory / f"{name}.bin", shape)
             bias = None
-            if lentry.get("has_bias"):
-                bias = _read_f32(
-                    directory / f"{lentry['name']}.bias.bin", (shape[0],)
-                )
+            if _field(lentry, "has_bias", bool, where, False):
+                bias = _read_f32(directory / f"{name}.bias.bin", (shape[0],))
             layers.append(
                 LayerSpec(
-                    name=lentry["name"],
-                    kind=lentry["kind"],
+                    name=name,
+                    kind=_field(lentry, "kind", str, where),
                     weight=weight,
                     bias=bias,
-                    activation=lentry.get("activation", "identity"),
-                    frozen=bool(lentry.get("frozen", False)),
+                    activation=_field(lentry, "activation", str, where, "identity"),
+                    frozen=_field(lentry, "frozen", bool, where, False),
                 )
             )
-        blocks.append(Block(name=bentry["name"], layers=layers))
-    return ModelGraph(blocks=blocks, head=manifest["head"])
+        blocks.append(Block(name=bname, layers=layers))
+    return ModelGraph(blocks=blocks, head=_field(manifest, "head", str, "manifest"))
 
 
 # -- calibration sets --------------------------------------------------------
@@ -144,29 +191,25 @@ def save_calibration(batch: CalibrationSet, json_path: str | Path) -> Path:
         for x, y in batch.samples:
             f.write(np.ascontiguousarray(x, dtype=np.float64).astype("<f4").tobytes())
             f.write(np.ascontiguousarray(y, dtype=np.float64).astype("<f4").tobytes())
-    json_path.write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return json_path
+    return write_json(index, json_path)
 
 
 def load_calibration(json_path: str | Path) -> CalibrationSet:
     json_path = Path(json_path)
-    if not json_path.exists():
-        raise ModelFormatError(f"no calibration index at {json_path}")
-    index = json.loads(json_path.read_text(encoding="utf-8"))
+    index = read_json(json_path)
     if index.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError("unsupported calibration format version")
-    data = np.fromfile(json_path.parent / index["data_file"], dtype="<f4")
+    data_file = _check_name(_field(index, "data_file", str, "calibration index"))
+    data = _read_raw(json_path.parent / data_file, "<f4")
     if not np.all(np.isfinite(data)):
-        raise ModelFormatError(f"{index['data_file']}: non-finite values on disk")
+        raise ModelFormatError(f"{data_file}: non-finite values on disk")
     samples = []
     offset = 0
-    for entry in index["samples"]:
-        xs = tuple(int(v) for v in entry["input"])
-        ys = tuple(int(v) for v in entry["target"])
-        nx = int(np.prod(xs)) if xs else 1
-        ny = int(np.prod(ys)) if ys else 1
+    for entry in _field(index, "samples", list, "calibration index"):
+        xs = _shape(entry, "input", "calibration sample")
+        ys = _shape(entry, "target", "calibration sample")
+        nx = math.prod(xs)
+        ny = math.prod(ys)
         if offset + nx + ny > data.size:
             raise ModelFormatError("calibration data file shorter than its index")
         x = data[offset : offset + nx].astype(np.float64).reshape(xs)
@@ -198,30 +241,26 @@ def save_masks(masks: dict[str, np.ndarray], directory: str | Path) -> Path:
             "file": fname,
             "kept": int(mask.sum()),
         }
-    (directory / "masks.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(index, directory / "masks.json")
     return directory
 
 
 def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
     directory = Path(directory)
-    index_path = directory / "masks.json"
-    if not index_path.exists():
-        raise ModelFormatError(f"no masks.json in {directory}")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
+    index = read_json(directory / "masks.json")
     if index.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError("unsupported mask format version")
     masks = {}
-    for name, entry in index["layers"].items():
-        shape = tuple(int(v) for v in entry["shape"])
-        n = int(np.prod(shape))
-        bits = np.fromfile(directory / entry["file"], dtype=np.uint8)
+    for name, entry in _field(index, "layers", dict, "mask index").items():
+        where = f"mask {name!r}"
+        shape = _shape(entry, "shape", where)
+        n = math.prod(shape)
+        bits = _read_raw(directory / _check_name(_field(entry, "file", str, where)), "u1")
         flat = np.unpackbits(bits)[:n].astype(bool)
         if flat.size != n:
             raise ModelFormatError(f"mask file for {name!r} too short")
         mask = flat.reshape(shape)
-        if int(mask.sum()) != int(entry["kept"]):
+        if int(mask.sum()) != _field(entry, "kept", int, where):
             raise ModelFormatError(f"mask for {name!r} disagrees with its index")
         masks[name] = mask
     return masks

@@ -94,13 +94,21 @@ def _row_budgets(keep_count: int, rows: int, cols: int) -> np.ndarray:
     return budgets
 
 
-def _top_k_mask_flat(scores: np.ndarray, k: int) -> np.ndarray:
+def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     """Boolean keep-mask of the k largest scores, ties to the lowest index."""
     flat = scores.reshape(-1)
     order = np.argsort(-flat, kind="stable")
     mask = np.zeros(flat.size, dtype=bool)
     mask[order[:k]] = True
     return mask.reshape(scores.shape)
+
+
+def wanda_scores(
+    weight: np.ndarray, activations: np.ndarray, norm_exponent: int = 1
+) -> np.ndarray:
+    """|W_ij| * ||X_j||^e, ||X_j|| the l2 norm of activation column j."""
+    col_norms = np.sqrt(np.sum(activations * activations, axis=0))
+    return np.abs(weight) * col_norms[None, :] ** norm_exponent
 
 
 def wanda_prune_layer(
@@ -121,14 +129,13 @@ def wanda_prune_layer(
         raise InputError(
             f"activations shape {x.shape} does not match layer d_in {w.shape[1]}"
         )
-    col_norms = np.sqrt(np.sum(x * x, axis=0))
-    scores = np.abs(w) * col_norms[None, :] ** norm_exponent
+    scores = wanda_scores(w, x, norm_exponent)
     if group == "per_layer":
-        return _top_k_mask_flat(scores, keep_count)
+        return top_k_mask(scores, keep_count)
     budgets = _row_budgets(keep_count, w.shape[0], w.shape[1])
     mask = np.zeros_like(w, dtype=bool)
     for r in range(w.shape[0]):
-        mask[r] = _top_k_mask_flat(scores[r], int(budgets[r]))
+        mask[r] = top_k_mask(scores[r], int(budgets[r]))
     return mask
 
 
@@ -136,7 +143,7 @@ def magnitude_prune_layer(layer: LayerSpec, keep_count: int) -> np.ndarray:
     """Keep the top keep_count |W_ij| in the layer, ties to lowest index."""
     if not 0 <= keep_count <= layer.size:
         raise InputError(f"keep_count {keep_count} out of range for {layer.name!r}")
-    return _top_k_mask_flat(np.abs(layer.weight), keep_count)
+    return top_k_mask(np.abs(layer.weight), keep_count)
 
 
 def sparsegpt_prune_layer(

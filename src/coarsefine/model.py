@@ -3,9 +3,17 @@
 All tensors are C-contiguous float64 ndarrays in memory (files store
 float32, see :mod:`coarsefine.io`).  A model is an ordered sequence of
 blocks, each holding named weight layers; the layers compose as a single
-sequential path.  Forward passes are deterministic: identical inputs and
-weights produce bit-identical losses.  Exact backpropagation is provided
-as the gradient oracle for first-order scores and for tests.
+sequential path.  A calibration batch is stacked once, when it is built.
+
+One engine, :func:`run_forward`, runs every forward: it starts at any
+layer from that layer's input, returns per-sample losses and the final
+output, and records each layer's input and pre-activation only when the
+caller asks (backprop and activation capture do; loss-only forwards do
+not).  One loss head computes the losses and, for backprop only, the
+gradient of the mean loss with respect to the output.  Forward passes
+are deterministic: identical inputs and weights produce bit-identical
+losses.  Exact backpropagation is provided as the gradient oracle for
+first-order scores and for tests.
 """
 
 from __future__ import annotations
@@ -106,13 +114,13 @@ class ModelGraph:
     def __post_init__(self):
         if self.head not in LOSS_KINDS:
             raise InputError(f"unknown loss head {self.head!r}")
-        names = [l.name for l in self.layers()]
+        layers = self.layers()
+        names = [l.name for l in layers]
         if len(names) != len(set(names)):
             raise InputError("layer names must be unique")
         bnames = [b.name for b in self.blocks]
         if len(bnames) != len(set(bnames)):
             raise InputError("block names must be unique")
-        layers = self.layers()
         for i, layer in enumerate(layers):
             if layer.kind == "embedding" and i != 0:
                 raise DimensionError(
@@ -130,10 +138,7 @@ class ModelGraph:
         return [l for b in self.blocks for l in b.layers]
 
     def layer(self, name: str) -> LayerSpec:
-        for l in self.layers():
-            if l.name == name:
-                return l
-        raise UnknownLayerError(f"no layer named {name!r}")
+        return self.layers()[self.layer_index(name)]
 
     def layer_index(self, name: str) -> int:
         for i, l in enumerate(self.layers()):
@@ -163,29 +168,32 @@ class ModelGraph:
 class CalibrationSet:
     """Small sample set (input, target) used for activations and losses.
 
-    All inputs share one shape and all targets share one shape so batches
-    can be stacked.  Never used for training.
+    All inputs share one shape and all targets share one shape, so the
+    batch is stacked once into xs [K, *input] and ys [K, *target];
+    samples then holds row views of those arrays, not copies.  Never used
+    for training.
     """
 
     samples: list[tuple[np.ndarray, np.ndarray]]
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
+    ys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.samples) < 1:
             raise InputError("calibration set must contain at least one sample")
-        self.samples = [(as_tensor(x), as_tensor(y)) for x, y in self.samples]
-        x0, y0 = self.samples[0]
-        for x, y in self.samples[1:]:
+        pairs = [(as_tensor(x), as_tensor(y)) for x, y in self.samples]
+        x0, y0 = pairs[0]
+        for x, y in pairs[1:]:
             if x.shape != x0.shape or y.shape != y0.shape:
                 raise DimensionError("calibration samples have inconsistent shapes")
+        self.xs = np.stack([x for x, _ in pairs])
+        self.ys = np.stack([y for _, y in pairs])
+        # [i, ...] keeps 0-d targets (class ids) as array views
+        self.samples = [(self.xs[i, ...], self.ys[i, ...]) for i in range(len(pairs))]
 
     @property
     def count(self) -> int:
         return len(self.samples)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.stack([x for x, _ in self.samples])
-        ys = np.stack([y for _, y in self.samples])
-        return xs, ys
 
 
 # -- activations ----------------------------------------------------------
@@ -222,24 +230,6 @@ def _token_ids(x2d: np.ndarray, vocab: int) -> np.ndarray:
     return ids
 
 
-class _Trace:
-    """One batched pass: inputs seen per layer, outputs, per-sample losses."""
-
-    def __init__(self):
-        self.inputs: dict[str, np.ndarray] = {}
-        self.outputs: dict[str, np.ndarray] = {}
-        self.pre_acts: dict[str, np.ndarray] = {}
-        self.sample_losses: np.ndarray | None = None
-        self.logits: np.ndarray | None = None
-        self.probs: np.ndarray | None = None
-        self.ids: np.ndarray | None = None
-        self.tokens: int = 1
-
-    @property
-    def loss(self) -> float:
-        return float(np.mean(self.sample_losses))
-
-
 def batch_input_matrix(model: ModelGraph, batch: CalibrationSet) -> tuple[np.ndarray, int]:
     """Stack the batch into the [K*tokens, d_in] matrix the first layer sees.
 
@@ -247,7 +237,7 @@ def batch_input_matrix(model: ModelGraph, batch: CalibrationSet) -> tuple[np.nda
     ids (so activation-based pruning sees column usage counts).  Returns
     the matrix and the tokens-per-sample count.
     """
-    xs, _ = batch.stacked()
+    xs = batch.xs
     layers = model.layers()
     if not layers:
         raise InputError("model has no layers")
@@ -285,21 +275,73 @@ def layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     return _act(layer.activation, layer_preact(layer, x))
 
 
-def _forward_trace(
+def _loss_head(
+    head: str, ys: np.ndarray, out: np.ndarray, grad: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-sample losses of out [K, tokens, d] against the stacked targets.
+
+    With grad, also d(mean batch loss)/d(out), flattened to [K*tokens, d].
+    """
+    k, tokens, d = out.shape
+    if head == "mse":
+        if ys.ndim == 2:
+            target = ys.reshape(k, 1, -1)
+        elif ys.ndim == 3:
+            target = ys
+        else:
+            raise DimensionError("mse targets must be [K, d] or [K, T, d]")
+        if target.shape[1] not in (1, tokens) or target.shape[2] != d:
+            raise DimensionError("mse target shape does not match predictions")
+        diff = out - target
+        losses = np.mean(diff * diff, axis=(1, 2))
+        if not grad:
+            return losses, None
+        return losses, ((2.0 / (tokens * d * k)) * diff).reshape(k * tokens, d)
+
+    if head == "cross_entropy":
+        if tokens != 1:
+            raise DimensionError("cross_entropy head expects single-token samples")
+        if ys.ndim != 1:
+            raise DimensionError("cross_entropy targets must be [K] class ids")
+        classes = _token_ids(ys.reshape(k, 1), d).reshape(k)
+    else:  # next_token_cross_entropy
+        if ys.ndim != 2 or ys.shape != (k, tokens):
+            raise DimensionError("next-token targets must be [K, T] class ids")
+        classes = _token_ids(ys, d).reshape(-1)
+    rows = np.arange(k * tokens)
+    logits = out.reshape(k * tokens, d)
+    logp = logits - _logsumexp(logits)
+    losses = (-logp[rows, classes]).reshape(k, tokens).mean(axis=1)
+    if not grad:
+        return losses, None
+    probs = np.exp(logp)
+    probs[rows, classes] -= 1.0
+    return losses, probs * (1.0 / (k * tokens))
+
+
+def _logsumexp(logits: np.ndarray) -> np.ndarray:
+    m = logits.max(axis=1, keepdims=True)
+    return m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
+
+
+def run_forward(
     model: ModelGraph,
     batch: CalibrationSet,
     start: int = 0,
     layer_input: np.ndarray | None = None,
-) -> _Trace:
-    """Run the stacked batch through the model, recording layer inputs.
+    record: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
+    grad: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The forward engine: run layers[start:] on the batch.
 
     With layer_input, the pass starts at layers[start] from that input
-    (the [K*tokens, d_in] matrix the layer sees) and records only the
-    layers from there on.
+    (the [K*tokens, d_in] matrix the layer sees); the losses equal the
+    full forward's.  A record dict receives (input, pre-activation) per
+    layer run; with grad the loss head also returns dL/d(output).
+    Returns (per-sample losses [K], final output [K, tokens, d_out],
+    dL/d(output) as [K*tokens, d_out] or None).  Counts K forwards.
     """
-    _, ys = batch.stacked()
     layers = model.layers()
-    tr = _Trace()
     k = batch.count
     if layer_input is None:
         if start != 0:
@@ -314,57 +356,17 @@ def _forward_trace(
             raise DimensionError(f"layer_input rows {h.shape[0]} are not a multiple of K={k}")
 
     for layer in layers[start:]:
-        tr.inputs[layer.name] = h
         pre = layer_preact(layer, h)
-        tr.pre_acts[layer.name] = pre
+        if record is not None:
+            record[layer.name] = (h, pre)
         h = _act(layer.activation, pre)
-        tr.outputs[layer.name] = h
 
     check_finite(h, "model output")
     out = h.reshape(k, tokens, -1)
-
-    if model.head == "mse":
-        if ys.ndim == 2:
-            target = ys.reshape(k, 1, -1)
-        elif ys.ndim == 3:
-            target = ys
-        else:
-            raise DimensionError("mse targets must be [K, d] or [K, T, d]")
-        if target.shape[1] not in (1, tokens) or target.shape[2] != out.shape[2]:
-            raise DimensionError("mse target shape does not match predictions")
-        diff = out - target
-        tr.sample_losses = np.mean(diff * diff, axis=(1, 2))
-    elif model.head == "cross_entropy":
-        if tokens != 1:
-            raise DimensionError("cross_entropy head expects single-token samples")
-        if ys.ndim != 1:
-            raise DimensionError("cross_entropy targets must be [K] class ids")
-        classes = _token_ids(ys.reshape(k, 1), out.shape[2]).reshape(k)
-        logits = out.reshape(k, -1)
-        tr.logits = logits
-        logp = logits - _logsumexp(logits)
-        tr.probs = np.exp(logp)
-        tr.sample_losses = -logp[np.arange(k), classes]
-    else:  # next_token_cross_entropy
-        if ys.ndim != 2 or ys.shape != (k, tokens):
-            raise DimensionError("next-token targets must be [K, T] class ids")
-        classes = _token_ids(ys, out.shape[2])
-        logits = out.reshape(k * tokens, -1)
-        tr.logits = logits
-        logp = logits - _logsumexp(logits)
-        tr.probs = np.exp(logp)
-        nll = -logp[np.arange(k * tokens), classes.reshape(-1)]
-        tr.sample_losses = nll.reshape(k, tokens).mean(axis=1)
-
-    check_finite(tr.sample_losses, "loss")
+    losses, d_out = _loss_head(model.head, batch.ys, out, grad)
+    check_finite(losses, "loss")
     model.forward_count += k
-    tr.tokens = tokens
-    return tr
-
-
-def _logsumexp(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    return m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
+    return losses, out, d_out
 
 
 def forward_with_activations(
@@ -375,12 +377,13 @@ def forward_with_activations(
     activations[name] has shape [K*tokens, d_in]; for the embedding layer
     it is the stacked one-hot id matrix.
     """
-    tr = _forward_trace(model, batch)
-    return tr.loss, tr.inputs
+    record: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    losses, _, _ = run_forward(model, batch, record=record)
+    return float(np.mean(losses)), {name: x for name, (x, _) in record.items()}
 
 
 def forward_loss(model: ModelGraph, batch: CalibrationSet) -> float:
-    return _forward_trace(model, batch).loss
+    return float(np.mean(run_forward(model, batch)[0]))
 
 
 def per_sample_losses(
@@ -392,16 +395,14 @@ def per_sample_losses(
     """Loss of each calibration sample individually, shape [K].
 
     start/layer_input run the forward from layers[start] on its input
-    (see :func:`_forward_trace`); the losses equal the full forward's.
+    (see :func:`run_forward`); the losses equal the full forward's.
     """
-    return _forward_trace(model, batch, start, layer_input).sample_losses
+    return run_forward(model, batch, start, layer_input)[0]
 
 
 def forward_outputs(model: ModelGraph, batch: CalibrationSet) -> np.ndarray:
     """Final post-activation outputs, shape [K, tokens, d_out]."""
-    tr = _forward_trace(model, batch)
-    out = tr.outputs[model.layers()[-1].name]
-    return out.reshape(batch.count, tr.tokens, -1)
+    return run_forward(model, batch)[1]
 
 
 def backprop_gradients(
@@ -412,38 +413,13 @@ def backprop_gradients(
     relu contributes subgradient 0 at 0; gradients match central finite
     differences to 1e-4 relative at desk scale.
     """
-    tr = _forward_trace(model, batch)
+    record: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    _, _, grad = run_forward(model, batch, record=record, grad=True)
     layers = model.layers()
-    k = batch.count
-    tokens = tr.tokens
-    _, ys = batch.stacked()
-
-    # dL/d(final post-activation output), flattened to [K*tokens, d_out]
-    if model.head == "mse":
-        out = tr.outputs[layers[-1].name].reshape(k, tokens, -1)
-        if ys.ndim == 2:
-            target = ys.reshape(k, 1, -1)
-        else:
-            target = ys
-        d = out.shape[2]
-        grad = (2.0 / (tokens * d * k)) * (out - target)
-        grad = grad.reshape(k * tokens, d)
-    else:
-        probs = tr.probs.copy()
-        n = probs.shape[0]
-        if model.head == "cross_entropy":
-            classes = ys.astype(np.int64)
-            scale = 1.0 / k
-        else:
-            classes = ys.astype(np.int64).reshape(-1)
-            scale = 1.0 / (k * tokens)
-        probs[np.arange(n), classes] -= 1.0
-        grad = probs * scale
-
     grads: dict[str, np.ndarray] = {}
     for layer in reversed(layers):
-        grad = grad * _act_grad(layer.activation, tr.pre_acts[layer.name])
-        x = tr.inputs[layer.name]
+        x, pre = record[layer.name]
+        grad = grad * _act_grad(layer.activation, pre)
         grads[layer.name] = grad.T @ x
         if layer is not layers[0]:
             grad = grad @ layer.weight

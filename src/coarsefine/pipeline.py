@@ -13,9 +13,9 @@ on-disk float32 format, so reported metrics match what a reload sees.
 
 from __future__ import annotations
 
-import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import io as cfio
@@ -23,16 +23,13 @@ from .allocation import SparsityPlan, allocate_sparsity, validate_plan
 from .baselines import local_layer_scores
 from .errors import InputError, UsageError
 from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
-from .localprune import sequential_prune
+from .localprune import FINE_METHODS, sequential_prune
 from .model import CalibrationSet, ModelGraph
 from .scoring import ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores
 from .tasks import TASK_KINDS, make_task
 from .zograd import BufferMeter, ZOConfig, zo_all_scores
 
-FORMAT_VERSION = "1"
-
 COARSE_MODES = ("zeroth", "first", "magnitude", "uniform", "local")
-FINE_MODES = ("wanda", "sparsegpt", "magnitude")
 # accepted JSON types per RunConfig annotation: floats take ints too
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
@@ -74,16 +71,19 @@ class RunConfig:
             )
         if self.coarse not in COARSE_MODES:
             raise UsageError(f"--coarse must be one of {COARSE_MODES}")
-        if self.fine not in FINE_MODES:
-            raise UsageError(f"--fine must be one of {FINE_MODES}")
+        if self.fine not in FINE_METHODS:
+            raise UsageError(f"--fine must be one of {FINE_METHODS}")
         if self.granularity not in ("layer", "block"):
             raise UsageError("--granularity must be layer or block")
         if self.samples < 1:
             raise UsageError("--samples must be >= 1")
         if self.noises < 1:
             raise UsageError("--noises must be >= 1")
-        if self.epsilon <= 0:
-            raise UsageError("--epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise UsageError(f"--epsilon must be finite and positive, got {self.epsilon}")
+        lam = self.hessian_lambda
+        if lam is not None and not (math.isfinite(lam) and lam >= 0):
+            raise UsageError(f"--lambda must be finite and nonnegative, got {lam}")
         if self.seed < 0:
             raise UsageError("--seed must be nonnegative")
         if self.aggregation not in ("sum", "mean"):
@@ -92,23 +92,10 @@ class RunConfig:
             raise UsageError("--norm-exponent must be 1 or 2")
 
     def to_json(self) -> dict:
-        return {
-            "model_dir": self.model_dir,
-            "calib_path": self.calib_path,
-            "out_dir": self.out_dir,
-            "sparsity": self.sparsity,
-            "max_sparsity": self.effective_max_sparsity(),
-            "coarse": self.coarse,
-            "fine": self.fine,
-            "granularity": self.granularity,
-            "samples": self.samples,
-            "noises": self.noises,
-            "epsilon": self.epsilon,
-            "lambda": self.hessian_lambda,
-            "seed": self.seed,
-            "aggregation": self.aggregation,
-            "norm_exponent": self.norm_exponent,
-        }
+        obj = asdict(self)
+        obj["max_sparsity"] = self.effective_max_sparsity()
+        obj["lambda"] = obj.pop("hessian_lambda")
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
@@ -145,7 +132,7 @@ class PruneReport:
         # wall clock deliberately excluded: reports must be byte-identical
         # across reruns (the timing sidecar carries it)
         return {
-            "format_version": FORMAT_VERSION,
+            "format_version": cfio.FORMAT_VERSION,
             "config": self.config.to_json(),
             "score_map": self.score_map.to_json(),
             "sparsity_plan": self.plan.to_json(),
@@ -154,12 +141,6 @@ class PruneReport:
             "eval_pruned": self.eval_pruned.to_json(),
             "forward_passes": self.forward_passes,
         }
-
-
-def _write_json(obj: dict, path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def _load_inputs(config: RunConfig) -> tuple[ModelGraph, CalibrationSet]:
@@ -232,7 +213,7 @@ def cmd_score(config: RunConfig) -> dict:
         "layers_scored": len(scores.entries),
         "method": scores.method,
     }
-    _write_json(summary, out / "score_summary.json")
+    cfio.write_json(summary, out / "score_summary.json")
     return summary
 
 
@@ -283,25 +264,14 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     )
     eval_forwards = reloaded.forward_count + dense_forwards
 
-    achieved_layers, achieved_global = {}, 0.0
-    zeros_total = 0
-    size_total = 0
-    for name, mask in masks.items():
-        zeros = int((~mask).sum())
-        achieved_layers[name] = {
-            "zeros": zeros,
-            "size": int(mask.size),
-            "sparsity": zeros / mask.size,
-        }
-        zeros_total += zeros
-        size_total += mask.size
-    achieved_global = zeros_total / size_total if size_total else 0.0
-
     report = PruneReport(
         config=config,
         score_map=scores,
         plan=plan,
-        achieved={"per_layer": achieved_layers, "global_sparsity": achieved_global},
+        achieved={
+            "per_layer": eval_pruned.per_layer_sparsity,
+            "global_sparsity": eval_pruned.global_sparsity,
+        },
         eval_dense=eval_dense,
         eval_pruned=eval_pruned,
         forward_passes={
@@ -314,10 +284,8 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     )
     scores.save(out / "scores.json")
     plan.save(out / "plan.json")
-    _write_json(report.to_json(), out / "report.json")
-    _write_json(
-        {"wall_clock_seconds": report.wall_clock_seconds}, out / "timing.json"
-    )
+    cfio.write_json(report.to_json(), out / "report.json")
+    cfio.write_json({"wall_clock_seconds": report.wall_clock_seconds}, out / "timing.json")
     return report
 
 
@@ -341,7 +309,7 @@ def cmd_eval(
         if str(out_path).endswith(".csv"):
             write_csv([result.to_row()], Path(out_path))
         else:
-            _write_json(result.to_json(), Path(out_path))
+            cfio.write_json(result.to_json(), out_path)
     return result
 
 
@@ -352,8 +320,8 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
         raise UsageError("compare needs at least one report")
     reports = []
     for p in report_paths:
-        obj = json.loads(Path(p).read_text(encoding="utf-8"))
-        if obj.get("format_version") != FORMAT_VERSION:
+        obj = cfio.read_json(p)
+        if obj.get("format_version") != cfio.FORMAT_VERSION:
             raise InputError(f"{p}: unsupported report format version")
         reports.append(obj)
 

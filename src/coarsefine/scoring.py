@@ -9,13 +9,13 @@ per layer (or block) plus provenance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, NumericalError, UnknownLayerError
+from .io import read_json, write_json
 from .model import CalibrationSet, ModelGraph, backprop_gradients
 
 SCORE_METHODS = (
@@ -76,17 +76,11 @@ class ScoreMap:
         )
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+        return write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScoreMap":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json(read_json(path))
 
 
 # -- element-level scores ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line pipeline: determinism, exit codes, config echo, formats."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,15 @@ class TestCmdPrune:
         cmd_prune(run_config(fixture_dir, out, coarse="zeroth", fine="sparsegpt"))
         for p, before in snapshot.items():
             assert p.read_bytes() == before, p
+
+    def test_classification_report_counts_one_forward_per_evaluation(self, tmp_path):
+        rng = np.random.default_rng(6)
+        save_model(random_mlp(rng, [6, 8, 3], head="cross_entropy"), tmp_path / "model")
+        k = 12
+        batch = CalibrationSet([(rng.normal(size=6), np.float64(i % 3)) for i in range(k)])
+        save_calibration(batch, tmp_path / "calib.json")
+        report = cmd_prune(run_config(tmp_path, tmp_path / "out", coarse="magnitude", samples=k))
+        assert report.forward_passes["evaluation"] == 2 * k  # dense plus pruned
 
     def test_config_echo_includes_defaults(self, fixture_dir, tmp_path):
         config = run_config(fixture_dir, tmp_path)
@@ -367,6 +377,119 @@ class TestConfigFile:
         )
         assert (config.sparsity, config.epsilon, config.samples) == (0, 1, 8)
         assert config.max_sparsity is None and config.hessian_lambda is None
+
+
+def one_error_line(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestNumericFlagValidation:
+    # non-finite or negative epsilon/lambda used to pass validation and end
+    # as a NumericalError (exit 3) or an InputError (exit 2)
+    CASES = [
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("epsilon", -1.0),
+        ("lambda", float("nan")),
+        ("lambda", float("inf")),
+        ("lambda", -1.0),
+    ]
+
+    @pytest.mark.parametrize("field,value", CASES)
+    def test_flag_is_one_usage_error_line(self, three_layer_dir, tmp_path, capsys, field, value):
+        code = main([
+            "prune", "--model-dir", str(three_layer_dir / "model"),
+            "--calib", str(three_layer_dir / "calib.json"), "--out", str(tmp_path / "out"),
+            "--fine", "sparsegpt", "--samples", "8", f"--{field}", str(value),
+        ])
+        assert code == 1
+        err = one_error_line(capsys)
+        assert err["error"] == "UsageError" and field in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value", CASES)
+    def test_config_file_is_one_usage_error_line(
+        self, three_layer_dir, tmp_path, capsys, field, value
+    ):
+        cfg = {
+            "model_dir": str(three_layer_dir / "model"),
+            "calib_path": str(three_layer_dir / "calib.json"),
+            "out_dir": str(tmp_path / "out"),
+            "fine": "sparsegpt",
+            "samples": 8,
+            field: value,  # json writes NaN / Infinity, which its reader accepts
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["prune", "--config", str(cfg_path)]) == 1
+        err = one_error_line(capsys)
+        assert err["error"] == "UsageError" and field in err["message"]
+        assert not (tmp_path / "out").exists()
+
+
+def _edit_json(path, change):
+    obj = json.loads(path.read_text())
+    change(obj)
+    path.write_text(json.dumps(obj))
+
+
+class TestMalformedFiles:
+    # each mutation used to escape cli.main as a traceback (or, for the
+    # outside paths, to read a file outside the directory it was given)
+    MUTATIONS = {
+        "calibration index not JSON": lambda root: (root / "calib.json").write_text("{nope"),
+        "calibration index not an object": lambda root: (root / "calib.json").write_text("[]"),
+        "calibration index without samples": lambda root: _edit_json(
+            root / "calib.json", lambda o: o.pop("samples")),
+        "calibration shape not a list": lambda root: _edit_json(
+            root / "calib.json", lambda o: o["samples"][0].update(input="ab")),
+        "calibration data file outside": lambda root: _edit_json(
+            root / "calib.json", lambda o: o.update(data_file="../fx/calib.bin")),
+        "calibration data file missing": lambda root: _edit_json(
+            root / "calib.json", lambda o: o.update(data_file="gone.bin")),
+        "manifest without head": lambda root: _edit_json(
+            root / "model" / "manifest.json", lambda o: o.pop("head")),
+        "manifest layer shape a string": lambda root: _edit_json(
+            root / "model" / "manifest.json",
+            lambda o: o["blocks"][0]["layers"][0].update(shape="ab")),
+        "manifest layer without kind": lambda root: _edit_json(
+            root / "model" / "manifest.json",
+            lambda o: o["blocks"][0]["layers"][0].pop("kind")),
+        "manifest blocks not a list": lambda root: _edit_json(
+            root / "model" / "manifest.json", lambda o: o.update(blocks={"b0": 1})),
+        "manifest layer name outside": lambda root: _edit_json(
+            root / "model" / "manifest.json",
+            lambda o: o["blocks"][0]["layers"][0].update(name="../outside/L0")),
+        "manifest block name unsafe": lambda root: _edit_json(
+            root / "model" / "manifest.json", lambda o: o["blocks"][0].update(name="a/b")),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_input_is_one_model_format_error_line(
+        self, three_layer_dir, tmp_path, capsys, mutation
+    ):
+        root = tmp_path / "fx"
+        shutil.copytree(three_layer_dir, root)
+        # readable tensors outside the model directory, where the
+        # "outside" layer name points
+        shutil.copytree(three_layer_dir / "model", root / "outside")
+        self.MUTATIONS[mutation](root)
+        code = main([
+            "score", "--model-dir", str(root / "model"), "--calib", str(root / "calib.json"),
+            "--out", str(tmp_path / "out"), "--coarse", "magnitude", "--samples", "8",
+        ])
+        assert code == 2
+        err = one_error_line(capsys)
+        assert err["error"] == "ModelFormatError" and err["exit_code"] == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_report_not_json(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text("{truncated")
+        assert main(["compare", str(bad), "--out", str(tmp_path / "cmp")]) == 2
+        assert one_error_line(capsys)["error"] == "ModelFormatError"
 
 
 class TestConsoleEntryPoint:

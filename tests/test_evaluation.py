@@ -28,6 +28,16 @@ class TestMetrics:
         res = evaluate_on_batch(model, batch)
         assert res.accuracy == 1.0
 
+    def test_one_forward_per_evaluation(self):
+        # loss and accuracy of a classification head come from one forward
+        rng = np.random.default_rng(5)
+        model = random_mlp(rng, [4, 6, 3], head="cross_entropy")
+        k = 9
+        batch = CalibrationSet([(rng.normal(size=4), np.float64(i % 3)) for i in range(k)])
+        res = evaluate_on_batch(model, batch)
+        assert model.forward_count == k
+        assert res.accuracy is not None
+
     def test_uniform_logits_give_perplexity_equal_vocab(self):
         vocab, dim = 12, 4
         model = ModelGraph(

@@ -154,3 +154,23 @@ class TestMaskRoundTrip:
         (tmp_path / "m" / "masks.json").write_text(json.dumps(index))
         with pytest.raises(ModelFormatError):
             load_masks(tmp_path / "m")
+
+    @pytest.mark.parametrize("change", [
+        lambda index: index["layers"]["a"].pop("kept"),
+        lambda index: index["layers"]["a"].pop("shape"),
+        lambda index: index["layers"]["a"].update(shape="ab"),
+        lambda index: index.pop("layers"),
+        lambda index: index.update(layers=[1]),
+        lambda index: index["layers"]["a"].update(file="gone.mask.bin"),
+        lambda index: index["layers"]["a"].update(file="../outside/a.mask.bin"),
+    ], ids=["no kept", "no shape", "shape a string", "no layers", "layers a list",
+            "file missing", "file outside"])
+    def test_malformed_index_rejected(self, tmp_path, change):
+        masks = {"a": np.ones((2, 5), dtype=bool)}
+        save_masks(masks, tmp_path / "m")
+        save_masks(masks, tmp_path / "outside")  # a readable file outside "m"
+        index = json.loads((tmp_path / "m" / "masks.json").read_text())
+        change(index)
+        (tmp_path / "m" / "masks.json").write_text(json.dumps(index))
+        with pytest.raises(ModelFormatError):
+            load_masks(tmp_path / "m")

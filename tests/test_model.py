@@ -20,7 +20,7 @@ from coarsefine.model import (
     per_sample_losses,
     set_layer_weights,
 )
-from coarsefine.model import _forward_trace, layer_forward
+from coarsefine.model import layer_forward, run_forward
 
 from conftest import random_batch, random_mlp, tiny_linear_model
 
@@ -103,14 +103,16 @@ class TestActivationCapture:
         rng = np.random.default_rng(3)
         model = random_mlp(rng, [5, 7, 6, 2], activation="relu")
         batch = random_batch(rng, 4, 5, 2)
-        tr = _forward_trace(model, batch)
+        record = {}
+        _, out, _ = run_forward(model, batch, record=record)
+        inputs = {name: x for name, (x, _) in record.items()}
         layers = model.layers()
         for prev, nxt in zip(layers, layers[1:]):
-            redo = layer_forward(prev, tr.inputs[prev.name])
-            assert redo.tobytes() == tr.inputs[nxt.name].tobytes()
+            redo = layer_forward(prev, inputs[prev.name])
+            assert redo.tobytes() == inputs[nxt.name].tobytes()
         last = layers[-1]
-        redo = layer_forward(last, tr.inputs[last.name])
-        assert redo.tobytes() == tr.outputs[last.name].tobytes()
+        redo = layer_forward(last, inputs[last.name])
+        assert redo.tobytes() == out.reshape(redo.shape).tobytes()
 
 
 class TestBackprop:
