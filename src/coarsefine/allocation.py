@@ -32,6 +32,16 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def keep_budget(p: float, n: int) -> int:
+    """N_select: weights kept out of n at global sparsity p."""
+    return round_half_up((1.0 - p) * n)
+
+
+def min_keep(size: int, p_max: float) -> int:
+    """The fewest weights a unit of this size keeps under the cap p_max."""
+    return math.ceil((1.0 - p_max) * size)
+
+
 @dataclass
 class LayerAllocation:
     sparsity: float
@@ -114,21 +124,14 @@ def _largest_remainder(fractions: np.ndarray, total: int, caps: np.ndarray) -> n
     Ties in the remainders break by position.  Caps are integer ceilings
     (unit sizes); fractions are assumed <= caps.
     """
-    base = np.floor(fractions).astype(np.int64)
-    base = np.minimum(base, caps)
+    base = np.minimum(np.floor(fractions).astype(np.int64), caps)
     leftover = total - int(base.sum())
     if leftover < 0:
         raise InputError("largest-remainder called with an overfull base")
     remainders = fractions - base
     order = sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))
     out = base.copy()
-    # first pass by remainder rank, wrapping to any remaining headroom after
-    for i in order:
-        if leftover == 0:
-            break
-        if out[i] < caps[i]:
-            out[i] += 1
-            leftover -= 1
+    # one unit per pass by remainder rank, wrapping to any remaining headroom
     while leftover > 0:
         progressed = False
         for i in order:
@@ -193,10 +196,10 @@ def allocate_sparsity(
 ) -> SparsityPlan:
     """Turn a ScoreMap into a budget-exact SparsityPlan.
 
-    Layer granularity allocates per prunable layer; block granularity
-    pools scores and sizes per block, then distributes each block's keep
-    to its members by size so every member shares the block's ratio (up
-    to integer rounding).
+    The budget is split over units: each prunable layer at layer
+    granularity, each block with a prunable member at block granularity
+    (scores pooled per block).  A unit's keep goes to its members by
+    size, so every member shares the unit's ratio up to integer rounding.
     """
     if not 0 <= target_p < 1:
         raise InputError(f"target sparsity must be in [0, 1), got {target_p}")
@@ -208,18 +211,14 @@ def allocate_sparsity(
     layers = model.prunable_layers()
     if not layers:
         raise InputError("model has no prunable layers")
-    sizes = {l.name: l.size for l in layers}
-    n_total = sum(sizes.values())
-    n_select = round_half_up((1.0 - target_p) * n_total)
-    if (1.0 - p_max) * n_total > n_select:
+    n_total = sum(l.size for l in layers)
+    n_select = keep_budget(target_p, n_total)
+    if min_keep(n_total, p_max) > n_select:
         raise FeasibilityError(
             f"p_max={p_max} forces keeping more than the budget N_select={n_select}"
         )
-
     # guaranteed per-layer keep enforcing p_i <= p_max
-    guaranteed = {
-        name: int(math.ceil((1.0 - p_max) * size)) for name, size in sizes.items()
-    }
+    guaranteed = {l.name: min_keep(l.size, p_max) for l in layers}
     extra_budget = n_select - sum(guaranteed.values())
     if extra_budget < 0:
         raise FeasibilityError(
@@ -229,55 +228,30 @@ def allocate_sparsity(
     if granularity == "layer":
         if scores.level != "layer":
             raise InputError("layer-granularity allocation needs layer-level scores")
-        unit_names = [l.name for l in layers]
-        unit_scores = _unit_scores(scores, unit_names, "layer")
-        unit_caps = np.array(
-            [sizes[n] - guaranteed[n] for n in unit_names], dtype=np.int64
-        )
+        units = {l.name: [l] for l in layers}
     else:
-        block_scores = (
-            scores if scores.level == "block" else aggregate_to_blocks(scores, model)
-        )
-        blocks = [b for b in model.blocks if any(not l.frozen for l in b.layers)]
-        unit_names = [b.name for b in blocks]
-        unit_scores = _unit_scores(block_scores, unit_names, "block")
-        unit_caps = np.array(
-            [
-                sum(sizes[l.name] - guaranteed[l.name] for l in b.layers if not l.frozen)
-                for b in blocks
-            ],
-            dtype=np.int64,
-        )
-
+        if scores.level == "layer":
+            scores = aggregate_to_blocks(scores, model)
+        units = {b.name: [l for l in b.layers if not l.frozen] for b in model.blocks}
+        units = {name: members for name, members in units.items() if members}
+    unit_scores = _unit_scores(scores, list(units), granularity)
     if not np.any(unit_scores > 0):
         raise InputError("all scores are zero; cannot allocate sparsity")
-    unit_scores = _canonical(unit_scores)
-    extra = _proportional_fill(unit_scores, unit_caps, extra_budget)
-
-    keeps: dict[str, int] = {}
-    if granularity == "layer":
-        for name, e in zip(unit_names, extra):
-            keeps[name] = guaranteed[name] + int(e)
-    else:
-        for b, e in zip(blocks, extra):
-            members = [l for l in b.layers if not l.frozen]
-            caps = np.array(
-                [sizes[l.name] - guaranteed[l.name] for l in members], dtype=np.int64
-            )
-            if caps.sum() == 0:
-                shares = np.zeros(len(members))
-            else:
-                shares = int(e) * (caps / caps.sum())
-            member_extra = _largest_remainder(shares, int(e), caps)
-            for l, me in zip(members, member_extra):
-                keeps[l.name] = guaranteed[l.name] + int(me)
+    member_caps = [
+        np.array([l.size - guaranteed[l.name] for l in members], dtype=np.int64)
+        for members in units.values()
+    ]
+    unit_caps = np.array([caps.sum() for caps in member_caps], dtype=np.int64)
+    extra = _proportional_fill(_canonical(unit_scores), unit_caps, extra_budget)
 
     per_layer = {}
-    for l in layers:
-        keep = keeps[l.name]
-        per_layer[l.name] = LayerAllocation(
-            sparsity=1.0 - keep / sizes[l.name], keep_count=keep, size=sizes[l.name]
-        )
+    for members, caps, e in zip(units.values(), member_caps, extra):
+        shares = int(e) * (caps / caps.sum()) if caps.sum() else np.zeros(len(caps))
+        for l, me in zip(members, _largest_remainder(shares, int(e), caps)):
+            keep = guaranteed[l.name] + int(me)
+            per_layer[l.name] = LayerAllocation(
+                sparsity=1.0 - keep / l.size, keep_count=keep, size=l.size
+            )
     return SparsityPlan(
         target_p=target_p,
         p_max=p_max,
@@ -319,7 +293,7 @@ def validate_plan(plan: SparsityPlan, model: ModelGraph) -> list[str]:
             violations.append(f"missing layer: {name!r} has no plan entry")
 
     n_total = sum(l.size for l in layers.values())
-    expected_select = round_half_up((1.0 - plan.target_p) * n_total)
+    expected_select = keep_budget(plan.target_p, n_total)
     if plan.n_select != expected_select:
         violations.append(
             f"n_select mismatch: plan says {plan.n_select}, model implies {expected_select}"
@@ -337,7 +311,7 @@ def validate_plan(plan: SparsityPlan, model: ModelGraph) -> list[str]:
             violations.append(f"{name}: recorded size {a.size} != model size {size}")
         if not 0 <= a.keep_count <= size:
             violations.append(f"{name}: keep_count {a.keep_count} out of range")
-        floor_keep = math.ceil((1.0 - plan.p_max) * size)
+        floor_keep = min_keep(size, plan.p_max)
         if a.keep_count < floor_keep:
             violations.append(
                 f"{name}: cap exceeded (keep {a.keep_count} < minimum {floor_keep} "

@@ -7,17 +7,18 @@ All baselines hit the exact global keep budget round((1-p)*|W_total|).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import SparsityPlan, allocate_sparsity, round_half_up, uniform_plan
+from .allocation import SparsityPlan, allocate_sparsity, keep_budget, uniform_plan
 from .errors import InputError
 from .localprune import (
     apply_mask, sequential_prune, sparsegpt_layer_score, top_k_mask, wanda_scores,
 )
 from .model import CalibrationSet, ModelGraph, forward_with_activations, set_layer_weights
-from .scoring import ScoreMap, first_order_saliency
+from .scoring import ScoreMap, first_order_saliency, magnitude_scores
 
 
 @dataclass
@@ -57,15 +58,27 @@ def _split_mask(model: ModelGraph, flat: np.ndarray) -> dict[str, np.ndarray]:
     return masks
 
 
-def _apply_masks(model: ModelGraph, masks: dict[str, np.ndarray]) -> None:
-    for name, mask in masks.items():
-        set_layer_weights(model, name, apply_mask(model.layer(name), mask))
-
-
 def _global_top_k(flat_scores: np.ndarray, keep: int, candidates: np.ndarray) -> np.ndarray:
     """Keep-mask of the top-keep scores among candidate positions, ties by
     lowest flat index."""
     return top_k_mask(np.where(candidates, flat_scores, -np.inf), keep)
+
+
+def _global_prune(
+    model: ModelGraph,
+    targets: list[float],
+    saliency: Callable[[ModelGraph], dict[str, np.ndarray]],
+) -> tuple[ModelGraph, dict[str, np.ndarray]]:
+    """Prune to each global target in turn, rescoring the masked model."""
+    pruned = model.copy()
+    n_total = pruned.num_prunable_weights()
+    kept_flat = np.ones(n_total, dtype=bool)
+    for target in targets:
+        flat = _flat_scores(pruned, saliency(pruned))
+        kept_flat = _global_top_k(flat, keep_budget(target, n_total), kept_flat)
+        for name, mask in _split_mask(pruned, kept_flat).items():
+            set_layer_weights(pruned, name, apply_mask(pruned.layer(name), mask))
+    return pruned, _split_mask(pruned, kept_flat)
 
 
 def global_magnitude_prune(
@@ -74,14 +87,7 @@ def global_magnitude_prune(
     """One global |W| threshold across all prunable layers."""
     if not 0 <= p < 1:
         raise InputError(f"sparsity must be in [0, 1), got {p}")
-    pruned = model.copy()
-    n_total = pruned.num_prunable_weights()
-    keep = round_half_up((1.0 - p) * n_total)
-    flat = _flat_scores(pruned, {l.name: np.abs(l.weight) for l in pruned.prunable_layers()})
-    mask_flat = _global_top_k(flat, keep, np.ones(n_total, dtype=bool))
-    masks = _split_mask(pruned, mask_flat)
-    _apply_masks(pruned, masks)
-    return pruned, masks
+    return _global_prune(model, [p], magnitude_scores)
 
 
 def iterative_gradient_prune(
@@ -102,18 +108,7 @@ def iterative_gradient_prune(
     targets = schedule.targets or IterSchedule.linear(p, schedule.iterations).targets
     if abs(targets[-1] - p) > 1e-12:
         raise InputError("schedule must end at the target sparsity")
-
-    pruned = model.copy()
-    n_total = pruned.num_prunable_weights()
-    kept_flat = np.ones(n_total, dtype=bool)
-    for target in targets:
-        keep = round_half_up((1.0 - target) * n_total)
-        saliency = first_order_saliency(pruned, batch)
-        flat = _flat_scores(pruned, saliency)
-        kept_flat = _global_top_k(flat, keep, kept_flat)
-        masks = _split_mask(pruned, kept_flat)
-        _apply_masks(pruned, masks)
-    return pruned, _split_mask(pruned, kept_flat)
+    return _global_prune(model, targets, lambda m: first_order_saliency(m, batch))
 
 
 def uniform_layerwise_prune(

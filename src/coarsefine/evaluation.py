@@ -43,10 +43,6 @@ class EvalResult:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "EvalResult":
-        return cls(**obj)
-
     def to_row(self) -> dict:
         """Flat single-row form for CSV tables."""
         return {

@@ -250,7 +250,6 @@ def sequential_prune(
     plan: SparsityPlan,
     batch: CalibrationSet,
     fine_method: str,
-    wanda_group: str = "per_row",
     norm_exponent: int = 1,
     lam: float | None = None,
 ) -> tuple[ModelGraph, dict[str, np.ndarray], dict[str, float]]:
@@ -285,7 +284,7 @@ def sequential_prune(
                 new_w = layer.weight
             elif fine_method == "wanda":
                 mask = wanda_prune_layer(
-                    layer, h, alloc.keep_count, wanda_group, norm_exponent
+                    layer, h, alloc.keep_count, norm_exponent=norm_exponent
                 )
                 new_w = apply_mask(layer, mask)
             elif fine_method == "magnitude":

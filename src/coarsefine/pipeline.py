@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import io as cfio
-from .allocation import SparsityPlan, allocate_sparsity, validate_plan
+from .allocation import SparsityPlan, allocate_sparsity
 from .baselines import local_layer_scores
 from .errors import InputError, UsageError
 from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
@@ -240,10 +240,6 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         p_max=config.effective_max_sparsity(),
         granularity="layer" if config.coarse == "uniform" else config.granularity,
     )
-    violations = validate_plan(plan, model)
-    if violations:
-        raise InputError("allocation produced an invalid plan: " + "; ".join(violations))
-
     model.forward_count = 0
     pruned, masks, recon = sequential_prune(
         model,
