@@ -1,13 +1,16 @@
 """Convert global importance scores into per-layer sparsity ratios.
 
 Given a target global sparsity p and a per-layer cap p_max, the keep
-budget N_select = round((1-p)*|W_total|) is split in two stages: every
-layer first receives a guaranteed keep of ceil((1-p_max)*|W_i|) (the
-pre-pick that enforces the cap), then the remainder is allocated
-proportionally to normalized scores, clamping layers at full size and
-redistributing any overflow until a fixed point.  Fractional keeps are
-rounded by largest remainder (ties broken by layer order) so the global
-budget is hit exactly.
+budget N_select = round((1-p)*|W_total|) (``keep_budget``) is split in two
+stages: every layer first receives a guaranteed keep of
+ceil((1-p_max)*|W_i|) (``min_keep``, the pre-pick that enforces the cap),
+then the remainder is split over units proportionally to normalized
+scores, clamping units at full size and redistributing any overflow until
+a fixed point.  A unit is one prunable layer at layer granularity and a
+block's prunable layers at block granularity, so a layer is a block of
+one; each unit's extra keep goes to its members in proportion to their
+headroom.  Fractional keeps are rounded by largest remainder (ties broken
+by position) so the global budget is hit exactly.
 
 Scores are canonicalized by an exact power-of-two rescale before the
 proportional split, so multiplying all scores by a constant leaves the
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FeasibilityError, InputError, UnknownLayerError
-from .io import FORMAT_VERSION, read_json, write_json
+from .io import FORMAT_VERSION, NUMBER, _field, read_json, write_json
 from .model import ModelGraph
 from .scoring import ScoreMap, aggregate_to_blocks
 
@@ -81,19 +84,21 @@ class SparsityPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparsityPlan":
+        """Parse a plan; a missing or mistyped field is a ModelFormatError."""
+        per_layer = {}
+        for name, e in _field(obj, "per_layer", dict, "plan").items():
+            where = f"plan layer {name!r}"
+            per_layer[name] = LayerAllocation(
+                sparsity=float(_field(e, "sparsity", NUMBER, where)),
+                keep_count=_field(e, "keep_count", int, where),
+                size=_field(e, "size", int, where),
+            )
         return cls(
-            target_p=float(obj["target_p"]),
-            p_max=float(obj["p_max"]),
-            granularity=obj["granularity"],
-            n_select=int(obj["n_select"]),
-            per_layer={
-                name: LayerAllocation(
-                    sparsity=float(e["sparsity"]),
-                    keep_count=int(e["keep_count"]),
-                    size=int(e["size"]),
-                )
-                for name, e in obj["per_layer"].items()
-            },
+            target_p=float(_field(obj, "target_p", NUMBER, "plan")),
+            p_max=float(_field(obj, "p_max", NUMBER, "plan")),
+            granularity=_field(obj, "granularity", str, "plan"),
+            n_select=_field(obj, "n_select", int, "plan"),
+            per_layer=per_layer,
         )
 
     def save(self, path: str | Path) -> Path:

@@ -37,6 +37,7 @@ FORMAT_VERSION = "1"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _REQUIRED = object()
+NUMBER = (int, float)  # a JSON number, as a _field kind
 
 
 def _check_name(name: str) -> str:
@@ -68,14 +69,16 @@ def read_json(path: str | Path) -> dict:
 
 
 def _field(obj, key: str, kind: type, where: str, default=_REQUIRED):
-    """obj[key], which must have type kind (bool is not an int here)."""
+    """obj[key], which must have type kind, a type or a tuple of types
+    (bool is not an int here)."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} must be a JSON object")
     if key not in obj and default is not _REQUIRED:
         return default
     value = obj.get(key)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ModelFormatError(f"{where}: field {key!r} must be a {kind.__name__}")
+        name = getattr(kind, "__name__", "number")
+        raise ModelFormatError(f"{where}: field {key!r} must be a {name}")
     return value
 
 

@@ -23,6 +23,7 @@ from .allocation import SparsityPlan, allocate_sparsity
 from .baselines import local_layer_scores
 from .errors import InputError, UsageError
 from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
+from .io import NUMBER, _field
 from .localprune import FINE_METHODS, sequential_prune
 from .model import CalibrationSet, ModelGraph
 from .scoring import ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores
@@ -319,46 +320,47 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
         obj = cfio.read_json(p)
         if obj.get("format_version") != cfio.FORMAT_VERSION:
             raise InputError(f"{p}: unsupported report format version")
-        reports.append(obj)
-
-    layer_sets = [tuple(sorted(r["sparsity_plan"]["per_layer"])) for r in reports]
-    if len(set(layer_sets)) > 1:
+        config = _field(obj, "config", dict, p)
+        pruned = _field(obj, "eval_pruned", dict, p)
+        where = f"{p} config"
+        reports.append((
+            f'{_field(config, "coarse", str, where)}-{_field(config, "fine", str, where)}',
+            _field(config, "sparsity", NUMBER, where),
+            {m: _field(pruned, m, NUMBER + (type(None),), f"{p} eval_pruned", None)
+             for m in ("loss", "accuracy", "perplexity")},
+            _field(_field(obj, "achieved", dict, p), "global_sparsity", NUMBER,
+                   f"{p} achieved"),
+            SparsityPlan.from_json(_field(obj, "sparsity_plan", dict, p)),
+        ))
+    if len({tuple(sorted(r[-1].per_layer)) for r in reports}) > 1:
         raise InputError("reports come from incompatible model fixtures")
 
     curve_rows = []
     layer_rows = []
-    for r in reports:
-        method = f'{r["config"]["coarse"]}-{r["config"]["fine"]}'
-        sparsity = r["config"]["sparsity"]
-        pruned = r["eval_pruned"]
-        for metric in ("loss", "accuracy", "perplexity"):
-            if pruned.get(metric) is None:
+    for method, sparsity, metrics, achieved, plan in reports:
+        for metric, value in metrics.items():
+            if value is None:
                 continue
             curve_rows.append(
-                {
-                    "method": method,
-                    "sparsity": sparsity,
-                    "metric": metric,
-                    "value": pruned[metric],
-                }
+                {"method": method, "sparsity": sparsity, "metric": metric, "value": value}
             )
         curve_rows.append(
             {
                 "method": method,
                 "sparsity": sparsity,
                 "metric": "achieved_global_sparsity",
-                "value": r["achieved"]["global_sparsity"],
+                "value": achieved,
             }
         )
-        for layer, entry in sorted(r["sparsity_plan"]["per_layer"].items()):
+        for layer, entry in sorted(plan.per_layer.items()):
             layer_rows.append(
                 {
                     "method": method,
                     "sparsity": sparsity,
                     "layer": layer,
-                    "layer_sparsity": entry["sparsity"],
-                    "keep_count": entry["keep_count"],
-                    "size": entry["size"],
+                    "layer_sparsity": entry.sparsity,
+                    "keep_count": entry.keep_count,
+                    "size": entry.size,
                 }
             )
     curve_rows.sort(key=lambda row: (row["sparsity"], row["method"], row["metric"]))

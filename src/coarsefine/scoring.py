@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError, UnknownLayerError
-from .io import read_json, write_json
+from .io import NUMBER, _field, read_json, write_json
 from .model import CalibrationSet, ModelGraph, backprop_gradients
 
 SCORE_METHODS = (
@@ -66,12 +66,14 @@ class ScoreMap:
 
     @classmethod
     def from_json(cls, obj: dict, level: str = "layer") -> "ScoreMap":
+        """Parse a score map; a missing or mistyped field is a ModelFormatError."""
+        entries = _field(obj, "entries", dict, "score map")
         return cls(
-            entries=obj["entries"],
-            method=obj["method"],
-            aggregation=obj["aggregation"],
-            seed=int(obj.get("seed", 0)),
-            sample_count=int(obj.get("sample_count", 0)),
+            entries={n: _field(entries, n, NUMBER, "score map entries") for n in entries},
+            method=_field(obj, "method", str, "score map"),
+            aggregation=_field(obj, "aggregation", str, "score map"),
+            seed=_field(obj, "seed", int, "score map", 0),
+            sample_count=_field(obj, "sample_count", int, "score map", 0),
             level=level,
         )
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coarsefine.allocation import (
     SparsityPlan,
+    _largest_remainder,
     allocate_sparsity,
     round_half_up,
     uniform_plan,
@@ -300,3 +301,62 @@ class TestUniformPlan:
         path = plan.save(tmp_path / "plan.json")
         again = SparsityPlan.load(path)
         assert again == plan
+
+
+class TestUnitPath:
+    """Layer granularity is block granularity with one layer per block."""
+
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        frozen_after=st.lists(st.booleans(), min_size=5, max_size=5),
+        raw_scores=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=5, max_size=5
+        ),
+        p=st.floats(0.0, 0.95),
+        cap_gap=st.floats(0.001, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_layer_blocks_give_the_layer_plan(
+        self, sizes, frozen_after, raw_scores, p, cap_gap
+    ):
+        from coarsefine.model import Block, LayerSpec, ModelGraph
+
+        blocks, prev = [], 1
+        for i, size in enumerate(sizes):
+            layers = [LayerSpec(f"L{i}", "linear", np.ones((size, prev)))]
+            if frozen_after[i]:  # a frozen companion does not change the unit
+                layers.append(LayerSpec(f"F{i}", "linear", np.ones((size, size)),
+                                        frozen=True))
+            blocks.append(Block(f"B{i}", layers))
+            prev = size
+        model = ModelGraph(blocks=blocks, head="mse")
+        scores = ScoreMap(
+            entries={f"L{i}": raw_scores[i] for i in range(len(sizes))},
+            method="magnitude",
+        )
+        p_max = min(1.0, p + cap_gap)
+        outcomes = []
+        for granularity in ("layer", "block"):
+            try:
+                plan = allocate_sparsity(scores, model, p, p_max, granularity)
+                outcomes.append((plan.per_layer, plan.n_select))
+            except (FeasibilityError, InputError) as e:
+                outcomes.append((type(e), str(e)))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestLargestRemainder:
+    def test_wraps_to_remaining_headroom(self):
+        # zero remainders tie, so units fill by position, one per pass
+        out = _largest_remainder(np.array([0.0, 0.0]), 3, np.array([2, 2]))
+        assert out.tolist() == [2, 1]
+
+    def test_rounds_by_largest_remainder(self):
+        out = _largest_remainder(np.array([1.2, 0.7, 1.1]), 3, np.array([5, 5, 5]))
+        assert out.tolist() == [1, 1, 1]
+        out = _largest_remainder(np.array([0.4, 1.6]), 2, np.array([5, 1]))
+        assert out.tolist() == [1, 1]
+
+    def test_total_beyond_caps_is_infeasible(self):
+        with pytest.raises(FeasibilityError):
+            _largest_remainder(np.array([0.0, 0.0]), 5, np.array([2, 2]))

@@ -491,6 +491,37 @@ class TestMalformedFiles:
         assert main(["compare", str(bad), "--out", str(tmp_path / "cmp")]) == 2
         assert one_error_line(capsys)["error"] == "ModelFormatError"
 
+    # the first three used to escape cli.main as KeyError, TypeError (from
+    # the row sort) and AttributeError tracebacks
+    REPORT_MUTATIONS = {
+        "report without sparsity_plan": lambda o: o.pop("sparsity_plan"),
+        "config sparsity a string": lambda o: o["config"].update(sparsity="half"),
+        "plan per_layer a list": lambda o: o["sparsity_plan"].update(per_layer=[1]),
+        "plan keep_count a string": lambda o: next(
+            iter(o["sparsity_plan"]["per_layer"].values())).update(keep_count="x"),
+        "config not an object": lambda o: o.update(config=[]),
+        "config without fine": lambda o: o["config"].pop("fine"),
+        "achieved without global_sparsity": lambda o: o["achieved"].pop("global_sparsity"),
+        "eval_pruned loss a string": lambda o: o["eval_pruned"].update(loss="low"),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(REPORT_MUTATIONS))
+    def test_compare_report_is_one_model_format_error_line(
+        self, fixture_dir, tmp_path, capsys, mutation
+    ):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        cmd_prune(run_config(fixture_dir, good, coarse="magnitude"))
+        cmd_prune(run_config(fixture_dir, bad, coarse="magnitude", sparsity=0.3))
+        _edit_json(bad / "report.json", self.REPORT_MUTATIONS[mutation])
+        code = main([
+            "compare", str(good / "report.json"), str(bad / "report.json"),
+            "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 2
+        err = one_error_line(capsys)
+        assert err["error"] == "ModelFormatError" and err["exit_code"] == 2
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestConsoleEntryPoint:
     def test_installed_script_runs(self):

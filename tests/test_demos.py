@@ -21,3 +21,4 @@ def test_demo_runs_to_completion(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # demo 01's work directory
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []  # every temporary file is removed

@@ -174,3 +174,43 @@ class TestMaskRoundTrip:
         (tmp_path / "m" / "masks.json").write_text(json.dumps(index))
         with pytest.raises(ModelFormatError):
             load_masks(tmp_path / "m")
+
+
+class TestPlanAndScoreFiles:
+    # the first three used to raise KeyError, ValueError and KeyError; the
+    # rest were accepted, or failed with a builtin error
+    CHANGES = {
+        "plan without per_layer": ("plan", lambda o: o.pop("per_layer")),
+        "plan keep_count a string": ("plan", lambda o: o["per_layer"]["L0"].update(
+            keep_count="x")),
+        "scores without entries": ("scores", lambda o: o.pop("entries")),
+        "plan per_layer a list": ("plan", lambda o: o.update(per_layer=[1])),
+        "plan layer entry not an object": ("plan", lambda o: o["per_layer"].update(L0=5)),
+        "plan size a float": ("plan", lambda o: o["per_layer"]["L0"].update(size=10.0)),
+        "plan n_select a bool": ("plan", lambda o: o.update(n_select=True)),
+        "plan target_p a string": ("plan", lambda o: o.update(target_p="half")),
+        "plan without granularity": ("plan", lambda o: o.pop("granularity")),
+        "scores entries a list": ("scores", lambda o: o.update(entries=[1.0])),
+        "scores entry a string": ("scores", lambda o: o["entries"].update(L0="x")),
+        "scores entry null": ("scores", lambda o: o["entries"].update(L0=None)),
+        "scores without method": ("scores", lambda o: o.pop("method")),
+        "scores seed a string": ("scores", lambda o: o.update(seed="0")),
+    }
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_malformed_file_is_a_model_format_error(self, tmp_path, change):
+        from coarsefine.allocation import SparsityPlan, allocate_sparsity
+        from coarsefine.scoring import ScoreMap
+
+        model = tiny_linear_model([np.ones((10, 1)), np.ones((1, 10))])
+        scores = ScoreMap(entries={"L0": 1.0, "L1": 2.0}, method="magnitude")
+        plan = allocate_sparsity(scores, model, 0.4, 0.9)
+        kind, edit = self.CHANGES[change]
+        cls, obj = (SparsityPlan, plan) if kind == "plan" else (ScoreMap, scores)
+        path = obj.save(tmp_path / f"{kind}.json")
+        assert cls.load(path) == obj
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            cls.load(path)
