@@ -26,7 +26,7 @@ mag_mask = magnitude_prune_layer(layer, keep)
 err_mag = recon_error(np.where(mag_mask, w, 0.0))
 
 # wanda: |W| * column activation norm, compared per output row
-wanda_mask = wanda_prune_layer(layer, acts, keep, group="per_row", norm_exponent=1)
+wanda_mask = wanda_prune_layer(layer, acts, keep, norm_exponent=1)
 err_wanda = recon_error(np.where(wanda_mask, w, 0.0))
 
 # sparsegpt: OBS scores W^2/[H^-1]_jj plus compensation of the survivors

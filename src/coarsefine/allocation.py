@@ -28,7 +28,7 @@ import numpy as np
 from .errors import FeasibilityError, InputError, UnknownLayerError
 from .io import FORMAT_VERSION, NUMBER, _field, read_json, write_json
 from .model import ModelGraph
-from .scoring import ScoreMap, aggregate_to_blocks
+from .scoring import ScoreMap, aggregate_to_blocks, uniform_scores
 
 
 def round_half_up(x: float) -> int:
@@ -278,12 +278,9 @@ def _unit_scores(scores: ScoreMap, unit_names: list[str], what: str) -> np.ndarr
 
 def uniform_plan(model: ModelGraph, target_p: float) -> SparsityPlan:
     """The fixed-ratio baseline: p_i = p for every layer, budget-exact."""
-    sizes = ScoreMap(
-        entries={l.name: float(l.size) for l in model.prunable_layers()},
-        method="uniform",
-        aggregation="sum",
+    return allocate_sparsity(
+        uniform_scores(model), model, target_p, p_max=1.0, granularity="layer"
     )
-    return allocate_sparsity(sizes, model, target_p, p_max=1.0, granularity="layer")
 
 
 def validate_plan(plan: SparsityPlan, model: ModelGraph) -> list[str]:

@@ -18,7 +18,7 @@ from .localprune import (
     apply_mask, sequential_prune, sparsegpt_layer_score, top_k_mask, wanda_scores,
 )
 from .model import CalibrationSet, ModelGraph, forward_with_activations, set_layer_weights
-from .scoring import ScoreMap, first_order_saliency, magnitude_scores
+from .scoring import ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores
 
 
 @dataclass
@@ -61,7 +61,7 @@ def _split_mask(model: ModelGraph, flat: np.ndarray) -> dict[str, np.ndarray]:
 def _global_top_k(flat_scores: np.ndarray, keep: int, candidates: np.ndarray) -> np.ndarray:
     """Keep-mask of the top-keep scores among candidate positions, ties by
     lowest flat index."""
-    return top_k_mask(np.where(candidates, flat_scores, -np.inf), keep)
+    return top_k_mask(np.where(candidates, flat_scores, -np.inf)[None, :], keep)[0]
 
 
 def _global_prune(
@@ -135,23 +135,22 @@ def local_layer_scores(
     wanda: sum of |W_ij| * ||X_j||^e; sparsegpt: sum of W_ij^2 / [H^-1]_jj;
     magnitude: sum of |W_ij|.
     """
-    entries = {}
-    if fine_method == "magnitude":
-        for l in model.prunable_layers():
-            entries[l.name] = float(np.abs(l.weight).sum())
-    elif fine_method in ("wanda", "sparsegpt"):
-        _, activations = forward_with_activations(model, batch)
-        for l in model.prunable_layers():
-            x = activations[l.name]
-            if fine_method == "wanda":
-                entries[l.name] = float(wanda_scores(l.weight, x, norm_exponent).sum())
-            else:
-                entries[l.name] = sparsegpt_layer_score(l.weight, x, lam)
-    else:
+    method = {"wanda": "local_wanda", "sparsegpt": "local_sparsegpt",
+              "magnitude": "magnitude"}.get(fine_method)
+    if method is None:
         raise InputError(f"unknown fine method {fine_method!r}")
-    method = "local_wanda" if fine_method == "wanda" else (
-        "local_sparsegpt" if fine_method == "sparsegpt" else "magnitude"
-    )
+    if fine_method == "magnitude":
+        return aggregate_to_layers(
+            magnitude_scores(model), method=method, sample_count=batch.count
+        )
+    _, activations = forward_with_activations(model, batch)
+    entries = {}
+    for l in model.prunable_layers():
+        x = activations[l.name]
+        if fine_method == "wanda":
+            entries[l.name] = float(wanda_scores(l.weight, x, norm_exponent).sum())
+        else:
+            entries[l.name] = sparsegpt_layer_score(l.weight, x, lam)
     return ScoreMap(
         entries=entries, method=method, aggregation="sum", sample_count=batch.count
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -47,10 +48,16 @@ def _check_name(name: str) -> str:
 
 
 def write_json(obj: dict, path: str | Path) -> Path:
-    """Write obj as sorted-key, indent-2 JSON with a trailing newline."""
+    """Write obj as sorted-key, indent-2 JSON with a trailing newline.
+
+    The text goes to a temporary file beside path and is then renamed
+    over it, so path never holds a partly written file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
     return path
 
 

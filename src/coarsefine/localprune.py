@@ -4,7 +4,7 @@ Three local criteria fill the per-layer budgets of a SparsityPlan:
 
 * wanda: score |W_ij| * ||X_j||^e where ||X_j|| is the l2 norm of input
   activation column j (e = 1 by default, 2 available), compared within
-  per-row groups (or the whole layer);
+  each output row;
 * sparsegpt: row-wise optimal-brain-surgeon on the damped Gram matrix
   H = X^T X + lam*I - greedily prune the lowest score W_ij^2 / [H^-1]_jj,
   compensate the surviving weights of the row, and downdate the inverse
@@ -37,6 +37,7 @@ from .model import (
 )
 
 FINE_METHODS = ("wanda", "sparsegpt", "magnitude")
+TOP_K_BLOCK = 1 << 15  # elements per block of rows in top_k_mask
 
 
 @dataclass
@@ -94,13 +95,57 @@ def _row_budgets(keep_count: int, rows: int, cols: int) -> np.ndarray:
     return budgets
 
 
-def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
-    """Boolean keep-mask of the k largest scores, ties to the lowest index."""
-    flat = scores.reshape(-1)
-    order = np.argsort(-flat, kind="stable")
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[order[:k]] = True
-    return mask.reshape(scores.shape)
+def top_k_mask(scores: np.ndarray, k: int | np.ndarray) -> np.ndarray:
+    """Keep-mask of the k largest entries in each row of a 2-D score array.
+
+    k is one budget for every row or one budget per row, each in
+    [0, cols].  A row keeps the same entries as the first k of a stable
+    argsort of its negated scores: ties go to the lowest index and NaN
+    ranks below every number, -inf included.  Each row's k-th largest
+    score t is found by partitioning a negated copy, which keeps NaN
+    last; the row keeps every score above t and its first (k - #above)
+    entries equal to t.  Rows are grouped by budget and processed
+    TOP_K_BLOCK elements at a time (one row at least), so every
+    temporary stays within a block.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    rows, cols = s.shape
+    budgets = np.broadcast_to(np.asarray(k, dtype=np.int64), (rows,))
+    if budgets.size and not (0 <= budgets.min() and budgets.max() <= cols):
+        raise InputError(f"top-k budgets must lie in [0, {cols}]")
+    mask = np.zeros((rows, cols), dtype=bool)
+    step = max(1, TOP_K_BLOCK // max(cols, 1))
+    for b in np.unique(budgets):
+        group = np.flatnonzero(budgets == b)
+        if b == cols:
+            mask[group] = True
+        elif b > 0:
+            for i in range(0, group.size, step):
+                sel = group[i : i + step]
+                if sel[-1] - sel[0] == sel.size - 1:  # a run of rows: slice, no copy
+                    sel = slice(sel[0], sel[-1] + 1)
+                mask[sel] = _top_k_block(s[sel], int(b))
+    return mask
+
+
+def _top_k_block(s: np.ndarray, b: int) -> np.ndarray:
+    """top_k_mask of a block of rows with one budget, 0 < b < cols."""
+    neg = np.negative(s)
+    neg.partition(b - 1, axis=1)
+    t = -neg[:, b - 1 : b]
+    keep = s > t
+    tie = s == t
+    nan_t = np.flatnonzero(np.isnan(t[:, 0]))
+    if nan_t.size:  # fewer than b numbers: keep them all, then NaN by index
+        nan_s = np.isnan(s[nan_t])
+        keep[nan_t] = ~nan_s
+        tie[nan_t] = nan_s
+    short = b - keep.sum(axis=1)
+    over = np.flatnonzero(tie.sum(axis=1) > short)
+    if over.size:  # the ties cross the budget: the first ones by index stay
+        tie[over] &= np.cumsum(tie[over], axis=1) <= short[over, None]
+    keep |= tie
+    return keep
 
 
 def wanda_scores(
@@ -108,19 +153,18 @@ def wanda_scores(
 ) -> np.ndarray:
     """|W_ij| * ||X_j||^e, ||X_j|| the l2 norm of activation column j."""
     col_norms = np.sqrt(np.sum(activations * activations, axis=0))
-    return np.abs(weight) * col_norms[None, :] ** norm_exponent
+    scores = np.abs(weight)
+    scores *= col_norms[None, :] ** norm_exponent
+    return scores
 
 
 def wanda_prune_layer(
     layer: LayerSpec,
     activations: np.ndarray,
     keep_count: int,
-    group: str = "per_row",
     norm_exponent: int = 1,
 ) -> np.ndarray:
-    """Keep the top |W_ij| * ||X_j||^e scores within each comparison group."""
-    if group not in ("per_row", "per_layer"):
-        raise InputError(f"group must be per_row or per_layer, got {group!r}")
+    """Keep the top |W_ij| * ||X_j||^e scores within each output row."""
     if norm_exponent not in (1, 2):
         raise InputError(f"norm_exponent must be 1 or 2, got {norm_exponent}")
     w = layer.weight
@@ -129,21 +173,16 @@ def wanda_prune_layer(
         raise InputError(
             f"activations shape {x.shape} does not match layer d_in {w.shape[1]}"
         )
-    scores = wanda_scores(w, x, norm_exponent)
-    if group == "per_layer":
-        return top_k_mask(scores, keep_count)
     budgets = _row_budgets(keep_count, w.shape[0], w.shape[1])
-    mask = np.zeros_like(w, dtype=bool)
-    for r in range(w.shape[0]):
-        mask[r] = top_k_mask(scores[r], int(budgets[r]))
-    return mask
+    return top_k_mask(wanda_scores(w, x, norm_exponent), budgets)
 
 
 def magnitude_prune_layer(layer: LayerSpec, keep_count: int) -> np.ndarray:
     """Keep the top keep_count |W_ij| in the layer, ties to lowest index."""
     if not 0 <= keep_count <= layer.size:
         raise InputError(f"keep_count {keep_count} out of range for {layer.name!r}")
-    return top_k_mask(np.abs(layer.weight), keep_count)
+    scores = np.abs(layer.weight).reshape(1, -1)
+    return top_k_mask(scores, keep_count).reshape(layer.weight.shape)
 
 
 def sparsegpt_prune_layer(

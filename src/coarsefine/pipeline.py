@@ -6,9 +6,11 @@ byte-deterministic record: config echo, scores, plan, achieved
 sparsities, dense and pruned evaluation, forward-pass counts),
 ``scores.json``, ``plan.json``, ``masks/``, ``pruned_model/`` and a
 ``timing.json`` sidecar (wall clock lives outside report.json so two
-identical runs produce byte-identical reports).  Dense and pruned models
-are evaluated on the calibration batch after a round trip through the
-on-disk float32 format, so reported metrics match what a reload sees.
+identical runs produce byte-identical reports).  A stale report is
+removed first and ``report.json`` is written last, so a run that fails
+leaves none.  Dense and pruned models are evaluated on the calibration
+batch after a round trip through the on-disk float32 format, so reported
+metrics match what a reload sees.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
 from .io import NUMBER, _field
 from .localprune import FINE_METHODS, sequential_prune
 from .model import CalibrationSet, ModelGraph
-from .scoring import ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores
+from .scoring import (
+    ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores, uniform_scores,
+)
 from .tasks import TASK_KINDS, make_task
 from .zograd import BufferMeter, ZOConfig, zo_all_scores
 
@@ -184,12 +188,7 @@ def compute_scores(
             element, mode=config.aggregation, method="magnitude", seed=config.seed
         )
     elif config.coarse == "uniform":
-        scores = ScoreMap(
-            entries={l.name: float(l.size) for l in model.prunable_layers()},
-            method="uniform",
-            aggregation="sum",
-            seed=config.seed,
-        )
+        scores = uniform_scores(model, seed=config.seed)
     else:  # local
         scores = local_layer_scores(
             model,
@@ -221,13 +220,16 @@ def cmd_score(config: RunConfig) -> dict:
 def cmd_prune(config: RunConfig) -> PruneReport:
     """Coarse scoring -> allocation -> sequential fine pruning -> evaluation.
 
-    Writes the pruned model, masks, plan, scores, report and timing into
-    config.out_dir.
+    Writes the pruned model, masks, plan, scores, timing and, last, the
+    report into config.out_dir, after removing any stale report, timing
+    or score summary there.
     """
     config.validate()
     t0 = time.perf_counter()
-    model, batch = _load_inputs(config)
     out = Path(config.out_dir)
+    for name in ("report.json", "timing.json", "score_summary.json"):  # stale
+        (out / name).unlink(missing_ok=True)
+    model, batch = _load_inputs(config)
 
     eval_dense = evaluate_on_batch(model, batch, task="calibration", split="calib")
     dense_forwards = model.forward_count
@@ -281,8 +283,8 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     )
     scores.save(out / "scores.json")
     plan.save(out / "plan.json")
-    cfio.write_json(report.to_json(), out / "report.json")
     cfio.write_json({"wall_clock_seconds": report.wall_clock_seconds}, out / "timing.json")
+    cfio.write_json(report.to_json(), out / "report.json")  # last: the run is complete
     return report
 
 

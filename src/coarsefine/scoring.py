@@ -85,6 +85,16 @@ class ScoreMap:
         return cls.from_json(read_json(path))
 
 
+def uniform_scores(model: ModelGraph, seed: int = 0) -> ScoreMap:
+    """Every prunable layer scores its size: the fixed-ratio baseline."""
+    return ScoreMap(
+        entries={l.name: float(l.size) for l in model.prunable_layers()},
+        method="uniform",
+        aggregation="sum",
+        seed=seed,
+    )
+
+
 # -- element-level scores ----------------------------------------------------
 
 

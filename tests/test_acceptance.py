@@ -231,7 +231,7 @@ def test_criterion_06_wanda_reduction():
         layer = LayerSpec("L", "linear", w)
         acts = np.full((5, cols), rng.uniform(0.1, 2.0))  # equal column norms
         keep = int(rng.integers(0, w.size + 1))
-        mask = wanda_prune_layer(layer, acts, keep, group="per_row", norm_exponent=1)
+        mask = wanda_prune_layer(layer, acts, keep, norm_exponent=1)
         base, rem = divmod(keep, rows)
         for r in range(rows):
             k_r = base + (1 if r < rem else 0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from coarsefine.cli import main
+from coarsefine.errors import ModelFormatError
 from coarsefine.io import load_calibration, load_masks, load_model, save_calibration, save_model
 from coarsefine.model import CalibrationSet
 from coarsefine.pipeline import RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
@@ -273,6 +274,37 @@ class TestExitCodes:
         ])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelFormatError"
+
+    def test_failed_rerun_leaves_no_report(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        # a second prune into the same directory fails while reloading the
+        # pruned model: the first run's report must not survive as its record
+        import coarsefine.io as cfio
+
+        def argv(sparsity):
+            return ["prune", "--model-dir", str(fixture_dir / "model"),
+                    "--calib", str(fixture_dir / "calib.json"),
+                    "--out", str(tmp_path / "out"), "--sparsity", sparsity,
+                    "--coarse", "magnitude", "--samples", "16"]
+
+        assert main(argv("0.5")) == 0
+        assert main(["score", *argv("0.5")[1:]]) == 0
+        out = tmp_path / "out"
+        assert {"report.json", "timing.json", "score_summary.json"} <= {
+            p.name for p in out.iterdir()}
+        load_model = cfio.load_model
+
+        def failing_reload(directory):
+            if Path(directory).name == "pruned_model":
+                raise ModelFormatError("injected reload failure")
+            return load_model(directory)
+
+        monkeypatch.setattr(cfio, "load_model", failing_reload)
+        capsys.readouterr()
+        assert main(argv("0.7")) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == "injected reload failure"
+        left = {p.name for p in out.iterdir()}
+        assert not left & {"report.json", "timing.json", "score_summary.json"}
+        assert not [p for p in out.rglob("*.tmp")]
 
     def test_numerical_error_is_exit_3(self, tmp_path, capsys):
         # rank-deficient activations with lambda = 0 make the Hessian

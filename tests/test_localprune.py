@@ -5,7 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from coarsefine import localprune
 from coarsefine.allocation import allocate_sparsity, uniform_plan
 from coarsefine.errors import InputError, NumericalError
 from coarsefine.localprune import (
@@ -13,6 +17,7 @@ from coarsefine.localprune import (
     magnitude_prune_layer,
     sequential_prune,
     sparsegpt_prune_layer,
+    top_k_mask,
     wanda_prune_layer,
 )
 from coarsefine.model import LayerSpec
@@ -76,6 +81,25 @@ def sparsegpt_row_loop(layer, activations, keep_count, lam=None):
     return mask, new_w
 
 
+def argsort_top_k(scores, budgets):
+    """Reference top-k: the first budget entries of a stable argsort of
+    each row's negated scores."""
+    mask = np.zeros(scores.shape, dtype=bool)
+    for r, b in enumerate(budgets):
+        mask[r, np.argsort(-scores[r], kind="stable")[:b]] = True
+    return mask
+
+
+def wanda_row_loop(layer, activations, keep_count):
+    """Reference wanda, the loop top_k_mask replaced: the score matrix
+    |W_ij| * ||X_j||, then one stable argsort per output row."""
+    w = layer.weight
+    scores = np.abs(w) * np.sqrt(np.sum(activations * activations, axis=0))[None, :]
+    base, rem = divmod(keep_count, w.shape[0])
+    budgets = [base + (1 if r < rem else 0) for r in range(w.shape[0])]
+    return argsort_top_k(scores, budgets)
+
+
 def peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -119,16 +143,68 @@ class TestWanda:
                 expected[order[:k_r]] = True
                 np.testing.assert_array_equal(mask[r], expected)
 
-    def test_per_layer_grouping(self):
-        layer = layer_of([[1.0, 10.0], [2.0, 3.0]])
-        acts = np.ones((2, 2))
-        mask = wanda_prune_layer(layer, acts, keep_count=2, group="per_layer")
-        np.testing.assert_array_equal(mask, [[False, True], [False, True]])
-
     def test_infeasible_keep_rejected(self):
         layer = layer_of([[1.0, 2.0]])
         with pytest.raises(InputError):
             wanda_prune_layer(layer, np.ones((1, 2)), keep_count=5)
+
+
+@st.composite
+def scores_and_budgets(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 12))
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    values = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),  # integer-valued: ties everywhere
+        st.one_of(st.integers(-3, 3).map(float), special),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ]))
+    scores = draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+    budgets = draw(st.one_of(
+        st.integers(0, cols),  # one budget for every row
+        st.lists(st.integers(0, cols), min_size=rows, max_size=rows),
+    ))
+    return scores, budgets
+
+
+class TestTopKMask:
+    """top_k_mask against the stable-argsort oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scores_and_budgets(), block=st.sampled_from([1, 7, 1 << 15]))
+    def test_matches_stable_argsort(self, case, block):
+        scores, k = case
+        budgets = np.broadcast_to(np.asarray(k), scores.shape[:1])
+        flat = scores.reshape(1, -1)  # the whole-layer case: one row
+        b = int(budgets.sum()) % (flat.size + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localprune, "TOP_K_BLOCK", block)  # rows over many blocks
+            np.testing.assert_array_equal(
+                top_k_mask(scores, k), argsort_top_k(scores, budgets)
+            )
+            np.testing.assert_array_equal(top_k_mask(flat, b), argsort_top_k(flat, [b]))
+
+    def test_ties_nan_and_signed_zero(self):
+        s = np.array([[1.0, np.nan, 1.0, -0.0, 0.0, np.inf, np.nan]])
+        got = [np.flatnonzero(top_k_mask(s, k)[0]).tolist() for k in range(8)]
+        assert got == [[], [5], [0, 5], [0, 2, 5], [0, 2, 3, 5], [0, 2, 3, 4, 5],
+                       [0, 1, 2, 3, 4, 5], list(range(7))]
+
+    @pytest.mark.parametrize("k", [-1, 4, [0, 4]])
+    def test_infeasible_budget_rejected(self, k):
+        with pytest.raises(InputError):
+            top_k_mask(np.zeros((2, 3)), k)
+
+    def test_wanda_matches_row_loop_with_less_memory(self):
+        rng = np.random.default_rng(17)
+        layer = layer_of(rng.normal(size=(512, 512)))
+        acts = rng.normal(size=(64, 512))
+        keep = layer.size // 2 + 100  # two row budgets
+        mask = wanda_prune_layer(layer, acts, keep)
+        np.testing.assert_array_equal(mask, wanda_row_loop(layer, acts, keep))
+        ours = peak_bytes(wanda_prune_layer, layer, acts, keep)
+        ref = peak_bytes(wanda_row_loop, layer, acts, keep)
+        assert ours <= ref
 
 
 class TestMagnitude:
