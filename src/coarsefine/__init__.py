@@ -9,7 +9,6 @@ OBS, or magnitude) conditioned on the already-pruned prefix.
 
 from .allocation import SparsityPlan, allocate_sparsity, uniform_plan, validate_plan
 from .baselines import (
-    IterSchedule,
     global_magnitude_prune,
     iterative_gradient_prune,
     local_score_ratios,
@@ -17,7 +16,6 @@ from .baselines import (
 )
 from .evaluation import EvalResult, compare_runs, distribution_report, evaluate
 from .localprune import (
-    HessianState,
     build_hessian,
     magnitude_prune_layer,
     sequential_prune,
@@ -36,7 +34,6 @@ from .model import (
 from .pipeline import PruneReport, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
 from .scoring import (
     ScoreMap,
-    aggregate_to_blocks,
     aggregate_to_layers,
     first_order_saliency,
     magnitude_scores,
@@ -51,8 +48,6 @@ __all__ = [
     "BufferMeter",
     "CalibrationSet",
     "EvalResult",
-    "HessianState",
-    "IterSchedule",
     "LayerSpec",
     "ModelGraph",
     "PruneReport",
@@ -61,7 +56,6 @@ __all__ = [
     "SparsityPlan",
     "TaskSpec",
     "ZOConfig",
-    "aggregate_to_blocks",
     "aggregate_to_layers",
     "allocate_sparsity",
     "backprop_gradients",

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import FeasibilityError, InputError, UnknownLayerError
 from .io import FORMAT_VERSION, NUMBER, _field, read_json, write_json
-from .model import ModelGraph
-from .scoring import ScoreMap, aggregate_to_blocks, uniform_scores
+from .model import LayerSpec, ModelGraph
+from .scoring import ScoreMap, uniform_scores
 
 
 def round_half_up(x: float) -> int:
@@ -201,10 +201,12 @@ def allocate_sparsity(
 ) -> SparsityPlan:
     """Turn a ScoreMap into a budget-exact SparsityPlan.
 
-    The budget is split over units: each prunable layer at layer
-    granularity, each block with a prunable member at block granularity
-    (scores pooled per block).  A unit's keep goes to its members by
-    size, so every member shares the unit's ratio up to integer rounding.
+    scores must hold one entry per prunable layer, no more and no less
+    (UnknownLayerError otherwise).  The budget is split over units: each
+    prunable layer at layer granularity, each block with a prunable member
+    at block granularity, whose score is the sum of its prunable members'
+    scores.  A unit's keep goes to its members by size, so every member
+    shares the unit's ratio up to integer rounding.
     """
     if not 0 <= target_p < 1:
         raise InputError(f"target sparsity must be in [0, 1), got {target_p}")
@@ -231,26 +233,22 @@ def allocate_sparsity(
         )
 
     if granularity == "layer":
-        if scores.level != "layer":
-            raise InputError("layer-granularity allocation needs layer-level scores")
-        units = {l.name: [l] for l in layers}
+        units = [[l] for l in layers]
     else:
-        if scores.level == "layer":
-            scores = aggregate_to_blocks(scores, model)
-        units = {b.name: [l for l in b.layers if not l.frozen] for b in model.blocks}
-        units = {name: members for name, members in units.items() if members}
-    unit_scores = _unit_scores(scores, list(units), granularity)
+        units = [[l for l in b.layers if not l.frozen] for b in model.blocks]
+        units = [members for members in units if members]
+    unit_scores = _unit_scores(scores, units)
     if not np.any(unit_scores > 0):
         raise InputError("all scores are zero; cannot allocate sparsity")
     member_caps = [
         np.array([l.size - guaranteed[l.name] for l in members], dtype=np.int64)
-        for members in units.values()
+        for members in units
     ]
     unit_caps = np.array([caps.sum() for caps in member_caps], dtype=np.int64)
     extra = _proportional_fill(_canonical(unit_scores), unit_caps, extra_budget)
 
     per_layer = {}
-    for members, caps, e in zip(units.values(), member_caps, extra):
+    for members, caps, e in zip(units, member_caps, extra):
         shares = int(e) * (caps / caps.sum()) if caps.sum() else np.zeros(len(caps))
         for l, me in zip(members, _largest_remainder(shares, int(e), caps)):
             keep = guaranteed[l.name] + int(me)
@@ -266,14 +264,22 @@ def allocate_sparsity(
     )
 
 
-def _unit_scores(scores: ScoreMap, unit_names: list[str], what: str) -> np.ndarray:
-    missing = [n for n in unit_names if n not in scores.entries]
+def _unit_scores(scores: ScoreMap, units: list[list[LayerSpec]]) -> np.ndarray:
+    """Check that scores name exactly the units' layers (the prunable ones),
+    then sum each unit's member scores left to right, so a one-layer unit
+    keeps its score's bits."""
+    names = [l.name for members in units for l in members]
+    missing = [n for n in names if n not in scores.entries]
     if missing:
-        raise UnknownLayerError(f"scores missing for {what}s: {missing}")
-    stray = [n for n in scores.entries if n not in unit_names]
+        raise UnknownLayerError(f"scores missing for layers: {missing}")
+    stray = [n for n in scores.entries if n not in names]
     if stray:
-        raise UnknownLayerError(f"scores for unknown/frozen {what}s: {stray}")
-    return np.array([scores.entries[n] for n in unit_names], dtype=np.float64)
+        raise UnknownLayerError(f"scores for unknown/frozen layers: {stray}")
+    unit_scores = np.zeros(len(units))
+    for i, members in enumerate(units):
+        for l in members:
+            unit_scores[i] += scores.entries[l.name]
+    return unit_scores
 
 
 def uniform_plan(model: ModelGraph, target_p: float) -> SparsityPlan:

@@ -8,7 +8,6 @@ All baselines hit the exact global keep budget round((1-p)*|W_total|).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,28 +18,6 @@ from .localprune import (
 )
 from .model import CalibrationSet, ModelGraph, forward_with_activations, set_layer_weights
 from .scoring import ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores
-
-
-@dataclass
-class IterSchedule:
-    """Increasing per-iteration sparsity targets ending at the final p."""
-
-    iterations: int = 3
-    targets: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise InputError("iterations must be >= 1")
-        if self.targets:
-            if len(self.targets) != self.iterations:
-                raise InputError("targets length must equal iterations")
-            if any(b <= a for a, b in zip(self.targets, self.targets[1:])):
-                raise InputError("targets must be strictly increasing")
-
-    @classmethod
-    def linear(cls, p: float, iterations: int = 3) -> "IterSchedule":
-        targets = [p * t / iterations for t in range(1, iterations + 1)]
-        return cls(iterations=iterations, targets=targets)
 
 
 def _flat_scores(model: ModelGraph, per_layer: dict[str, np.ndarray]) -> np.ndarray:
@@ -94,20 +71,23 @@ def iterative_gradient_prune(
     model: ModelGraph,
     batch: CalibrationSet,
     p: float,
-    schedule: IterSchedule | None = None,
+    targets: list[float] | None = None,
 ) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     """Global |W|*|grad| pruning in increasing-sparsity iterations.
 
+    targets is a non-empty, strictly increasing list of global sparsities
+    ending at p; the default is three linear steps [p/3, 2p/3, p].
     Saliency is recomputed on the masked model at every iteration and
     previously pruned weights stay pruned (masks are monotone).
     """
     if not 0 <= p < 1:
         raise InputError(f"sparsity must be in [0, 1), got {p}")
-    if schedule is None:
-        schedule = IterSchedule.linear(p)
-    targets = schedule.targets or IterSchedule.linear(p, schedule.iterations).targets
+    if targets is None:
+        targets = [p * t / 3 for t in range(1, 4)]
+    if not targets or any(b <= a for a, b in zip(targets, targets[1:])):
+        raise InputError("targets must be a non-empty, strictly increasing list")
     if abs(targets[-1] - p) > 1e-12:
-        raise InputError("schedule must end at the target sparsity")
+        raise InputError("targets must end at the target sparsity")
     return _global_prune(model, targets, lambda m: first_order_saliency(m, batch))
 
 

@@ -162,8 +162,8 @@ def load_model(directory: str | Path) -> ModelGraph:
             name = _check_name(_field(lentry, "name", str, f"block {bname!r} layer"))
             where = f"layer {name!r}"
             shape = _shape(lentry, "shape", where)
-            if len(shape) != 2:
-                raise ModelFormatError(f"{where}: shape must be 2-D")
+            if len(shape) != 2 or 0 in shape:
+                raise ModelFormatError(f"{where}: shape must be two positive integers")
             weight = _read_f32(directory / f"{name}.bin", shape)
             bias = None
             if _field(lentry, "has_bias", bool, where, False):

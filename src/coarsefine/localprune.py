@@ -21,8 +21,6 @@ the activations produced by the already-pruned prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .allocation import SparsityPlan, validate_plan
@@ -40,17 +38,9 @@ FINE_METHODS = ("wanda", "sparsegpt", "magnitude")
 TOP_K_BLOCK = 1 << 15  # elements per block of rows in top_k_mask
 
 
-@dataclass
-class HessianState:
-    """Damped activation Gram matrix and its inverse for one layer."""
-
-    H: np.ndarray
-    lam: float
-    Hinv: np.ndarray
-
-
-def build_hessian(activations: np.ndarray, lam: float | None = None) -> HessianState:
-    """H = X^T X + lam*I over stacked activations X of shape [rows, d_in].
+def build_hessian(activations: np.ndarray, lam: float | None = None) -> np.ndarray:
+    """H^-1 for the damped Gram matrix H = X^T X + lam*I over stacked
+    activations X of shape [rows, d_in].
 
     lam defaults to 0.01 * mean(diag(X^T X)).  Raises a numerical error
     when H is singular (advice: add damping).
@@ -74,14 +64,14 @@ def build_hessian(activations: np.ndarray, lam: float | None = None) -> HessianS
         raise NumericalError(
             f"inverse Hessian has non-finite entries (lambda={lam}); increase damping"
         )
-    return HessianState(H=h, lam=lam, Hinv=hinv)
+    return hinv
 
 
 def sparsegpt_layer_score(
     weight: np.ndarray, activations: np.ndarray, lam: float | None = None
 ) -> float:
     """The layer's local sparsegpt score: sum of W_ij^2 / [H^-1]_jj."""
-    diag = np.diag(build_hessian(activations, lam).Hinv)
+    diag = np.diag(build_hessian(activations, lam))
     return float((weight**2 / diag[None, :]).sum())
 
 
@@ -220,7 +210,7 @@ def sparsegpt_prune_layer(
     if keep_count == w.size:
         return np.ones_like(w, dtype=bool), w.copy()
 
-    hinv0 = build_hessian(x, lam).Hinv
+    hinv0 = build_hessian(x, lam)
     n_prune = cols - budgets  # non-decreasing: the first rows keep one more
     steps = int(n_prune[-1])
     block = max(1, 2 * cols // steps)

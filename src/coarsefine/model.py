@@ -146,12 +146,6 @@ class ModelGraph:
                 return i
         raise UnknownLayerError(f"no layer named {name!r}")
 
-    def block_of(self, layer_name: str) -> Block:
-        for b in self.blocks:
-            if any(l.name == layer_name for l in b.layers):
-                return b
-        raise UnknownLayerError(f"no block contains layer {layer_name!r}")
-
     def prunable_layers(self) -> list[LayerSpec]:
         return [l for l in self.layers() if not l.frozen]
 

@@ -6,11 +6,12 @@ byte-deterministic record: config echo, scores, plan, achieved
 sparsities, dense and pruned evaluation, forward-pass counts),
 ``scores.json``, ``plan.json``, ``masks/``, ``pruned_model/`` and a
 ``timing.json`` sidecar (wall clock lives outside report.json so two
-identical runs produce byte-identical reports).  A stale report is
-removed first and ``report.json`` is written last, so a run that fails
-leaves none.  Dense and pruned models are evaluated on the calibration
-batch after a round trip through the on-disk float32 format, so reported
-metrics match what a reload sees.
+identical runs produce byte-identical reports).  An earlier run's JSON
+files are removed first and ``report.json`` is written last, so a run
+that fails leaves no report and no stale plan or scores.  Dense and
+pruned models are evaluated on the calibration batch after a round trip
+through the on-disk float32 format, so reported metrics match what a
+reload sees.
 """
 
 from __future__ import annotations
@@ -221,13 +222,14 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     """Coarse scoring -> allocation -> sequential fine pruning -> evaluation.
 
     Writes the pruned model, masks, plan, scores, timing and, last, the
-    report into config.out_dir, after removing any stale report, timing
-    or score summary there.
+    report into config.out_dir, after removing any stale report, timing,
+    score summary, plan or scores there.
     """
     config.validate()
     t0 = time.perf_counter()
     out = Path(config.out_dir)
-    for name in ("report.json", "timing.json", "score_summary.json"):  # stale
+    for name in ("report.json", "timing.json", "score_summary.json", "plan.json",
+                 "scores.json"):  # stale
         (out / name).unlink(missing_ok=True)
     model, batch = _load_inputs(config)
 

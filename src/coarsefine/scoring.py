@@ -1,20 +1,21 @@
-"""Global importance scores and their aggregation to layers and blocks.
+"""Global importance scores and their aggregation to layers.
 
 Element-level scores (per weight entry) come from weight magnitude or
 from first-order saliency |W| * |dL/dW|; zeroth-order layer scores are
 produced directly at layer granularity by :mod:`coarsefine.zograd` and
 bypass element aggregation.  A ScoreMap carries one nonnegative scalar
-per layer (or block) plus provenance.
+per prunable layer plus provenance; block-granularity allocation pools
+a block's layer scores itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericalError, UnknownLayerError
+from .errors import InputError, NumericalError
 from .io import NUMBER, _field, read_json, write_json
 from .model import CalibrationSet, ModelGraph, backprop_gradients
 
@@ -31,14 +32,13 @@ AGGREGATIONS = ("sum", "mean", "scalar")
 
 @dataclass
 class ScoreMap:
-    """Per-layer (or per-block) nonnegative importance scores."""
+    """Per-layer nonnegative importance scores."""
 
     entries: dict[str, float]
     method: str
     aggregation: str = "sum"
     seed: int = 0
     sample_count: int = 0
-    level: str = field(default="layer")  # "layer" | "block"
 
     def __post_init__(self):
         if self.method not in SCORE_METHODS:
@@ -65,7 +65,7 @@ class ScoreMap:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, level: str = "layer") -> "ScoreMap":
+    def from_json(cls, obj: dict) -> "ScoreMap":
         """Parse a score map; a missing or mistyped field is a ModelFormatError."""
         entries = _field(obj, "entries", dict, "score map")
         return cls(
@@ -74,7 +74,6 @@ class ScoreMap:
             aggregation=_field(obj, "aggregation", str, "score map"),
             seed=_field(obj, "seed", int, "score map", 0),
             sample_count=_field(obj, "sample_count", int, "score map", 0),
-            level=level,
         )
 
     def save(self, path: str | Path) -> Path:
@@ -143,22 +142,3 @@ def aggregate_to_layers(
         sample_count=sample_count,
     )
 
-
-def aggregate_to_blocks(scores: ScoreMap, model: ModelGraph) -> ScoreMap:
-    """Block score = sum of member layer scores (prunable members only)."""
-    if scores.level != "layer":
-        raise InputError("aggregate_to_blocks expects layer-level scores")
-    entries: dict[str, float] = {}
-    for name, value in scores.entries.items():
-        block = model.block_of(name)  # raises UnknownLayerError if absent
-        entries[block.name] = entries.get(block.name, 0.0) + value
-    if not entries:
-        raise UnknownLayerError("no scored layer maps to any block")
-    return ScoreMap(
-        entries=entries,
-        method=scores.method,
-        aggregation=scores.aggregation,
-        seed=scores.seed,
-        sample_count=scores.sample_count,
-        level="block",
-    )

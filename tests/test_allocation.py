@@ -185,18 +185,6 @@ class TestBlockGranularity:
         assert abs(pa1 - pa2) <= 1.0 / 30 + 1.0 / 600 + 1e-9
         assert validate_plan(plan, model) == []
 
-    def test_block_level_scoremap_accepted_directly(self):
-        from coarsefine.scoring import aggregate_to_blocks
-
-        model = self.make_blocked()
-        layer_scores = ScoreMap(
-            entries={"a1": 1.0, "a2": 2.0, "b1": 5.0}, method="magnitude"
-        )
-        via_layers = allocate_sparsity(layer_scores, model, 0.5, 1.0, "block")
-        block_scores = aggregate_to_blocks(layer_scores, model)
-        via_blocks = allocate_sparsity(block_scores, model, 0.5, 1.0, "block")
-        assert via_layers == via_blocks
-
     def test_block_scores_pool_member_scores(self):
         model = self.make_blocked()
         # identical totals at block level must give identical block keeps
@@ -261,20 +249,35 @@ class TestValidation:
 
     def test_scores_must_cover_exactly_the_prunable_layers(self):
         from coarsefine.errors import UnknownLayerError
+        from coarsefine.model import Block, LayerSpec, ModelGraph
 
-        model = tiny_linear_model([np.ones((10, 1)), np.ones((1, 10))],
-                                  frozen=[False, True])
-        with pytest.raises(UnknownLayerError):
-            # missing L0's score
-            allocate_sparsity(
-                ScoreMap(entries={}, method="magnitude"), model, 0.5, 1.0
+        model = ModelGraph(blocks=[
+            Block("blk_a", [
+                LayerSpec("a1", "linear", np.ones((10, 1))),
+                LayerSpec("a2", "linear", np.ones((10, 10))),
+                LayerSpec("fz", "linear", np.ones((10, 10)), frozen=True),
+            ]),
+            Block("blk_b", [LayerSpec("b1", "linear", np.ones((10, 10)))]),
+        ], head="mse")
+        full = {"a1": 1.0, "a2": 1.0, "b1": 1.0}
+        bad_maps = {
+            "missing a2": {"a1": 1.0, "b1": 1.0},
+            "stray frozen fz": {**full, "fz": 50.0},
+            "stray unknown": {**full, "nope": 1.0},
+            "empty": {},
+        }
+        for granularity in ("layer", "block"):
+            plan = allocate_sparsity(
+                ScoreMap(entries=full, method="magnitude"), model, 0.5, 1.0, granularity
             )
-        with pytest.raises(UnknownLayerError):
-            # stray score for the frozen layer
-            allocate_sparsity(
-                ScoreMap(entries={"L0": 1.0, "L1": 1.0}, method="magnitude"),
-                model, 0.5, 1.0,
-            )
+            assert validate_plan(plan, model) == []
+            for case, entries in bad_maps.items():
+                with pytest.raises(UnknownLayerError):
+                    allocate_sparsity(
+                        ScoreMap(entries=entries, method="magnitude"),
+                        model, 0.5, 1.0, granularity,
+                    )
+                    pytest.fail(f"{case} accepted at {granularity} granularity")
 
     def test_layer_collapse_with_no_cap(self):
         # one layer hoards the whole budget when p_max = 1

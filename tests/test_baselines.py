@@ -6,7 +6,6 @@ import pytest
 
 from coarsefine.allocation import uniform_plan, validate_plan
 from coarsefine.baselines import (
-    IterSchedule,
     global_magnitude_prune,
     iterative_gradient_prune,
     local_score_ratios,
@@ -65,9 +64,7 @@ class TestIterativeGradient:
         rng = np.random.default_rng(2)
         model = random_mlp(rng, [5, 6, 3])
         batch = random_batch(rng, 4, 5, 3)
-        one, masks_one = iterative_gradient_prune(
-            model, batch, 0.5, IterSchedule(iterations=1, targets=[0.5])
-        )
+        one, masks_one = iterative_gradient_prune(model, batch, 0.5, [0.5])
         # oracle: single global saliency prune
         from coarsefine.baselines import _flat_scores, _global_top_k, _split_mask
         from coarsefine.scoring import first_order_saliency
@@ -81,9 +78,16 @@ class TestIterativeGradient:
         for name in masks_one:
             np.testing.assert_array_equal(masks_one[name], expected[name])
 
-    def test_linear_schedule_targets(self):
-        sched = IterSchedule.linear(0.6, 3)
-        np.testing.assert_allclose(sched.targets, [0.2, 0.4, 0.6])
+    def test_linear_schedule_targets(self, monkeypatch):
+        import coarsefine.baselines as baselines
+
+        seen = []
+        monkeypatch.setattr(
+            baselines, "_global_prune", lambda model, targets, saliency: seen.append(targets)
+        )
+        iterative_gradient_prune(tiny_linear_model([np.eye(2)]), None, 0.6)
+        np.testing.assert_allclose(seen[0], [0.2, 0.4, 0.6])
+        assert seen[0][-1] == 0.6
 
     def test_masks_are_monotone(self):
         # prefix schedules share the (deterministic) trajectory, so their
@@ -97,10 +101,7 @@ class TestIterativeGradient:
             prev_kept = None
             for i in (1, 2, 3):
                 targets = [0.2 * t for t in range(1, i + 1)]
-                _, masks = iterative_gradient_prune(
-                    model, batch, targets[-1],
-                    IterSchedule(iterations=i, targets=targets),
-                )
+                _, masks = iterative_gradient_prune(model, batch, targets[-1], targets)
                 kept = np.concatenate([masks[k].reshape(-1) for k in sorted(masks)])
                 assert kept.sum() == int(np.floor((1 - targets[-1]) * n + 0.5))
                 if prev_kept is not None:
@@ -108,10 +109,16 @@ class TestIterativeGradient:
                 prev_kept = kept
 
     def test_schedule_validation(self):
-        with pytest.raises(InputError):
-            IterSchedule(iterations=2, targets=[0.4, 0.3])
-        with pytest.raises(InputError):
-            IterSchedule(iterations=0)
+        model = tiny_linear_model([np.eye(2)])
+        batch = random_batch(np.random.default_rng(0), 2, 2, 2)
+        for p, targets in (
+            (0.4, []),  # empty
+            (0.3, [0.4, 0.3]),  # decreasing
+            (0.4, [0.2, 0.2, 0.4]),  # not strictly increasing
+            (0.5, [0.2, 0.4]),  # does not end at p
+        ):
+            with pytest.raises(InputError):
+                iterative_gradient_prune(model, batch, p, targets)
 
 
 class TestUniformLayerwise:

@@ -289,8 +289,8 @@ class TestExitCodes:
         assert main(argv("0.5")) == 0
         assert main(["score", *argv("0.5")[1:]]) == 0
         out = tmp_path / "out"
-        assert {"report.json", "timing.json", "score_summary.json"} <= {
-            p.name for p in out.iterdir()}
+        stale = {"report.json", "timing.json", "score_summary.json", "plan.json", "scores.json"}
+        assert stale <= {p.name for p in out.iterdir()}
         load_model = cfio.load_model
 
         def failing_reload(directory):
@@ -302,8 +302,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv("0.7")) == 2
         assert json.loads(capsys.readouterr().err)["message"] == "injected reload failure"
-        left = {p.name for p in out.iterdir()}
-        assert not left & {"report.json", "timing.json", "score_summary.json"}
+        assert not {p.name for p in out.iterdir()} & stale
         assert not [p for p in out.rglob("*.tmp")]
 
     def test_numerical_error_is_exit_3(self, tmp_path, capsys):
@@ -467,6 +466,17 @@ def _edit_json(path, change):
     path.write_text(json.dumps(obj))
 
 
+def _zero_size_layers(root):
+    # [0, 6] then [8, 0]: the shapes still chain, and the empty .bin files
+    # hold exactly the zero floats they promise
+    def change(manifest):
+        for entry, shape in zip(manifest["blocks"][0]["layers"], ([0, 6], [8, 0])):
+            entry["shape"] = shape
+            (root / "model" / f"{entry['name']}.bin").write_bytes(b"")
+
+    _edit_json(root / "model" / "manifest.json", change)
+
+
 class TestMalformedFiles:
     # each mutation used to escape cli.main as a traceback (or, for the
     # outside paths, to read a file outside the directory it was given)
@@ -496,6 +506,7 @@ class TestMalformedFiles:
             lambda o: o["blocks"][0]["layers"][0].update(name="../outside/L0")),
         "manifest block name unsafe": lambda root: _edit_json(
             root / "model" / "manifest.json", lambda o: o["blocks"][0].update(name="a/b")),
+        "manifest zero-size layers": _zero_size_layers,
     }
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from coarsefine.allocation import allocate_sparsity
-from coarsefine.errors import InputError, UnknownLayerError
+from coarsefine.errors import InputError
 from coarsefine.model import CalibrationSet, forward_loss
 from coarsefine.scoring import (
     ScoreMap,
-    aggregate_to_blocks,
     aggregate_to_layers,
     first_order_saliency,
     magnitude_scores,
@@ -106,26 +105,6 @@ class TestAggregation:
     def test_negative_scores_rejected(self):
         with pytest.raises(InputError):
             aggregate_to_layers({"L": np.array([-1.0])}, "sum")
-
-
-class TestBlockAggregation:
-    def test_single_layer_block_is_identity(self):
-        model = tiny_linear_model([np.ones((2, 2))])
-        sm = ScoreMap(entries={"L0": 4.5}, method="magnitude")
-        blocks = aggregate_to_blocks(sm, model)
-        assert blocks.entries == {"b0": 4.5}
-        assert blocks.level == "block"
-
-    def test_member_scores_sum(self):
-        model = tiny_linear_model([np.ones((2, 2)), np.ones((2, 2))])
-        sm = ScoreMap(entries={"L0": 2.0, "L1": 3.0}, method="magnitude")
-        assert aggregate_to_blocks(sm, model).entries == {"b0": 5.0}
-
-    def test_unknown_layer_rejected(self):
-        model = tiny_linear_model([np.ones((2, 2))])
-        sm = ScoreMap(entries={"nope": 1.0}, method="magnitude")
-        with pytest.raises(UnknownLayerError):
-            aggregate_to_blocks(sm, model)
 
 
 class TestScoreMap:
