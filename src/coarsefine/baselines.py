@@ -76,14 +76,14 @@ def iterative_gradient_prune(
     """Global |W|*|grad| pruning in increasing-sparsity iterations.
 
     targets is a non-empty, strictly increasing list of global sparsities
-    ending at p; the default is three linear steps [p/3, 2p/3, p].
+    ending at p; the default is [p/3, 2p/3, p], or [0.0] at p = 0.
     Saliency is recomputed on the masked model at every iteration and
     previously pruned weights stay pruned (masks are monotone).
     """
     if not 0 <= p < 1:
         raise InputError(f"sparsity must be in [0, 1), got {p}")
     if targets is None:
-        targets = [p * t / 3 for t in range(1, 4)]
+        targets = [p * t / 3 for t in range(1, 4)] if p > 0 else [0.0]
     if not targets or any(b <= a for a, b in zip(targets, targets[1:])):
         raise InputError("targets must be a non-empty, strictly increasing list")
     if abs(targets[-1] - p) > 1e-12:

@@ -29,9 +29,10 @@ from .model import (
     CalibrationSet,
     LayerSpec,
     ModelGraph,
+    _act,
     batch_input_matrix,
+    check_finite,
     layer_forward,
-    set_layer_weights,
 )
 
 FINE_METHODS = ("wanda", "sparsegpt", "magnitude")
@@ -268,10 +269,8 @@ def _eliminate_block(
 
 
 def apply_mask(layer: LayerSpec, mask: np.ndarray) -> np.ndarray:
-    """Zero the pruned entries of a weight copy, bit-preserving survivors."""
-    out = layer.weight.copy()
-    out[~mask] = 0.0
-    return out
+    """A new weight array: survivors keep their bits, pruned entries are +0.0."""
+    return np.where(mask, layer.weight, 0.0)
 
 
 def sequential_prune(
@@ -286,10 +285,13 @@ def sequential_prune(
 
     Each layer's activations are the batch propagated through the already
     pruned earlier layers; frozen layers are skipped but still forwarded.
-    Returns (pruned model copy, keep-masks, per-layer reconstruction
-    errors), where the reconstruction error is the squared Frobenius
-    distance between dense and pruned pre-activation outputs on the
-    captured activations.
+    The input model is only read: the result is ``model.copy(weights=...)``
+    over the arrays the fine steps return, and a layer's pruned
+    pre-activation serves both its reconstruction error and the next
+    layer's input.  Returns (pruned model, keep-masks, per-layer
+    reconstruction errors), where the reconstruction error is the squared
+    Frobenius distance between dense and pruned pre-activation outputs on
+    the captured activations.
     """
     if fine_method not in FINE_METHODS:
         raise InputError(f"fine_method must be one of {FINE_METHODS}")
@@ -297,30 +299,27 @@ def sequential_prune(
     if violations:
         raise InputError("invalid plan: " + "; ".join(violations))
 
-    pruned = model.copy()
-    h, _ = batch_input_matrix(pruned, batch)
+    h, _ = batch_input_matrix(model, batch)
+    new: dict[str, np.ndarray] = {}
     masks: dict[str, np.ndarray] = {}
     recon: dict[str, float] = {}
-    for layer in pruned.layers():
+    for layer in model.layers():
         if layer.frozen:
             h = layer_forward(layer, h)
             continue
         alloc = plan.per_layer[layer.name]
-        dense_out = h @ layer.weight.T
         try:
             if alloc.keep_count == layer.size:
-                mask = np.ones_like(layer.weight, dtype=bool)
-                new_w = layer.weight
-            elif fine_method == "wanda":
-                mask = wanda_prune_layer(
-                    layer, h, alloc.keep_count, norm_exponent=norm_exponent
+                mask, new_w = np.ones_like(layer.weight, dtype=bool), layer.weight.copy()
+            elif fine_method == "sparsegpt":
+                mask, new_w = sparsegpt_prune_layer(layer, h, alloc.keep_count, lam)
+            else:
+                mask = (
+                    wanda_prune_layer(layer, h, alloc.keep_count, norm_exponent)
+                    if fine_method == "wanda"
+                    else magnitude_prune_layer(layer, alloc.keep_count)
                 )
                 new_w = apply_mask(layer, mask)
-            elif fine_method == "magnitude":
-                mask = magnitude_prune_layer(layer, alloc.keep_count)
-                new_w = apply_mask(layer, mask)
-            else:
-                mask, new_w = sparsegpt_prune_layer(layer, h, alloc.keep_count, lam)
         except (InputError, NumericalError) as e:
             raise type(e)(f"while pruning layer {layer.name!r}: {e}") from e
         kept = int(mask.sum())
@@ -328,10 +327,11 @@ def sequential_prune(
             raise InputError(
                 f"layer {layer.name!r}: mask keeps {kept}, plan says {alloc.keep_count}"
             )
-        set_layer_weights(pruned, layer.name, new_w)
         masks[layer.name] = mask
-        pruned_out = h @ layer.weight.T
-        recon[layer.name] = float(np.sum((dense_out - pruned_out) ** 2))
-        h = layer_forward(layer, h)
+        new[layer.name] = check_finite(new_w, f"weights for {layer.name!r}")
+        out = h @ new_w.T
+        recon[layer.name] = float(np.sum((h @ layer.weight.T - out) ** 2))
+        h = _act(layer.activation, out if layer.bias is None else out + layer.bias)
+    pruned = model.copy(weights=new)
     pruned.forward_count += batch.count
     return pruned, masks, recon

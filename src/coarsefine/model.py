@@ -18,8 +18,7 @@ first-order scores and for tests.
 
 from __future__ import annotations
 
-import copy as _copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
@@ -152,10 +151,18 @@ class ModelGraph:
     def num_prunable_weights(self) -> int:
         return sum(l.size for l in self.prunable_layers())
 
-    def copy(self) -> "ModelGraph":
-        m = _copy.deepcopy(self)
-        m.forward_count = 0
-        return m
+    def copy(self, weights: dict[str, np.ndarray] | None = None) -> "ModelGraph":
+        """Structural copy in which every layer owns a fresh weight and bias,
+        except that a layer named in weights takes the given array as is.
+        The copy's forward count starts at 0."""
+        weights = weights or {}
+
+        def own(l: LayerSpec) -> LayerSpec:
+            w = weights[l.name] if l.name in weights else l.weight.copy()
+            return replace(l, weight=w, bias=None if l.bias is None else l.bias.copy())
+
+        return ModelGraph([Block(b.name, [own(l) for l in b.layers]) for b in self.blocks],
+                          self.head)
 
 
 @dataclass

@@ -12,6 +12,11 @@ that fails leaves no report and no stale plan or scores.  Dense and
 pruned models are evaluated on the calibration batch after a round trip
 through the on-disk float32 format, so reported metrics match what a
 reload sees.
+
+A prune holds two models' weights only in the fine pass, which reads the
+dense model and builds the pruned one from its own arrays.  The dense
+model is dropped once the pass returns, the pruned one once it is saved;
+the pruned evaluation reads the reload alone.
 """
 
 from __future__ import annotations
@@ -255,8 +260,10 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         lam=config.hessian_lambda,
     )
     pruning_forwards = model.forward_count + pruned.forward_count
+    del model  # the dense weights are not read again
 
     cfio.save_model(pruned, out / "pruned_model")
+    del pruned  # the evaluation reads the reload
     cfio.save_masks(masks, out / "masks")
     reloaded = cfio.load_model(out / "pruned_model")
     eval_pruned = evaluate_on_batch(

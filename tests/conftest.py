@@ -53,3 +53,22 @@ def trained_two_tower():
 def trained_regression():
     task = make_task("synthetic_regression", seed=0)
     return task, train_reference(task)
+
+
+def array_bytes(model):
+    """Bytes of every layer's weight and bias, by layer name."""
+    return {
+        l.name: (l.weight.tobytes(), None if l.bias is None else l.bias.tobytes())
+        for l in model.layers()
+    }
+
+
+def shared_arrays(model, other):
+    """Names of model's layers whose weight or bias shares memory with any
+    weight or bias of other."""
+    theirs = [a for l in other.layers() for a in (l.weight, l.bias) if a is not None]
+    return [
+        l.name for l in model.layers()
+        if any(np.shares_memory(a, b) for a in (l.weight, l.bias) if a is not None
+               for b in theirs)
+    ]

@@ -108,6 +108,16 @@ class TestIterativeGradient:
                     assert np.all(kept <= prev_kept)  # pruned set only grows
                 prev_kept = kept
 
+    def test_p_zero_returns_dense_masks(self):
+        rng = np.random.default_rng(4)
+        model = random_mlp(rng, [3, 4, 2])
+        batch = random_batch(rng, 4, 3, 2)
+        for pruned, masks in (global_magnitude_prune(model, 0.0),
+                              iterative_gradient_prune(model, batch, 0.0)):
+            assert all(m.all() for m in masks.values())
+            for layer in model.layers():
+                assert pruned.layer(layer.name).weight.tobytes() == layer.weight.tobytes()
+
     def test_schedule_validation(self):
         model = tiny_linear_model([np.eye(2)])
         batch = random_batch(np.random.default_rng(0), 2, 2, 2)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coarsefine import localprune
-from coarsefine.allocation import allocate_sparsity, uniform_plan
+from coarsefine.allocation import LayerAllocation, SparsityPlan, allocate_sparsity, uniform_plan
 from coarsefine.errors import InputError, NumericalError
 from coarsefine.localprune import (
     build_hessian,
@@ -20,10 +20,10 @@ from coarsefine.localprune import (
     top_k_mask,
     wanda_prune_layer,
 )
-from coarsefine.model import LayerSpec
+from coarsefine.model import LayerSpec, batch_input_matrix, layer_forward
 from coarsefine.scoring import ScoreMap
 
-from conftest import random_batch, random_mlp, tiny_linear_model
+from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
 
 
 def layer_of(w):
@@ -454,3 +454,73 @@ class TestSequentialPrune:
             _, masks, _ = sequential_prune(model, plan, batch, method)
             for name, mask in masks.items():
                 assert int(mask.sum()) == plan.per_layer[name].keep_count
+
+
+def owned_case():
+    """A biased layer L0 the plan keeps whole, a frozen biased L1, and a
+    biased L2 pruned to 4 of 12 weights (32 prunable, p = 0.25)."""
+    rng = np.random.default_rng(31)
+    model = tiny_linear_model(
+        [rng.normal(size=(4, 5)), rng.normal(size=(4, 4)), rng.normal(size=(3, 4))],
+        activations=["gelu", "relu", "identity"],
+        biases=[rng.normal(size=4), rng.normal(size=4), rng.normal(size=3)],
+        frozen=[False, True, False],
+    )
+    plan = SparsityPlan(
+        target_p=0.25, p_max=0.7, granularity="layer", n_select=24,
+        per_layer={"L0": LayerAllocation(0.0, 20, 20),
+                   "L2": LayerAllocation(8 / 12, 4, 12)},
+    )
+    return model, plan, random_batch(rng, 6, 5, 3)
+
+
+class TestOwnership:
+    """sequential_prune only reads its input and returns arrays of its own."""
+
+    @pytest.mark.parametrize("method", ["wanda", "sparsegpt", "magnitude"])
+    def test_input_untouched_and_unshared(self, method):
+        model, plan, batch = owned_case()
+        before = array_bytes(model)
+        pruned, masks, _ = sequential_prune(model, plan, batch, method)
+        assert array_bytes(model) == before
+        assert shared_arrays(pruned, model) == []
+        after = array_bytes(pruned)
+        assert after["L0"] == before["L0"] and after["L1"] == before["L1"]
+        assert masks["L0"].all() and int(masks["L2"].sum()) == 4
+
+    @pytest.mark.parametrize("method", ["wanda", "sparsegpt", "magnitude"])
+    def test_matches_layer_by_layer_reference(self, method):
+        # oracle: prune each layer on the input of the pruned prefix and
+        # forward through layer_forward (bias and activation) on its own
+        model, plan, batch = owned_case()
+        pruned, masks, recon = sequential_prune(model, plan, batch, method)
+        h = batch_input_matrix(model, batch)[0]
+        for layer in model.layers():
+            new = pruned.layer(layer.name)
+            if not layer.frozen:
+                keep = plan.per_layer[layer.name].keep_count
+                if keep == layer.size:
+                    mask, w = np.ones(layer.weight.shape, bool), layer.weight
+                elif method == "sparsegpt":
+                    mask, w = sparsegpt_prune_layer(layer, h, keep)
+                else:
+                    mask = (wanda_prune_layer(layer, h, keep) if method == "wanda"
+                            else magnitude_prune_layer(layer, keep))
+                    w = localprune.apply_mask(layer, mask)
+                np.testing.assert_array_equal(masks[layer.name], mask)
+                assert new.weight.tobytes() == w.tobytes()
+                assert recon[layer.name] == float(
+                    np.sum((h @ layer.weight.T - h @ w.T) ** 2)
+                )
+            h = layer_forward(new, h)
+
+    def test_apply_mask_keeps_survivor_bits(self):
+        layer = layer_of([[-0.0, 1.5, -2.0], [-3.0, -0.0, 0.25]])
+        mask = np.array([[True, False, True], [False, True, False]])
+        out = localprune.apply_mask(layer, mask)
+        assert not np.shares_memory(out, layer.weight)
+        expected = layer.weight.copy()
+        expected[~mask] = 0.0
+        assert out.tobytes() == expected.tobytes()
+        assert np.signbit(out[0, 0]) and np.signbit(out[1, 1])
+        assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 0])

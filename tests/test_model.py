@@ -22,7 +22,7 @@ from coarsefine.model import (
 )
 from coarsefine.model import layer_forward, run_forward
 
-from conftest import random_batch, random_mlp, tiny_linear_model
+from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
 
 
 class TestForward:
@@ -213,6 +213,46 @@ class TestSetLayerWeights:
         model = tiny_linear_model([np.eye(2)])
         with pytest.raises(UnknownLayerError):
             set_layer_weights(model, "nope", np.zeros((2, 2)))
+
+
+class TestCopy:
+    @staticmethod
+    def model():
+        # a biased layer, a frozen biased layer, an unbiased layer, two blocks
+        rng = np.random.default_rng(21)
+        model = tiny_linear_model(
+            [rng.normal(size=(4, 5)), rng.normal(size=(4, 4)), rng.normal(size=(3, 4))],
+            activations=["gelu", "relu", "identity"],
+            biases=[rng.normal(size=4), rng.normal(size=4), None],
+            frozen=[False, True, False],
+        )
+        model.blocks = [Block("b0", model.blocks[0].layers[:2]),
+                        Block("b1", model.blocks[0].layers[2:])]
+        return model
+
+    def test_copy_owns_every_array(self):
+        model = self.model()
+        before = array_bytes(model)
+        model.forward_count = 5
+        dup = model.copy()
+        assert shared_arrays(dup, model) == []
+        assert array_bytes(dup) == before == array_bytes(model)
+        assert dup.forward_count == 0 and dup.head == model.head
+        assert [(l.name, l.kind, l.activation, l.frozen) for l in dup.layers()] == [
+            (l.name, l.kind, l.activation, l.frozen) for l in model.layers()
+        ]
+        assert [b.name for b in dup.blocks] == ["b0", "b1"]
+
+    def test_given_weights_are_taken_as_is(self):
+        model = self.model()
+        before = array_bytes(model)
+        new = np.zeros((3, 4))
+        dup = model.copy(weights={"L2": new})
+        assert dup.layer("L2").weight is new
+        assert shared_arrays(dup, model) == []
+        assert array_bytes(model) == before
+        assert array_bytes(dup)["L0"] == before["L0"]
+        assert array_bytes(dup)["L1"] == before["L1"]
 
 
 class TestGraphInvariants:
