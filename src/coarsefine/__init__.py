@@ -29,7 +29,6 @@ from .model import (
     ModelGraph,
     backprop_gradients,
     forward_with_activations,
-    set_layer_weights,
 )
 from .pipeline import PruneReport, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
 from .scoring import (
@@ -79,7 +78,6 @@ __all__ = [
     "make_task",
     "perturb_replay",
     "sequential_prune",
-    "set_layer_weights",
     "sparsegpt_prune_layer",
     "train_reference",
     "uniform_layerwise_prune",

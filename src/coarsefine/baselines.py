@@ -3,6 +3,9 @@ pruning, uniform-ratio layer-wise pruning, and the local-scores-as-ratios
 ablation.
 
 All baselines hit the exact global keep budget round((1-p)*|W_total|).
+The two global baselines only read their input model: they rank all
+prunable weights as one vector, and across the iterations of one run
+their masks only shrink.
 """
 
 from __future__ import annotations
@@ -16,29 +19,8 @@ from .errors import InputError
 from .localprune import (
     apply_mask, sequential_prune, sparsegpt_layer_score, top_k_mask, wanda_scores,
 )
-from .model import CalibrationSet, ModelGraph, forward_with_activations, set_layer_weights
+from .model import CalibrationSet, ModelGraph, check_finite, forward_with_activations
 from .scoring import ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores
-
-
-def _flat_scores(model: ModelGraph, per_layer: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate(
-        [per_layer[l.name].reshape(-1) for l in model.prunable_layers()]
-    )
-
-
-def _split_mask(model: ModelGraph, flat: np.ndarray) -> dict[str, np.ndarray]:
-    masks = {}
-    offset = 0
-    for l in model.prunable_layers():
-        masks[l.name] = flat[offset : offset + l.size].reshape(l.weight.shape)
-        offset += l.size
-    return masks
-
-
-def _global_top_k(flat_scores: np.ndarray, keep: int, candidates: np.ndarray) -> np.ndarray:
-    """Keep-mask of the top-keep scores among candidate positions, ties by
-    lowest flat index."""
-    return top_k_mask(np.where(candidates, flat_scores, -np.inf)[None, :], keep)[0]
 
 
 def _global_prune(
@@ -46,16 +28,33 @@ def _global_prune(
     targets: list[float],
     saliency: Callable[[ModelGraph], dict[str, np.ndarray]],
 ) -> tuple[ModelGraph, dict[str, np.ndarray]]:
-    """Prune to each global target in turn, rescoring the masked model."""
-    pruned = model.copy()
-    n_total = pruned.num_prunable_weights()
-    kept_flat = np.ones(n_total, dtype=bool)
+    """Prune to each global target in turn, rescoring the masked model.
+
+    The input model is only read.  All prunable weights are ranked as one
+    flat vector in layer order with earlier-pruned positions at -inf, so
+    masks only shrink.  Each iterate copies the previous one with masked
+    weights, and the result counts the forwards its scoring spent.
+    """
+    layers = model.prunable_layers()
+    n_total = model.num_prunable_weights()
+    cuts = np.cumsum([l.size for l in layers])[:-1]
+    pruned = ModelGraph(model.blocks, model.head)  # shares layers, counts own forwards
+    kept = np.ones(n_total, dtype=bool)
     for target in targets:
-        flat = _flat_scores(pruned, saliency(pruned))
-        kept_flat = _global_top_k(flat, keep_budget(target, n_total), kept_flat)
-        for name, mask in _split_mask(pruned, kept_flat).items():
-            set_layer_weights(pruned, name, apply_mask(pruned.layer(name), mask))
-    return pruned, _split_mask(pruned, kept_flat)
+        per_layer = saliency(pruned)
+        flat = np.concatenate([per_layer.pop(l.name).reshape(-1) for l in layers])
+        flat[~kept] = -np.inf
+        kept = top_k_mask(flat[None, :], keep_budget(target, n_total))[0]
+        del flat  # not alive through the next target's scoring
+        pieces = np.split(kept, cuts)
+        masks = {l.name: m.reshape(l.weight.shape) for l, m in zip(layers, pieces)}
+        spent = pruned.forward_count
+        pruned = pruned.copy(weights={
+            l.name: check_finite(apply_mask(l, masks[l.name]), f"weights for {l.name!r}")
+            for l in pruned.prunable_layers()
+        })
+        pruned.forward_count = spent
+    return pruned, masks
 
 
 def global_magnitude_prune(

@@ -4,8 +4,9 @@ Subcommands: ``prune`` (full coarse-to-fine run), ``score`` (coarse step
 only), ``eval`` (metrics of a model directory on a task split) and
 ``compare`` (merge prune reports into curve CSVs).  A JSON config file
 may supply any field; explicit flags override it.  Exit codes: 0 success,
-1 usage error, 2 data/model error, 3 numerical error; failures print one
-JSON error object to stderr.
+1 usage error (a bad command line included), 2 data/model error or an
+output path that cannot be written, 3 numerical error; failures print
+one JSON error object to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from .errors import CoarseFineError, UsageError
 from .localprune import FINE_METHODS
 from .pipeline import COARSE_MODES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
 from .tasks import TASK_KINDS
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, not as usage text."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -46,10 +54,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file {path} does not exist")
         try:
             base = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as e:  # missing file, a directory, no permission
+            raise UsageError(f"cannot read config file {path}: {e.strerror}") from e
         except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
             raise UsageError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(base, dict):
@@ -66,7 +74,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarsefine",
         description="Coarse-to-fine one-shot pruning toolkit",
     )
@@ -93,13 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 1
-
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "prune":
             report = cmd_prune(_build_config(args))
             print(json.dumps(
@@ -123,18 +126,15 @@ def main(argv: list[str] | None = None) -> int:
             summary = cmd_compare(args.reports, args.out)
             print(json.dumps(summary, sort_keys=True))
         return 0
-    except CoarseFineError as e:
+    except SystemExit as e:  # --help
+        return 0 if e.code in (0, None) else 1
+    except (CoarseFineError, OSError) as e:  # OSError: an unwritable output path
+        code = getattr(e, "exit_code", 2)
         sys.stderr.write(
-            json.dumps(
-                {
-                    "error": type(e).__name__,
-                    "message": str(e),
-                    "exit_code": e.exit_code,
-                }
-            )
+            json.dumps({"error": type(e).__name__, "message": str(e), "exit_code": code})
             + "\n"
         )
-        return e.exit_code
+        return code
 
 
 if __name__ == "__main__":

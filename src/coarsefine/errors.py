@@ -37,7 +37,7 @@ class ModelFormatError(CoarseFineError):
 
 
 class FrozenLayerError(CoarseFineError):
-    """Attempted write or prune on a frozen layer without an override."""
+    """Attempted perturbation or zeroth-order scoring of a frozen layer."""
 
     exit_code = 2
 

@@ -51,13 +51,18 @@ def write_json(obj: dict, path: str | Path) -> Path:
     """Write obj as sorted-key, indent-2 JSON with a trailing newline.
 
     The text goes to a temporary file beside path and is then renamed
-    over it, so path never holds a partly written file.
+    over it, so path never holds a partly written file; a failed rename
+    removes the temporary file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:  # path is a directory, say
+        tmp.unlink()
+        raise
     return path
 
 

@@ -25,7 +25,6 @@ from scipy.special import erf
 
 from .errors import (
     DimensionError,
-    FrozenLayerError,
     InputError,
     NumericalError,
     UnknownLayerError,
@@ -426,22 +425,3 @@ def backprop_gradients(
             grad = grad @ layer.weight
     return {l.name: grads[l.name] for l in layers}
 
-
-def set_layer_weights(
-    model: ModelGraph,
-    layer_name: str,
-    tensor: np.ndarray,
-    override_frozen: bool = False,
-) -> ModelGraph:
-    """Replace one layer's weight in place; subsequent forwards use it."""
-    layer = model.layer(layer_name)
-    if layer.frozen and not override_frozen:
-        raise FrozenLayerError(f"layer {layer_name!r} is frozen")
-    tensor = as_tensor(tensor)
-    if tensor.shape != layer.weight.shape:
-        raise DimensionError(
-            f"layer {layer_name!r}: shape {tensor.shape} != {layer.weight.shape}"
-        )
-    check_finite(tensor, f"weights for {layer_name!r}")
-    layer.weight = tensor
-    return model

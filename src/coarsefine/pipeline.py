@@ -240,7 +240,6 @@ def cmd_prune(config: RunConfig) -> PruneReport:
 
     eval_dense = evaluate_on_batch(model, batch, task="calibration", split="calib")
     dense_forwards = model.forward_count
-    model.forward_count = 0
 
     scores, scoring_forwards = compute_scores(config, model, batch)
     plan = allocate_sparsity(
@@ -250,7 +249,6 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         p_max=config.effective_max_sparsity(),
         granularity="layer" if config.coarse == "uniform" else config.granularity,
     )
-    model.forward_count = 0
     pruned, masks, recon = sequential_prune(
         model,
         plan,
@@ -259,7 +257,7 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         norm_exponent=config.norm_exponent,
         lam=config.hessian_lambda,
     )
-    pruning_forwards = model.forward_count + pruned.forward_count
+    pruning_forwards = pruned.forward_count
     del model  # the dense weights are not read again
 
     cfio.save_model(pruned, out / "pruned_model")

@@ -1,6 +1,8 @@
 """Baselines: global magnitude, iterative gradient, uniform, local-score
 ratios."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from coarsefine.errors import InputError
 from coarsefine.localprune import sequential_prune, wanda_prune_layer
 from coarsefine.model import CalibrationSet, batch_input_matrix
 
-from conftest import random_batch, random_mlp, tiny_linear_model
+from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
 
 
 class TestGlobalMagnitude:
@@ -65,18 +67,18 @@ class TestIterativeGradient:
         model = random_mlp(rng, [5, 6, 3])
         batch = random_batch(rng, 4, 5, 3)
         one, masks_one = iterative_gradient_prune(model, batch, 0.5, [0.5])
-        # oracle: single global saliency prune
-        from coarsefine.baselines import _flat_scores, _global_top_k, _split_mask
+        # oracle: one stable sort of every prunable saliency, in layer order
         from coarsefine.scoring import first_order_saliency
 
-        flat = _flat_scores(model, first_order_saliency(model, batch))
-        n = model.num_prunable_weights()
-        expected = _split_mask(
-            model, _global_top_k(flat, int(np.floor(0.5 * n + 0.5)),
-                                 np.ones(n, dtype=bool))
-        )
-        for name in masks_one:
-            np.testing.assert_array_equal(masks_one[name], expected[name])
+        saliency = first_order_saliency(model, batch)
+        flat = np.concatenate([saliency[l.name].reshape(-1) for l in model.prunable_layers()])
+        kept = np.zeros(flat.size, dtype=bool)
+        kept[np.argsort(-flat, kind="stable")[: int(np.floor(0.5 * flat.size + 0.5))]] = True
+        offset = 0
+        for layer in model.prunable_layers():
+            expected = kept[offset : offset + layer.size].reshape(layer.weight.shape)
+            np.testing.assert_array_equal(masks_one[layer.name], expected)
+            offset += layer.size
 
     def test_linear_schedule_targets(self, monkeypatch):
         import coarsefine.baselines as baselines
@@ -129,6 +131,70 @@ class TestIterativeGradient:
         ):
             with pytest.raises(InputError):
                 iterative_gradient_prune(model, batch, p, targets)
+
+
+class TestGlobalBaselinesOnlyRead:
+    @staticmethod
+    def model_and_batch():
+        # a biased layer, a frozen biased layer, a biased output layer
+        rng = np.random.default_rng(31)
+        model = tiny_linear_model(
+            [rng.normal(size=(4, 5)), rng.normal(size=(4, 4)), rng.normal(size=(3, 4))],
+            activations=["gelu", "relu", "identity"],
+            biases=[rng.normal(size=4), rng.normal(size=4), rng.normal(size=3)],
+            frozen=[False, True, False],
+        )
+        return model, random_batch(rng, 4, 5, 3)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.8])
+    @pytest.mark.parametrize("method", ["global_magnitude", "iterative_gradient"])
+    def test_input_untouched_and_result_owns_its_arrays(self, method, p):
+        model, batch = self.model_and_batch()
+        model.forward_count = 7
+        before = array_bytes(model)
+        if method == "global_magnitude":
+            pruned, masks = global_magnitude_prune(model, p)
+            forwards = 0
+        else:
+            pruned, masks = iterative_gradient_prune(model, batch, p)
+            forwards = (3 if p > 0 else 1) * batch.count  # one backprop per target
+        assert array_bytes(model) == before
+        assert model.forward_count == 7
+        assert pruned.forward_count == forwards
+        assert shared_arrays(pruned, model) == []
+        assert sorted(masks) == ["L0", "L2"]
+        for layer in model.layers():
+            got = pruned.layer(layer.name)
+            expected = (layer.weight if layer.frozen
+                        else np.where(masks[layer.name], layer.weight, 0.0))
+            assert got.weight.tobytes() == expected.tobytes()
+            assert got.bias.tobytes() == layer.bias.tobytes()
+            assert not any(np.shares_memory(m, layer.weight) for m in masks.values())
+
+    # a 256-512-512-128 GELU MLP (458,752 weights), K=64; the bound is in
+    # float64 weight bytes.  Magnitude holds the flat scores next to
+    # top_k_mask's negated copy of them, or next to the result's weights
+    # (2.52x); an up-front model copy rewritten layer by layer read 4.52x.
+    # Iterative gradient holds the previous iterate through
+    # first_order_saliency (3.56x); with the last flat scores kept alive
+    # too it read 4.56x.
+    @pytest.mark.parametrize("method, bound", [("global_magnitude", 3.0),
+                                               ("iterative_gradient", 4.0)])
+    def test_peak_memory(self, method, bound):
+        rng = np.random.default_rng(41)
+        model = random_mlp(rng, [256, 512, 512, 128])
+        batch = random_batch(rng, 64, 256, 128)
+        weight_bytes = 8 * model.num_prunable_weights()
+        tracemalloc.start()
+        try:
+            if method == "global_magnitude":
+                global_magnitude_prune(model, 0.5)
+            else:
+                iterative_gradient_prune(model, batch, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * weight_bytes, peak / weight_bytes
 
 
 class TestUniformLayerwise:

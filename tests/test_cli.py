@@ -292,8 +292,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert json.loads(err)["exit_code"] == 1
 
-    def test_unknown_flag_is_exit_1(self):
+    def test_unknown_flag_is_exit_1(self, capsys):
         assert main(["prune", "--bogus"]) == 1
+        err = one_error_line(capsys)
+        assert err["error"] == "UsageError"
+        assert "--bogus" in err["message"]
+
+    @pytest.mark.parametrize("case", [
+        "config-is-dir", "bogus-flag", "bogus-choice", "bad-int",
+        "prune-out-file", "prune-out-under-file", "score-out-file",
+        "score-out-under-file", "eval-out-dir", "compare-out-file",
+    ])
+    def test_failure_is_one_json_line(self, fixture_dir, tmp_path, capsys, case):
+        # a bad command line is a usage error (exit 1); an --out that is a
+        # file, lies under one, or is a directory where a file goes is an
+        # unwritable output (exit 2) named in the message
+        (tmp_path / "afile").write_text("x")
+        (tmp_path / "adir").mkdir()
+        run = ["--model-dir", str(fixture_dir / "model"),
+               "--calib", str(fixture_dir / "calib.json"),
+               "--coarse", "magnitude", "--samples", "8"]
+        report = tmp_path / "run" / "report.json"
+        if case == "compare-out-file":
+            assert main(["prune", *run, "--out", str(report.parent)]) == 0
+        capsys.readouterr()
+        argv, code, named = {
+            "config-is-dir": (["prune", "--config", str(tmp_path / "adir")], 1, "adir"),
+            "bogus-flag": (["prune", "--bogus"], 1, "--bogus"),
+            "bogus-choice": (["prune", "--coarse", "bogus"], 1, "bogus"),
+            "bad-int": (["score", "--samples", "abc"], 1, "abc"),
+            "prune-out-file": (["prune", *run, "--out", str(tmp_path / "afile")], 2, "afile"),
+            "prune-out-under-file":
+                (["prune", *run, "--out", str(tmp_path / "afile" / "sub")], 2, "afile"),
+            "score-out-file": (["score", *run, "--out", str(tmp_path / "afile")], 2, "afile"),
+            "score-out-under-file":
+                (["score", *run, "--out", str(tmp_path / "afile" / "sub")], 2, "afile"),
+            "eval-out-dir": (["eval", "--model-dir", str(fixture_dir / "model"),
+                              "--task", "synthetic_regression", "--split", "val",
+                              "--out", str(tmp_path / "adir")], 2, "adir"),
+            "compare-out-file":
+                (["compare", str(report), "--out", str(tmp_path / "afile")], 2, "afile"),
+        }[case]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == code
+        assert named in err["message"]
+        if code == 1:
+            assert err["error"] == "UsageError"
+        assert (tmp_path / "afile").read_text() == "x"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["afile", "adir"] + (["run"] if case == "compare-out-file" else [])
+        )
+        assert list((tmp_path / "adir").iterdir()) == []
 
     def test_missing_model_is_exit_2(self, tmp_path, capsys):
         code = main([

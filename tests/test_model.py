@@ -1,11 +1,10 @@
-"""Core model: forward, activation capture, backprop oracle, weight writes."""
+"""Core model: forward, activation capture, backprop oracle, copies."""
 
 import numpy as np
 import pytest
 
 from coarsefine.errors import (
     DimensionError,
-    FrozenLayerError,
     InputError,
 )
 from coarsefine.model import (
@@ -18,7 +17,6 @@ from coarsefine.model import (
     forward_outputs,
     forward_with_activations,
     per_sample_losses,
-    set_layer_weights,
 )
 from coarsefine.model import layer_forward, run_forward
 
@@ -186,33 +184,6 @@ class TestBackprop:
             g_num[idx] = (lp - lm) / (2 * step)
         denom = np.maximum(np.abs(g_num), 1e-6)
         assert (np.abs(grads["emb"] - g_num) / denom).max() < 1e-4
-
-
-class TestSetLayerWeights:
-    def test_write_then_read_back(self):
-        model = tiny_linear_model([np.eye(2)])
-        new = np.array([[1.5, -2.5], [0.25, 0.125]])
-        set_layer_weights(model, "L0", new)
-        assert model.layer("L0").weight.tobytes() == new.tobytes()
-
-    def test_frozen_write_needs_override(self):
-        model = tiny_linear_model([np.eye(2)], frozen=[True])
-        with pytest.raises(FrozenLayerError):
-            set_layer_weights(model, "L0", np.zeros((2, 2)))
-        set_layer_weights(model, "L0", np.zeros((2, 2)), override_frozen=True)
-        assert np.all(model.layer("L0").weight == 0)
-
-    def test_wrong_shape_rejected(self):
-        model = tiny_linear_model([np.eye(2)])
-        with pytest.raises(DimensionError):
-            set_layer_weights(model, "L0", np.zeros((3, 2)))
-
-    def test_unknown_layer_rejected(self):
-        from coarsefine.errors import UnknownLayerError
-
-        model = tiny_linear_model([np.eye(2)])
-        with pytest.raises(UnknownLayerError):
-            set_layer_weights(model, "nope", np.zeros((2, 2)))
 
 
 class TestCopy:

@@ -8,9 +8,9 @@ seconds each) and a trained reference of each task kind (task seed 3).
 Every run goes through ``cli.main`` with paths relative to the work
 directory, so the echoed paths are the same wherever it lives.  Its exit
 code and stdout are digested with its output files; ``timing.json``
-holds wall clock and is left out.  The masks of ``global_magnitude_prune``
-and ``iterative_gradient_prune`` (default targets) at both sparsities are
-digested too.
+holds wall clock and is left out.  The masks and the pruned weights and
+biases of ``global_magnitude_prune`` and ``iterative_gradient_prune``
+(default targets) at both sparsities are digested too.
 
 The program is imported from ``src/`` of the checkout this file sits in.
 Run it on two checkouts and compare the digest files; equal files mean
@@ -104,14 +104,15 @@ def run_matrix(fixtures: dict) -> tuple[dict[str, str], list[str]]:
     return digests, failed
 
 
-def baseline_masks(fixtures: dict) -> dict[str, str]:
-    """Digest the two global baselines' masks on every fixture."""
+def baseline_outputs(fixtures: dict) -> dict[str, str]:
+    """Digest the two global baselines' masks and pruned weights and biases
+    on every fixture."""
     digests = {}
     for name, (samples, _) in fixtures.items():
         model = cfio.load_model(f"{name}/model")
         batch = CalibrationSet(cfio.load_calibration(f"{name}/calib.json").samples[:samples])
         for p in SPARSITIES:
-            for label, (_, masks) in (
+            for label, (pruned, masks) in (
                 ("global_magnitude", global_magnitude_prune(model, float(p))),
                 ("iterative_gradient", iterative_gradient_prune(model, batch, float(p))),
             ):
@@ -119,6 +120,12 @@ def baseline_masks(fixtures: dict) -> dict[str, str]:
                     n.encode() + np.packbits(masks[n]).tobytes() for n in sorted(masks)
                 )
                 digests[f"baselines/{name}/{label}-{p}"] = _sha(packed)
+                arrays = b"".join(
+                    l.name.encode() + l.weight.tobytes()
+                    + (b"" if l.bias is None else l.bias.tobytes())
+                    for l in pruned.layers()
+                )
+                digests[f"baselines/{name}/{label}-{p}/weights"] = _sha(arrays)
     return digests
 
 
@@ -133,7 +140,7 @@ def main_matrix(argv: list[str] | None = None) -> int:
     os.chdir(work)
     fixtures = build_fixtures(Path("."))
     digests, failed = run_matrix(fixtures)
-    digests.update(baseline_masks(fixtures))
+    digests.update(baseline_outputs(fixtures))
     digest_path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     runs = sum(1 for k in digests if k.endswith("<stdout>"))
     print(json.dumps({"runs": runs, "failed": failed, "entries": len(digests)}))
