@@ -95,11 +95,9 @@ def uniform_layerwise_prune(
     batch: CalibrationSet,
     p: float,
     fine_method: str,
-    **fine_kwargs,
 ) -> tuple[ModelGraph, dict[str, np.ndarray], dict[str, float]]:
     """Fixed ratio p_i = p for every layer, then the sequential fine step."""
-    plan = uniform_plan(model, p)
-    return sequential_prune(model, plan, batch, fine_method, **fine_kwargs)
+    return sequential_prune(model, uniform_plan(model, p), batch, fine_method)
 
 
 def local_layer_scores(
@@ -141,12 +139,8 @@ def local_score_ratios(
     p: float,
     fine_method: str,
     p_max: float | None = None,
-    granularity: str = "layer",
-    norm_exponent: int = 1,
-    lam: float | None = None,
 ) -> SparsityPlan:
     """The ablation: layer ratios from local scores instead of global ones."""
     if p_max is None:
         p_max = min(p + 0.1, 1.0)
-    scores = local_layer_scores(model, batch, fine_method, norm_exponent, lam)
-    return allocate_sparsity(scores, model, p, p_max, granularity)
+    return allocate_sparsity(local_layer_scores(model, batch, fine_method), model, p, p_max)

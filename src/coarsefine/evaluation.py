@@ -14,15 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import local_layer_scores
 from .errors import InputError
-from .localprune import sparsegpt_layer_score
-from .model import (
-    CalibrationSet,
-    ModelGraph,
-    backprop_gradients,
-    forward_with_activations,
-    run_forward,
-)
+from .model import CalibrationSet, ModelGraph, backprop_gradients, run_forward
 from .tasks import TaskSpec, get_split
 
 HIST_BINS = 64
@@ -114,18 +108,9 @@ def evaluate_on_batch(
     )
 
 
-def evaluate(
-    model: ModelGraph,
-    task: TaskSpec,
-    split: str,
-    masks: dict[str, np.ndarray] | None = None,
-    reconstruction: dict[str, float] | None = None,
-) -> EvalResult:
+def evaluate(model: ModelGraph, task: TaskSpec, split: str) -> EvalResult:
     """Deterministic metrics of the model on one task split."""
-    batch = get_split(task, split)
-    return evaluate_on_batch(
-        model, batch, masks, reconstruction, task=task.kind, split=split
-    )
+    return evaluate_on_batch(model, get_split(task, split), task=task.kind, split=split)
 
 
 # -- distribution diagnostics ---------------------------------------------------
@@ -179,11 +164,7 @@ def distribution_report(model: ModelGraph, batch: CalibrationSet) -> dict:
                 blocks[a]["weight_mean_abs"] / denom if denom > 0 else None
             )
 
-    _, activations = forward_with_activations(model, batch)
-    local_scores = {
-        layer.name: sparsegpt_layer_score(layer.weight, activations[layer.name])
-        for layer in model.prunable_layers()
-    }
+    local_scores = local_layer_scores(model, batch, "sparsegpt").entries
     score_values = np.array(list(local_scores.values()))
     skew = {
         "min": float(score_values.min()),

@@ -207,11 +207,17 @@ def compute_scores(
 
 
 def cmd_score(config: RunConfig) -> dict:
-    """Coarse step only: write scores.json, return a run summary."""
+    """Coarse step only: write scores.json, return a run summary.
+
+    Any stale scores or score summary in config.out_dir is removed first,
+    and the summary is written last.
+    """
     config.validate()
+    out = Path(config.out_dir)
+    for name in ("score_summary.json", "scores.json"):  # stale
+        (out / name).unlink(missing_ok=True)
     model, batch = _load_inputs(config)
     scores, forwards = compute_scores(config, model, batch)
-    out = Path(config.out_dir)
     scores.save(out / "scores.json")
     summary = {
         "score_file": str(out / "scores.json"),
@@ -308,6 +314,8 @@ def cmd_eval(
     """
     if task_kind not in TASK_KINDS:
         raise UsageError(f"--task must be one of {TASK_KINDS}")
+    if task_seed < 0:
+        raise UsageError("--task-seed must be nonnegative")
     model = cfio.load_model(model_dir)
     task = make_task(task_kind, seed=task_seed)
     result = evaluate(model, task, split)

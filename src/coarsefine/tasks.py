@@ -3,14 +3,17 @@
 Four task kinds cover the pruning surfaces: linear regression (identity
 chain), Gaussian-blob classification, a character LM over a synthetic
 bigram corpus, and a two-tower regression net whose frozen fusion adapter
-exercises the frozen-layer path.  Everything is generated from the task
-seed; training is deterministic full-batch gradient descent, so the same
-spec always yields bit-identical models.
+exercises the frozen-layer path.  Each kind is declared once in
+``_KINDS``: its default sizes, split counts, training epochs and quality
+floor.  Everything is generated from the task seed; training is
+deterministic full-batch Adam, so the same spec always yields
+bit-identical models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,50 +26,35 @@ from .model import (
     backprop_gradients,
 )
 
-TASK_KINDS = (
-    "synthetic_regression",
-    "synthetic_classification",
-    "char_lm",
-    "two_tower_fusion",
-)
 
-_DEFAULT_SIZES = {
-    "synthetic_regression": {"d_in": 8, "d_hidden": 8, "d_out": 4},
-    "synthetic_classification": {"d_in": 8, "d_hidden": 16, "classes": 2},
-    "char_lm": {"vocab": 20, "d_embed": 10, "d_hidden": 48, "seq_len": 16},
-    "two_tower_fusion": {
-        "d_in": 16,
-        "tower_a_width": 32,
-        "tower_b_width": 16,
-        "d_mid": 16,
-        "d_fused": 8,
-        "d_out": 4,
-        "tower_a_scale": 1.0,
-        "tower_b_scale": 1.0,
-    },
-}
+class _Kind(NamedTuple):
+    sizes: dict
+    counts: tuple[int, int, int]  # (n_train, n_val, n_calib)
+    epochs: int  # full-batch Adam steps of the reference model
+    floor: dict  # metric -> bound the reference model must reach on val
 
-_DEFAULT_COUNTS = {
-    "synthetic_regression": (256, 64, 32),
-    "synthetic_classification": (256, 64, 32),
-    "char_lm": (192, 48, 32),
-    "two_tower_fusion": (256, 64, 32),
-}
 
-_TRAINING = {
-    # (learning rate, epochs)
-    "synthetic_regression": (0.02, 300),
-    "synthetic_classification": (0.02, 300),
-    "char_lm": (0.02, 200),
-    "two_tower_fusion": (0.02, 600),
+_KINDS = {
+    "synthetic_regression": _Kind(
+        sizes={"d_in": 8, "d_hidden": 8, "d_out": 4},
+        counts=(256, 64, 32), epochs=300, floor={"loss": 1e-2},
+    ),
+    "synthetic_classification": _Kind(
+        sizes={"d_in": 8, "d_hidden": 16, "classes": 2},
+        counts=(256, 64, 32), epochs=300, floor={"accuracy": 0.95},
+    ),
+    "char_lm": _Kind(
+        sizes={"vocab": 20, "d_embed": 10, "d_hidden": 48, "seq_len": 16},
+        counts=(192, 48, 32), epochs=200, floor={"perplexity": 8.0},
+    ),
+    "two_tower_fusion": _Kind(
+        sizes={"d_in": 16, "tower_a_width": 32, "tower_b_width": 16, "d_mid": 16,
+               "d_fused": 8, "d_out": 4, "tower_a_scale": 1.0, "tower_b_scale": 1.0},
+        counts=(256, 64, 32), epochs=600, floor={"loss": 0.1},
+    ),
 }
-
-_FLOORS = {
-    "synthetic_regression": {"loss": 1e-2},
-    "synthetic_classification": {"accuracy": 0.95},
-    "char_lm": {"perplexity": 8.0},
-    "two_tower_fusion": {"loss": 0.1},
-}
+TASK_KINDS = tuple(_KINDS)
+_LR = 0.02  # Adam learning rate of every kind
 
 
 @dataclass
@@ -84,6 +72,8 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise InputError(f"unknown task kind {self.kind!r}")
+        if self.seed < 0:
+            raise InputError(f"task seed must be nonnegative, got {self.seed}")
         if self.n_calib > self.n_train:
             raise InputError("calibration must fit inside the train split")
 
@@ -91,23 +81,17 @@ class TaskSpec:
 def make_task(kind: str, seed: int = 0, **overrides) -> TaskSpec:
     if kind not in TASK_KINDS:
         raise InputError(f"unknown task kind {kind!r}")
-    sizes = dict(_DEFAULT_SIZES[kind])
-    n_train, n_val, n_calib = _DEFAULT_COUNTS[kind]
+    spec = _KINDS[kind]
+    sizes = dict(spec.sizes)
+    counts = dict(zip(("n_train", "n_val", "n_calib"), spec.counts))
     for key, value in overrides.items():
-        if key in ("n_train", "n_val", "n_calib"):
-            continue
-        if key not in sizes:
+        if key in counts:
+            counts[key] = int(value)
+        elif key in sizes:
+            sizes[key] = value
+        else:
             raise InputError(f"unknown size override {key!r} for {kind}")
-        sizes[key] = value
-    return TaskSpec(
-        kind=kind,
-        seed=seed,
-        n_train=int(overrides.get("n_train", n_train)),
-        n_val=int(overrides.get("n_val", n_val)),
-        n_calib=int(overrides.get("n_calib", n_calib)),
-        sizes=sizes,
-        floor=dict(_FLOORS[kind]),
-    )
+    return TaskSpec(kind=kind, seed=seed, sizes=sizes, floor=dict(spec.floor), **counts)
 
 
 def _rng(task: TaskSpec, stream: int) -> np.random.Generator:
@@ -117,15 +101,6 @@ def _rng(task: TaskSpec, stream: int) -> np.random.Generator:
 
 
 # -- data generation ---------------------------------------------------------
-
-
-def _teacher_forward(ws: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    h = x
-    for i, w in enumerate(ws):
-        h = h @ w.T
-        if i < len(ws) - 1:
-            h = np.maximum(h, 0.0)
-    return h
 
 
 def _gen_samples(task: TaskSpec, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -150,7 +125,6 @@ def _gen_samples(task: TaskSpec, count: int) -> list[tuple[np.ndarray, np.ndarra
         trans = np.full((v, v), 0.1 / (v - 3))
         for c in range(v):
             succ = trng.choice(v, size=3, replace=False)
-            trans[c, :] = 0.1 / (v - 3)
             trans[c, succ] = np.array([0.6, 0.2, 0.1])
         trans /= trans.sum(axis=1, keepdims=True)
         seqs = np.empty((count, t + 1), dtype=np.int64)
@@ -168,7 +142,7 @@ def _gen_samples(task: TaskSpec, count: int) -> list[tuple[np.ndarray, np.ndarra
     t1 = trng.normal(size=(10, s["d_in"])) / np.sqrt(s["d_in"])
     t2 = trng.normal(size=(s["d_out"], 10)) / np.sqrt(10)
     xs = rng.normal(size=(count, s["d_in"]))
-    ys = _teacher_forward([t1, t2], xs)
+    ys = np.maximum(xs @ t1.T, 0.0) @ t2.T
     return [(xs[i], ys[i]) for i in range(count)]
 
 
@@ -280,16 +254,9 @@ def build_model(task: TaskSpec) -> ModelGraph:
 # -- training -------------------------------------------------------------------
 
 
-def _adam_train(
-    model: ModelGraph,
-    batch: CalibrationSet,
-    lr: float,
-    epochs: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def _adam_train(model: ModelGraph, batch: CalibrationSet, lr: float, epochs: int) -> None:
     """Full-batch Adam on the non-frozen weights; fully deterministic."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     trainable = [l for l in model.layers() if not l.frozen]
     m = {l.name: np.zeros_like(l.weight) for l in trainable}
     v = {l.name: np.zeros_like(l.weight) for l in trainable}
@@ -312,8 +279,7 @@ def train_reference(task: TaskSpec) -> ModelGraph:
     """Deterministically train the task's reference model to its floor."""
     model = build_model(task)
     train = get_split(task, "train")
-    lr, epochs = _TRAINING[task.kind]
-    _adam_train(model, train, lr, epochs)
+    _adam_train(model, train, _LR, _KINDS[task.kind].epochs)
     _check_floor(model, task)
     return model
 

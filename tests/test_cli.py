@@ -301,7 +301,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "config-is-dir", "bogus-flag", "bogus-choice", "bad-int",
         "prune-out-file", "prune-out-under-file", "score-out-file",
-        "score-out-under-file", "eval-out-dir", "compare-out-file",
+        "score-out-under-file", "eval-out-dir", "compare-out-file", "eval-negative-seed",
     ])
     def test_failure_is_one_json_line(self, fixture_dir, tmp_path, capsys, case):
         # a bad command line is a usage error (exit 1); an --out that is a
@@ -332,6 +332,9 @@ class TestExitCodes:
                               "--out", str(tmp_path / "adir")], 2, "adir"),
             "compare-out-file":
                 (["compare", str(report), "--out", str(tmp_path / "afile")], 2, "afile"),
+            "eval-negative-seed": (["eval", "--model-dir", str(fixture_dir / "model"),
+                                    "--task", "synthetic_regression", "--split", "val",
+                                    "--task-seed", "-1"], 1, "--task-seed"),
         }[case]
         assert main(argv) == code
         captured = capsys.readouterr()
@@ -386,6 +389,19 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["message"] == "injected reload failure"
         assert not {p.name for p in out.iterdir()} & stale
         assert not [p for p in out.rglob("*.tmp")]
+
+    def test_failed_score_rerun_leaves_no_scores(self, fixture_dir, tmp_path, capsys):
+        # a second score into the same directory fails on its inputs: the
+        # first run's scores and summary must not survive as its record
+        run = ["score", "--model-dir", str(fixture_dir / "model"),
+               "--calib", str(fixture_dir / "calib.json"), "--out", str(tmp_path / "out")]
+        assert main([*run, "--coarse", "zeroth", "--samples", "16"]) == 0
+        out = tmp_path / "out"
+        assert {"scores.json", "score_summary.json"} <= {p.name for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([*run, "--coarse", "first", "--samples", "999"]) == 2
+        assert "samples" in one_error_line(capsys)["message"]
+        assert list(out.iterdir()) == []
 
     def test_numerical_error_is_exit_3(self, tmp_path, capsys):
         # rank-deficient activations with lambda = 0 make the Hessian

@@ -128,6 +128,10 @@ class TestSizes:
         with pytest.raises(InputError):
             make_task("mystery_task")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            make_task("char_lm", seed=-1)
+
     def test_size_overrides(self):
         task = make_task("char_lm", seed=0, d_hidden=24)
         model = build_model(task)

@@ -10,7 +10,11 @@ directory, so the echoed paths are the same wherever it lives.  Its exit
 code and stdout are digested with its output files; ``timing.json``
 holds wall clock and is left out.  The masks and the pruned weights and
 biases of ``global_magnitude_prune`` and ``iterative_gradient_prune``
-(default targets) at both sparsities are digested too.
+(default targets) at both sparsities are digested too.  So is the task
+harness itself, which ``prune`` sees only through a calibration split and
+float32-saved models: for each task kind at the task seed, the three
+splits and the untrained and trained float64 weights and biases, and the
+splits and untrained weights of demo 06's two-tower size override.
 
 The program is imported from ``src/`` of the checkout this file sits in.
 Run it on two checkouts and compare the digest files; equal files mean
@@ -43,10 +47,16 @@ from coarsefine.cli import main  # noqa: E402
 from coarsefine.localprune import FINE_METHODS  # noqa: E402
 from coarsefine.model import CalibrationSet  # noqa: E402
 from coarsefine.pipeline import COARSE_MODES  # noqa: E402
-from coarsefine.tasks import TASK_KINDS, get_split, make_task, train_reference  # noqa: E402
+from coarsefine.tasks import (  # noqa: E402
+    TASK_KINDS, build_model, get_split, make_task, train_reference,
+)
 
 SPARSITIES = ("0.5", "0.7")
 WORKLOAD_SEED, TASK_SEED, RUN_SEED = 1, 3, 0
+DEMO_06_TASK = dict(  # demos/demo_06_distribution_report.py
+    kind="two_tower_fusion", seed=0,
+    tower_a_scale=10.0, tower_a_width=32, tower_b_width=32, d_fused=16,
+)
 
 
 def _workloads():
@@ -77,6 +87,13 @@ def build_fixtures(work: Path) -> dict[str, tuple[int, tuple[str, ...]]]:
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _model_sha(model) -> str:
+    return _sha(b"".join(
+        l.name.encode() + l.weight.tobytes() + (b"" if l.bias is None else l.bias.tobytes())
+        for l in model.layers()
+    ))
 
 
 def run_matrix(fixtures: dict) -> tuple[dict[str, str], list[str]]:
@@ -120,12 +137,26 @@ def baseline_outputs(fixtures: dict) -> dict[str, str]:
                     n.encode() + np.packbits(masks[n]).tobytes() for n in sorted(masks)
                 )
                 digests[f"baselines/{name}/{label}-{p}"] = _sha(packed)
-                arrays = b"".join(
-                    l.name.encode() + l.weight.tobytes()
-                    + (b"" if l.bias is None else l.bias.tobytes())
-                    for l in pruned.layers()
-                )
-                digests[f"baselines/{name}/{label}-{p}/weights"] = _sha(arrays)
+                digests[f"baselines/{name}/{label}-{p}/weights"] = _model_sha(pruned)
+    return digests
+
+
+def task_outputs() -> dict[str, str]:
+    """Digest each task kind's splits and untrained and trained weights at
+    the task seed, and demo 06's size override (untrained only)."""
+    tasks = {kind: make_task(kind, seed=TASK_SEED) for kind in TASK_KINDS}
+    tasks["demo_06"] = make_task(**DEMO_06_TASK)
+    digests = {}
+    for name, task in tasks.items():
+        for split in ("train", "val", "calib"):
+            batch = get_split(task, split)
+            digests[f"tasks/{name}/{split}"] = _sha(
+                f"{batch.xs.shape}{batch.ys.shape}".encode()
+                + batch.xs.tobytes() + batch.ys.tobytes()
+            )
+        digests[f"tasks/{name}/untrained"] = _model_sha(build_model(task))
+        if name != "demo_06":
+            digests[f"tasks/{name}/trained"] = _model_sha(train_reference(task))
     return digests
 
 
@@ -141,6 +172,7 @@ def main_matrix(argv: list[str] | None = None) -> int:
     fixtures = build_fixtures(Path("."))
     digests, failed = run_matrix(fixtures)
     digests.update(baseline_outputs(fixtures))
+    digests.update(task_outputs())
     digest_path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     runs = sum(1 for k in digests if k.endswith("<stdout>"))
     print(json.dumps({"runs": runs, "failed": failed, "entries": len(digests)}))
