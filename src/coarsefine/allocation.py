@@ -187,8 +187,7 @@ def _proportional_fill(
         room = capacities - assigned
         if room.sum() < remaining:
             raise FeasibilityError("keep budget exceeds total capacity")
-        fracs = remaining * (room / room.sum())
-        assigned += _largest_remainder(fracs, remaining, room)
+        assigned += _proportional_fill(room.astype(np.float64), room, remaining)
     return assigned
 
 
@@ -249,8 +248,7 @@ def allocate_sparsity(
 
     per_layer = {}
     for members, caps, e in zip(units, member_caps, extra):
-        shares = int(e) * (caps / caps.sum()) if caps.sum() else np.zeros(len(caps))
-        for l, me in zip(members, _largest_remainder(shares, int(e), caps)):
+        for l, me in zip(members, _proportional_fill(caps.astype(np.float64), caps, int(e))):
             keep = guaranteed[l.name] + int(me)
             per_layer[l.name] = LayerAllocation(
                 sparsity=1.0 - keep / l.size, keep_count=keep, size=l.size

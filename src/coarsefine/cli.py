@@ -15,12 +15,12 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
-from .errors import CoarseFineError, UsageError
+from .errors import CoarseFineError, ModelFormatError, UsageError
+from .io import read_json
 from .localprune import FINE_METHODS
 from .pipeline import COARSE_MODES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
-from .tasks import TASK_KINDS
+from .tasks import SPLITS, TASK_KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,23 +53,19 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if args.config:
-        path = Path(args.config)
         try:
-            base = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as e:  # missing file, a directory, no permission
-            raise UsageError(f"cannot read config file {path}: {e.strerror}") from e
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise UsageError(f"config file {path} is not valid JSON: {e}") from e
-        if not isinstance(base, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
+            base = read_json(args.config)
+        except ModelFormatError as e:  # a bad config is a bad command line
+            raise UsageError(f"config file: {e}") from e
     config = RunConfig.from_json(base)
     for field in fields(RunConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             setattr(config, field.name, value)
-    for required in ("model_dir", "calib_path", "out_dir"):
+    for required, flag in (("model_dir", "--model-dir"), ("calib_path", "--calib"),
+                           ("out_dir", "--out")):
         if not getattr(config, required):
-            raise UsageError(f"missing required option --{required.replace('_', '-')}")
+            raise UsageError(f"missing required option {flag}")
     return config
 
 
@@ -89,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a model directory on a task split")
     p_eval.add_argument("--model-dir", required=True)
     p_eval.add_argument("--task", required=True, choices=list(TASK_KINDS))
-    p_eval.add_argument("--split", required=True)
+    p_eval.add_argument("--split", required=True, choices=SPLITS)
     p_eval.add_argument("--task-seed", type=int, default=0)
     p_eval.add_argument("--out", help="write the EvalResult JSON here")
 

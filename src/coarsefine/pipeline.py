@@ -343,10 +343,11 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
         reports.append((
             f'{_field(config, "coarse", str, where)}-{_field(config, "fine", str, where)}',
             _field(config, "sparsity", NUMBER, where),
-            {m: _field(pruned, m, NUMBER + (type(None),), f"{p} eval_pruned", None)
-             for m in ("loss", "accuracy", "perplexity")},
-            _field(_field(obj, "achieved", dict, p), "global_sparsity", NUMBER,
-                   f"{p} achieved"),
+            {**{m: _field(pruned, m, NUMBER + (type(None),), f"{p} eval_pruned", None)
+                for m in ("loss", "accuracy", "perplexity")},
+             "achieved_global_sparsity": _field(
+                 _field(obj, "achieved", dict, p), "global_sparsity", NUMBER, f"{p} achieved"
+             )},
             SparsityPlan.from_json(_field(obj, "sparsity_plan", dict, p)),
         ))
     if len({tuple(sorted(r[-1].per_layer)) for r in reports}) > 1:
@@ -354,21 +355,13 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
 
     curve_rows = []
     layer_rows = []
-    for method, sparsity, metrics, achieved, plan in reports:
+    for method, sparsity, metrics, plan in reports:
         for metric, value in metrics.items():
             if value is None:
                 continue
             curve_rows.append(
                 {"method": method, "sparsity": sparsity, "metric": metric, "value": value}
             )
-        curve_rows.append(
-            {
-                "method": method,
-                "sparsity": sparsity,
-                "metric": "achieved_global_sparsity",
-                "value": achieved,
-            }
-        )
         for layer, entry in sorted(plan.per_layer.items()):
             layer_rows.append(
                 {

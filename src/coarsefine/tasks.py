@@ -4,10 +4,10 @@ Four task kinds cover the pruning surfaces: linear regression (identity
 chain), Gaussian-blob classification, a character LM over a synthetic
 bigram corpus, and a two-tower regression net whose frozen fusion adapter
 exercises the frozen-layer path.  Each kind is declared once in
-``_KINDS``: its default sizes, split counts, training epochs and quality
-floor.  Everything is generated from the task seed; training is
-deterministic full-batch Adam, so the same spec always yields
-bit-identical models.
+``_KINDS``: its default sizes, split counts, training epochs, quality
+floor, loss head and layers; size overrides reshape the layers.
+Everything is generated from the task seed; training is deterministic
+full-batch Adam, so the same spec always yields bit-identical models.
 """
 
 from __future__ import annotations
@@ -27,33 +27,75 @@ from .model import (
 )
 
 
+class _Layer(NamedTuple):
+    block: str
+    name: str  # the layer is named "<block>.<name>"
+    d_out: str  # size key of the output width
+    d_in: str  # size key of the input width (the vocabulary for an embedding)
+    activation: str = "identity"
+    scale: str | None = None  # size key of the init scale; 1.0 when None
+    kind: str = "linear"
+    frozen: bool = False
+
+
 class _Kind(NamedTuple):
     sizes: dict
     counts: tuple[int, int, int]  # (n_train, n_val, n_calib)
     epochs: int  # full-batch Adam steps of the reference model
     floor: dict  # metric -> bound the reference model must reach on val
+    head: str  # loss head
+    layers: tuple[_Layer, ...]  # in forward order; consecutive rows share a block
 
 
 _KINDS = {
     "synthetic_regression": _Kind(
         sizes={"d_in": 8, "d_hidden": 8, "d_out": 4},
-        counts=(256, 64, 32), epochs=300, floor={"loss": 1e-2},
+        counts=(256, 64, 32), epochs=300, floor={"loss": 1e-2}, head="mse",
+        layers=(
+            _Layer("body", "fc", "d_hidden", "d_in"),
+            _Layer("head", "out", "d_out", "d_hidden"),
+        ),
     ),
     "synthetic_classification": _Kind(
         sizes={"d_in": 8, "d_hidden": 16, "classes": 2},
-        counts=(256, 64, 32), epochs=300, floor={"accuracy": 0.95},
+        counts=(256, 64, 32), epochs=300, floor={"accuracy": 0.95}, head="cross_entropy",
+        layers=(
+            _Layer("body", "fc", "d_hidden", "d_in", "relu"),
+            _Layer("head", "out", "classes", "d_hidden"),
+        ),
     ),
     "char_lm": _Kind(
         sizes={"vocab": 20, "d_embed": 10, "d_hidden": 48, "seq_len": 16},
         counts=(192, 48, 32), epochs=200, floor={"perplexity": 8.0},
+        head="next_token_cross_entropy",
+        layers=(
+            _Layer("embed", "tok", "d_embed", "vocab", kind="embedding"),
+            _Layer("body", "fc1", "d_hidden", "d_embed", "relu"),
+            _Layer("body", "fc2", "d_hidden", "d_hidden", "relu"),
+            _Layer("head", "out", "vocab", "d_hidden"),
+        ),
     ),
+    # tower_a -> frozen fusion adapter -> tower_b -> head.  Tower A is wide
+    # and redundant, tower B sits behind the narrow frozen adapter and is
+    # tight.  With tower_b_width == tower_a_width and d_fused == d_mid the
+    # towers mirror exactly, so the per-tower init scales map directly onto
+    # mean-magnitude ratios.
     "two_tower_fusion": _Kind(
         sizes={"d_in": 16, "tower_a_width": 32, "tower_b_width": 16, "d_mid": 16,
                "d_fused": 8, "d_out": 4, "tower_a_scale": 1.0, "tower_b_scale": 1.0},
-        counts=(256, 64, 32), epochs=600, floor={"loss": 0.1},
+        counts=(256, 64, 32), epochs=600, floor={"loss": 0.1}, head="mse",
+        layers=(
+            _Layer("tower_a", "fc1", "tower_a_width", "d_in", "relu", "tower_a_scale"),
+            _Layer("tower_a", "fc2", "d_mid", "tower_a_width", "relu", "tower_a_scale"),
+            _Layer("fusion", "adapter", "d_fused", "d_mid", frozen=True),
+            _Layer("tower_b", "fc1", "tower_b_width", "d_fused", "relu", "tower_b_scale"),
+            _Layer("tower_b", "fc2", "d_fused", "tower_b_width", "relu", "tower_b_scale"),
+            _Layer("head", "out", "d_out", "d_fused"),
+        ),
     ),
 }
 TASK_KINDS = tuple(_KINDS)
+SPLITS = ("train", "val", "calib")
 _LR = 0.02  # Adam learning rate of every kind
 
 
@@ -148,7 +190,7 @@ def _gen_samples(task: TaskSpec, count: int) -> list[tuple[np.ndarray, np.ndarra
 
 def get_split(task: TaskSpec, split: str) -> CalibrationSet:
     """train / val / calib samples; calib is a prefix of train."""
-    if split not in ("train", "val", "calib"):
+    if split not in SPLITS:
         raise InputError(f"unknown split {split!r}")
     total = task.n_train + task.n_val
     samples = _gen_samples(task, total)
@@ -166,89 +208,20 @@ def get_split(task: TaskSpec, split: str) -> CalibrationSet:
 # -- architectures -------------------------------------------------------------
 
 
-def _init(rng: np.random.Generator, d_out: int, d_in: int, scale: float = 1.0) -> np.ndarray:
-    return scale * rng.normal(size=(d_out, d_in)) / np.sqrt(d_in)
-
-
 def build_model(task: TaskSpec) -> ModelGraph:
-    """Untrained architecture for the task, seeded init."""
+    """Untrained architecture for the task; each weight is drawn in layer
+    order from the task's init stream, scaled by 1/sqrt(d_in)."""
     s = task.sizes
     rng = _rng(task, 1)
-    if task.kind == "synthetic_regression":
-        return ModelGraph(
-            blocks=[
-                Block("body", [
-                    LayerSpec("body.fc", "linear", _init(rng, s["d_hidden"], s["d_in"])),
-                ]),
-                Block("head", [
-                    LayerSpec("head.out", "linear", _init(rng, s["d_out"], s["d_hidden"])),
-                ]),
-            ],
-            head="mse",
-        )
-    if task.kind == "synthetic_classification":
-        return ModelGraph(
-            blocks=[
-                Block("body", [
-                    LayerSpec("body.fc", "linear",
-                              _init(rng, s["d_hidden"], s["d_in"]), activation="relu"),
-                ]),
-                Block("head", [
-                    LayerSpec("head.out", "linear", _init(rng, s["classes"], s["d_hidden"])),
-                ]),
-            ],
-            head="cross_entropy",
-        )
-    if task.kind == "char_lm":
-        return ModelGraph(
-            blocks=[
-                Block("embed", [
-                    LayerSpec("embed.tok", "embedding", _init(rng, s["d_embed"], s["vocab"])),
-                ]),
-                Block("body", [
-                    LayerSpec("body.fc1", "linear",
-                              _init(rng, s["d_hidden"], s["d_embed"]), activation="relu"),
-                    LayerSpec("body.fc2", "linear",
-                              _init(rng, s["d_hidden"], s["d_hidden"]), activation="relu"),
-                ]),
-                Block("head", [
-                    LayerSpec("head.out", "linear", _init(rng, s["vocab"], s["d_hidden"])),
-                ]),
-            ],
-            head="next_token_cross_entropy",
-        )
-    # two_tower_fusion: tower_a -> frozen fusion adapter -> tower_b -> head.
-    # Tower A is wide and redundant, tower B sits behind the narrow frozen
-    # adapter and is tight.  With tower_b_width == tower_a_width and
-    # d_fused == d_mid the towers mirror exactly, so the per-tower init
-    # scales map directly onto mean-magnitude ratios.
-    sa, sb = s["tower_a_scale"], s["tower_b_scale"]
-    wa, wb = s["tower_a_width"], s["tower_b_width"]
-    mid, fused = s["d_mid"], s["d_fused"]
-    return ModelGraph(
-        blocks=[
-            Block("tower_a", [
-                LayerSpec("tower_a.fc1", "linear",
-                          _init(rng, wa, s["d_in"], sa), activation="relu"),
-                LayerSpec("tower_a.fc2", "linear",
-                          _init(rng, mid, wa, sa), activation="relu"),
-            ]),
-            Block("fusion", [
-                LayerSpec("fusion.adapter", "linear",
-                          _init(rng, fused, mid), frozen=True),
-            ]),
-            Block("tower_b", [
-                LayerSpec("tower_b.fc1", "linear",
-                          _init(rng, wb, fused, sb), activation="relu"),
-                LayerSpec("tower_b.fc2", "linear",
-                          _init(rng, fused, wb, sb), activation="relu"),
-            ]),
-            Block("head", [
-                LayerSpec("head.out", "linear", _init(rng, s["d_out"], fused)),
-            ]),
-        ],
-        head="mse",
-    )
+    spec = _KINDS[task.kind]
+    blocks: dict[str, list[LayerSpec]] = {}
+    for l in spec.layers:
+        scale = 1.0 if l.scale is None else s[l.scale]
+        weight = scale * rng.normal(size=(s[l.d_out], s[l.d_in])) / np.sqrt(s[l.d_in])
+        blocks.setdefault(l.block, []).append(LayerSpec(
+            f"{l.block}.{l.name}", l.kind, weight, activation=l.activation, frozen=l.frozen,
+        ))
+    return ModelGraph([Block(name, layers) for name, layers in blocks.items()], head=spec.head)
 
 
 # -- training -------------------------------------------------------------------

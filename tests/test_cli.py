@@ -292,6 +292,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert json.loads(err)["exit_code"] == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--out", "y"], "--model-dir"),
+        (["--model-dir", "x", "--out", "y"], "--calib"),
+        (["--model-dir", "x", "--calib", "c"], "--out"),
+    ])
+    def test_missing_option_names_its_flag(self, capsys, argv, flag):
+        assert main(["prune", *argv]) == 1
+        err = one_error_line(capsys)
+        assert err["error"] == "UsageError"
+        assert err["message"] == f"missing required option {flag}"
+
     def test_unknown_flag_is_exit_1(self, capsys):
         assert main(["prune", "--bogus"]) == 1
         err = one_error_line(capsys)
@@ -302,6 +313,7 @@ class TestExitCodes:
         "config-is-dir", "bogus-flag", "bogus-choice", "bad-int",
         "prune-out-file", "prune-out-under-file", "score-out-file",
         "score-out-under-file", "eval-out-dir", "compare-out-file", "eval-negative-seed",
+        "eval-bad-split",
     ])
     def test_failure_is_one_json_line(self, fixture_dir, tmp_path, capsys, case):
         # a bad command line is a usage error (exit 1); an --out that is a
@@ -335,6 +347,8 @@ class TestExitCodes:
             "eval-negative-seed": (["eval", "--model-dir", str(fixture_dir / "model"),
                                     "--task", "synthetic_regression", "--split", "val",
                                     "--task-seed", "-1"], 1, "--task-seed"),
+            "eval-bad-split": (["eval", "--model-dir", str(fixture_dir / "model"),
+                                "--task", "synthetic_regression", "--split", "nope"], 1, "nope"),
         }[case]
         assert main(argv) == code
         captured = capsys.readouterr()

@@ -117,6 +117,68 @@ class TestImbalanceInjection:
             inject_scale_imbalance(model.copy(), "tower_a.fc1", "tower_b.fc1", 10.0)
 
 
+def _architecture(model):
+    return model.head, [
+        (b.name, l.name, l.kind, l.weight.shape, l.activation, l.frozen)
+        for b in model.blocks for l in b.layers
+    ]
+
+
+class TestArchitecture:
+    # (block, layer, kind, shape, activation, frozen) in forward order
+    EXPECTED = {
+        "synthetic_regression": ("mse", [
+            ("body", "body.fc", "linear", (8, 8), "identity", False),
+            ("head", "head.out", "linear", (4, 8), "identity", False),
+        ]),
+        "synthetic_classification": ("cross_entropy", [
+            ("body", "body.fc", "linear", (16, 8), "relu", False),
+            ("head", "head.out", "linear", (2, 16), "identity", False),
+        ]),
+        "char_lm": ("next_token_cross_entropy", [
+            ("embed", "embed.tok", "embedding", (10, 20), "identity", False),
+            ("body", "body.fc1", "linear", (48, 10), "relu", False),
+            ("body", "body.fc2", "linear", (48, 48), "relu", False),
+            ("head", "head.out", "linear", (20, 48), "identity", False),
+        ]),
+        "two_tower_fusion": ("mse", [
+            ("tower_a", "tower_a.fc1", "linear", (32, 16), "relu", False),
+            ("tower_a", "tower_a.fc2", "linear", (16, 32), "relu", False),
+            ("fusion", "fusion.adapter", "linear", (8, 16), "identity", True),
+            ("tower_b", "tower_b.fc1", "linear", (16, 8), "relu", False),
+            ("tower_b", "tower_b.fc2", "linear", (8, 16), "relu", False),
+            ("head", "head.out", "linear", (4, 8), "identity", False),
+        ]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EXPECTED))
+    def test_default_architecture(self, kind):
+        assert _architecture(build_model(make_task(kind, seed=0))) == self.EXPECTED[kind]
+
+    def test_override_reshapes_the_towers(self):
+        # demo 06's mirrored towers
+        task = make_task("two_tower_fusion", seed=0, tower_a_scale=10.0,
+                         tower_a_width=32, tower_b_width=32, d_fused=16)
+        assert _architecture(build_model(task)) == ("mse", [
+            ("tower_a", "tower_a.fc1", "linear", (32, 16), "relu", False),
+            ("tower_a", "tower_a.fc2", "linear", (16, 32), "relu", False),
+            ("fusion", "fusion.adapter", "linear", (16, 16), "identity", True),
+            ("tower_b", "tower_b.fc1", "linear", (32, 16), "relu", False),
+            ("tower_b", "tower_b.fc2", "linear", (16, 32), "relu", False),
+            ("head", "head.out", "linear", (4, 16), "identity", False),
+        ])
+
+    def test_scale_override_scales_only_its_tower(self):
+        base = build_model(make_task("two_tower_fusion", seed=0))
+        scaled = build_model(make_task("two_tower_fusion", seed=0, tower_a_scale=10.0))
+        for layer in base.layers():
+            other = scaled.layer(layer.name).weight
+            if layer.name.startswith("tower_a."):
+                np.testing.assert_allclose(other, 10.0 * layer.weight, rtol=1e-15)
+            else:
+                assert other.tobytes() == layer.weight.tobytes()
+
+
 class TestSizes:
     def test_models_stay_desk_scale(self):
         for kind in ("synthetic_regression", "synthetic_classification",
