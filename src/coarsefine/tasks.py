@@ -44,7 +44,7 @@ class _Kind(NamedTuple):
     epochs: int  # full-batch Adam steps of the reference model
     floor: dict  # metric -> bound the reference model must reach on val
     head: str  # loss head
-    layers: tuple[_Layer, ...]  # in forward order; consecutive rows share a block
+    layers: tuple[_Layer, ...]  # in forward order; a block's rows are adjacent
 
 
 _KINDS = {
