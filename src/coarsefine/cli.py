@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+
+import numpy as np
 
 from .errors import CoarseFineError, ModelFormatError, UsageError
 from .io import read_json
-from .localprune import FINE_METHODS
-from .pipeline import COARSE_MODES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
+from .pipeline import RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
 from .tasks import SPLITS, TASK_KINDS
 
 
@@ -31,42 +32,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model-dir", help="model directory (manifest.json + .bin files)")
-    p.add_argument("--calib", dest="calib_path", help="calibration index JSON")
-    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--sparsity", type=float, help="global target sparsity p in [0,1)")
-    p.add_argument("--max-sparsity", type=float, help="per-layer cap (default p+0.1)")
-    p.add_argument("--coarse", choices=COARSE_MODES)
-    p.add_argument("--fine", choices=FINE_METHODS)
-    p.add_argument("--granularity", choices=["layer", "block"])
-    p.add_argument("--samples", type=int, help="calibration samples K (default 32)")
-    p.add_argument("--noises", type=int, help="noises per sample (default 1)")
-    p.add_argument("--epsilon", type=float, help="perturbation scale (default 1e-3)")
-    p.add_argument("--lambda", dest="hessian_lambda", type=float,
-                   help="Hessian damping (default 0.01 * mean diag)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--aggregation", choices=["sum", "mean"])
-    p.add_argument("--norm-exponent", type=int, choices=[1, 2])
+    for f in fields(RunConfig):
+        p.add_argument(RunConfig.flag(f), dest=f.name, type=RunConfig.value_type(f),
+                       choices=f.metadata["choices"], help=f.metadata["help"])
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
-    if args.config:
-        try:
-            base = read_json(args.config)
-        except ModelFormatError as e:  # a bad config is a bad command line
-            raise UsageError(f"config file: {e}") from e
-    config = RunConfig.from_json(base)
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(config, field.name, value)
-    for required, flag in (("model_dir", "--model-dir"), ("calib_path", "--calib"),
-                           ("out_dir", "--out")):
-        if not getattr(config, required):
-            raise UsageError(f"missing required option {flag}")
-    return config
+    try:
+        config = RunConfig.from_json(read_json(args.config) if args.config else {})
+    except ModelFormatError as e:  # a bad config is a bad command line
+        raise UsageError(str(e)) from e
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return replace(config, **{name: v for name, v in given.items() if v is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,31 +74,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> dict:
+    """Run the parsed command; returns its one-line stdout summary."""
+    if args.command == "prune":
+        report = cmd_prune(_build_config(args))
+        return {
+            "out_dir": report.config.out_dir,
+            "achieved_global_sparsity": report.achieved["global_sparsity"],
+            "pruned_loss": report.eval_pruned.loss,
+            "forward_passes": report.forward_passes["total"],
+        }
+    if args.command == "score":
+        return cmd_score(_build_config(args))
+    if args.command == "eval":
+        result = cmd_eval(args.model_dir, args.task, args.split, args.task_seed, args.out)
+        return result.to_json()
+    return cmd_compare(args.reports, args.out)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "prune":
-            report = cmd_prune(_build_config(args))
-            print(json.dumps(
-                {
-                    "out_dir": report.config.out_dir,
-                    "achieved_global_sparsity": report.achieved["global_sparsity"],
-                    "pruned_loss": report.eval_pruned.loss,
-                    "forward_passes": report.forward_passes["total"],
-                },
-                sort_keys=True,
-            ))
-        elif args.command == "score":
-            summary = cmd_score(_build_config(args))
-            print(json.dumps(summary, sort_keys=True))
-        elif args.command == "eval":
-            result = cmd_eval(
-                args.model_dir, args.task, args.split, args.task_seed, args.out
-            )
-            print(json.dumps(result.to_json(), sort_keys=True))
-        else:
-            summary = cmd_compare(args.reports, args.out)
-            print(json.dumps(summary, sort_keys=True))
+        # numpy's overflow warnings would print before the one JSON error
+        # line; the finite checks already raise a NumericalError for them
+        with np.errstate(all="ignore"):
+            summary = _run(args)
+        print(json.dumps(summary, sort_keys=True))
         return 0
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else 1

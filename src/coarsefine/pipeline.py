@@ -19,17 +19,17 @@ model is dropped once the pass returns, the pruned one once it is saved;
 the pruned evaluation reads the reload alone.
 """
 
-from __future__ import annotations
-
+# no "from __future__ import annotations": RunConfig.value_type reads field types
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
+from typing import get_args
 
 from . import io as cfio
 from .allocation import SparsityPlan, allocate_sparsity
 from .baselines import local_layer_scores
-from .errors import InputError, UsageError
+from .errors import InputError, ModelFormatError, UsageError
 from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
 from .io import NUMBER, _field
 from .localprune import FINE_METHODS, sequential_prune
@@ -41,31 +41,55 @@ from .tasks import TASK_KINDS, make_task
 from .zograd import BufferMeter, ZOConfig, zo_all_scores
 
 COARSE_MODES = ("zeroth", "first", "magnitude", "uniform", "local")
-# accepted JSON types per RunConfig annotation: floats take ints too
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# 10**6 noises already cost 2*L*K*10**6 forwards and an 8*K*10**6-byte
+# buffer per layer, and no recipe here uses more than 10**4; a larger
+# count could only fail deep in numpy, as a traceback
+MAX_NOISES = 10**6
+
+
+def _option(default, help: str, *, choices: tuple | None = None, flag: str = "",
+            json: str = "", required: bool = False):
+    """A RunConfig field declared with its option: the help text, the allowed
+    values, the flag (default --<name-with-dashes>), the JSON name (default
+    the field name) and whether a run needs a nonempty value."""
+    return field(default=default, metadata=dict(
+        help=help, choices=choices, flag=flag, json=json, required=required))
 
 
 @dataclass
 class RunConfig:
     """Everything a prune/score run needs; defaults follow the toolkit's
     standard recipe (K=32 samples, 1 noise, eps=1e-3, p_max=p+0.1,
-    block granularity)."""
+    block granularity).  Each field declares its command-line option."""
 
-    model_dir: str = ""
-    calib_path: str = ""
-    out_dir: str = ""
-    sparsity: float = 0.5
-    max_sparsity: float | None = None
-    coarse: str = "zeroth"
-    fine: str = "wanda"
-    granularity: str = "block"
-    samples: int = 32
-    noises: int = 1
-    epsilon: float = 1e-3
-    hessian_lambda: float | None = None
-    seed: int = 0
-    aggregation: str = "sum"
-    norm_exponent: int = 1
+    model_dir: str = _option("", "model directory (manifest.json + .bin files)",
+                             required=True)
+    calib_path: str = _option("", "calibration index JSON", flag="--calib", required=True)
+    out_dir: str = _option("", "output directory", flag="--out", required=True)
+    sparsity: float = _option(0.5, "global target sparsity p in [0,1)")
+    max_sparsity: float | None = _option(None, "per-layer cap (default p+0.1)")
+    coarse: str = _option("zeroth", "coarse (global) layer score", choices=COARSE_MODES)
+    fine: str = _option("wanda", "fine (local) pruning method", choices=FINE_METHODS)
+    granularity: str = _option("block", "unit the sparsity budget is allocated to",
+                               choices=("layer", "block"))
+    samples: int = _option(32, "calibration samples K (default 32)")
+    noises: int = _option(1, f"noises per sample, at most {MAX_NOISES} (default 1)")
+    epsilon: float = _option(1e-3, "perturbation scale (default 1e-3)")
+    hessian_lambda: float | None = _option(
+        None, "Hessian damping (default 0.01 * mean diag)", flag="--lambda", json="lambda")
+    seed: int = _option(0, "random seed (default 0)")
+    aggregation: str = _option("sum", "element-to-layer score aggregation",
+                               choices=("sum", "mean"))
+    norm_exponent: int = _option(1, "wanda activation norm exponent", choices=(1, 2))
+
+    @staticmethod
+    def flag(f: Field) -> str:
+        return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+    @staticmethod
+    def value_type(f: Field) -> type:
+        """int, float or str: the field's type without its "| None"."""
+        return (get_args(f.type) or (f.type,))[0]
 
     def effective_max_sparsity(self) -> float:
         if self.max_sparsity is not None:
@@ -73,59 +97,45 @@ class RunConfig:
         return min(self.sparsity + 0.1, 1.0)
 
     def validate(self) -> None:
-        if not 0 <= self.sparsity < 1:
-            raise UsageError(f"--sparsity must be in [0, 1), got {self.sparsity}")
-        pmax = self.effective_max_sparsity()
-        if not self.sparsity < pmax <= 1:
-            raise UsageError(
-                f"--max-sparsity must satisfy sparsity < p_max <= 1, got {pmax}"
-            )
-        if self.coarse not in COARSE_MODES:
-            raise UsageError(f"--coarse must be one of {COARSE_MODES}")
-        if self.fine not in FINE_METHODS:
-            raise UsageError(f"--fine must be one of {FINE_METHODS}")
-        if self.granularity not in ("layer", "block"):
-            raise UsageError("--granularity must be layer or block")
-        if self.samples < 1:
-            raise UsageError("--samples must be >= 1")
-        if self.noises < 1:
-            raise UsageError("--noises must be >= 1")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise UsageError(f"--epsilon must be finite and positive, got {self.epsilon}")
-        lam = self.hessian_lambda
-        if lam is not None and not (math.isfinite(lam) and lam >= 0):
-            raise UsageError(f"--lambda must be finite and nonnegative, got {lam}")
-        if self.seed < 0:
-            raise UsageError("--seed must be nonnegative")
-        if self.aggregation not in ("sum", "mean"):
-            raise UsageError("--aggregation must be sum or mean")
-        if self.norm_exponent not in (1, 2):
-            raise UsageError("--norm-exponent must be 1 or 2")
+        pmax, eps, lam = self.effective_max_sparsity(), self.epsilon, self.hessian_lambda
+        ranges = {  # field: (holds, rule)
+            "sparsity": (0 <= self.sparsity < 1, "in [0, 1)"),
+            "max_sparsity": (self.sparsity < pmax <= 1, "in (sparsity, 1]"),
+            "samples": (self.samples >= 1, ">= 1"),
+            "noises": (1 <= self.noises <= MAX_NOISES, f"in [1, {MAX_NOISES}]"),
+            "epsilon": (math.isfinite(eps) and eps > 0, "finite and positive"),
+            "hessian_lambda":
+                (lam is None or (math.isfinite(lam) and lam >= 0), "finite and nonnegative"),
+            "seed": (self.seed >= 0, "nonnegative"),
+        }
+        for f in fields(self):
+            value, choices, flag = getattr(self, f.name), f.metadata["choices"], self.flag(f)
+            if f.metadata["required"] and not value:
+                raise UsageError(f"missing required option {flag}")
+            if choices is not None and value not in choices:
+                raise UsageError(f"{flag} must be one of {choices}, got {value!r}")
+            holds, rule = ranges.get(f.name, (True, ""))
+            if not holds:
+                raise UsageError(f"{flag} must be {rule}, got {value}")
 
     def to_json(self) -> dict:
-        obj = asdict(self)
+        obj = {f.metadata["json"] or f.name: getattr(self, f.name) for f in fields(self)}
         obj["max_sparsity"] = self.effective_max_sparsity()
-        obj["lambda"] = obj.pop("hessian_lambda")
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
-        obj = dict(obj)
-        if "lambda" in obj:
-            obj["hessian_lambda"] = obj.pop("lambda")
-        known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
-        stray = set(obj) - set(known)
+        """The config a JSON object (a config file, a report's echo) sets;
+        a stray or mistyped field is a ModelFormatError."""
+        named = {f.metadata["json"] or f.name: f for f in fields(cls)}
+        stray = set(obj) - set(named)
         if stray:
-            raise UsageError(f"unknown config fields: {sorted(stray)}")
-        for name, value in known.items():
-            kind = cls.__dataclass_fields__[name].type  # e.g. "int", "float | None"
-            if value is None and kind.endswith("| None"):
-                continue
-            accepted = _JSON_TYPES[kind.split(" |")[0]]
-            # bool is an int subclass but never a valid config value
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise UsageError(f"config field {name!r} must be {kind}, got {value!r}")
-        return cls(**known)
+            raise ModelFormatError(f"config: unknown fields {sorted(stray)}")
+        for key, value in obj.items():
+            kind = cls.value_type(named[key])
+            if value is not None or named[key].default is not None:  # null keeps a None default
+                _field(obj, key, NUMBER if kind is float else kind, "config")
+        return cls(**{named[key].name: value for key, value in obj.items()})
 
 
 @dataclass

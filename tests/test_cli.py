@@ -1,5 +1,6 @@
 """Command-line pipeline: determinism, exit codes, config echo, formats."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -10,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarsefine.cli import main
-from coarsefine.errors import ModelFormatError
+from coarsefine.cli import _build_config, build_parser, main
+from coarsefine.errors import ModelFormatError, UsageError
 from coarsefine.io import load_calibration, load_masks, load_model, save_calibration, save_model
 from coarsefine.model import CalibrationSet
-from coarsefine.pipeline import RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score
+from coarsefine.pipeline import (
+    MAX_NOISES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score,
+)
 from coarsefine.scoring import ScoreMap
 from coarsefine.tasks import get_split, make_task, train_reference
 
@@ -174,6 +177,31 @@ class TestCmdPrune:
         assert report_path.read_bytes() == before
 
 
+class TestLibraryRequiredPaths:
+    # RunConfig().out_dir is "": a library run without one used to clear
+    # and write the run files in the working directory
+    @pytest.mark.parametrize("command", [cmd_prune, cmd_score])
+    def test_missing_out_dir_raises_before_touching_cwd(
+        self, fixture_dir, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "report.json").write_text("sentinel")
+        config = RunConfig(model_dir=str(fixture_dir / "model"),
+                           calib_path=str(fixture_dir / "calib.json"), coarse="magnitude")
+        with pytest.raises(UsageError, match="--out"):
+            command(config)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert (tmp_path / "report.json").read_text() == "sentinel"
+
+    @pytest.mark.parametrize("field,flag", [("model_dir", "--model-dir"),
+                                            ("calib_path", "--calib")])
+    def test_missing_input_path_names_its_flag(self, fixture_dir, tmp_path, field, flag):
+        config = run_config(fixture_dir, tmp_path / "out", **{field: ""})
+        with pytest.raises(UsageError, match=flag):
+            cmd_prune(config)
+        assert not (tmp_path / "out").exists()
+
+
 class TestPeakMemory:
     # a 256-512-512-128 GELU MLP (458,752 weights), wanda, K=64; the bound
     # is in float64 weight bytes.  With zeroth-order scores the peak is the
@@ -309,11 +337,14 @@ class TestExitCodes:
         assert err["error"] == "UsageError"
         assert "--bogus" in err["message"]
 
+    # a numpy warning would print before the JSON line; as an error it
+    # escapes main instead, which pytest's own warning capture would hide
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", [
         "config-is-dir", "bogus-flag", "bogus-choice", "bad-int",
         "prune-out-file", "prune-out-under-file", "score-out-file",
         "score-out-under-file", "eval-out-dir", "compare-out-file", "eval-negative-seed",
-        "eval-bad-split",
+        "eval-bad-split", "prune-overflow",
     ])
     def test_failure_is_one_json_line(self, fixture_dir, tmp_path, capsys, case):
         # a bad command line is a usage error (exit 1); an --out that is a
@@ -349,6 +380,10 @@ class TestExitCodes:
                                     "--task-seed", "-1"], 1, "--task-seed"),
             "eval-bad-split": (["eval", "--model-dir", str(fixture_dir / "model"),
                                 "--task", "synthetic_regression", "--split", "nope"], 1, "nope"),
+            # the perturbed losses overflow to inf: a NumericalError, and
+            # no RuntimeWarning from numpy before it
+            "prune-overflow": (["prune", *run, "--coarse", "zeroth", "--epsilon", "1e300",
+                                "--out", str(tmp_path / "run")], 3, "non-finite"),
         }[case]
         assert main(argv) == code
         captured = capsys.readouterr()
@@ -530,7 +565,8 @@ def one_error_line(capsys) -> dict:
 
 class TestNumericFlagValidation:
     # non-finite or negative epsilon/lambda used to pass validation and end
-    # as a NumericalError (exit 3) or an InputError (exit 2)
+    # as a NumericalError (exit 3) or an InputError (exit 2); a huge noise
+    # count escaped as numpy's "array is too big" traceback
     CASES = [
         ("epsilon", float("nan")),
         ("epsilon", float("inf")),
@@ -538,7 +574,15 @@ class TestNumericFlagValidation:
         ("lambda", float("nan")),
         ("lambda", float("inf")),
         ("lambda", -1.0),
+        ("noises", 2**62),
     ]
+
+    def test_noises_ceiling(self):
+        config = RunConfig(model_dir="m", calib_path="c", out_dir="o", noises=MAX_NOISES)
+        config.validate()
+        config.noises += 1
+        with pytest.raises(UsageError, match="--noises"):
+            config.validate()
 
     @pytest.mark.parametrize("field,value", CASES)
     def test_flag_is_one_usage_error_line(self, three_layer_dir, tmp_path, capsys, field, value):
@@ -676,6 +720,75 @@ class TestMalformedFiles:
         err = one_error_line(capsys)
         assert err["error"] == "ModelFormatError" and err["exit_code"] == 2
         assert not (tmp_path / "cmp").exists()
+
+
+# the prune/score flags: spelling, dest (the RunConfig field), value type
+# and choices
+RUN_FLAGS = [
+    ("--model-dir", "model_dir", str, None),
+    ("--calib", "calib_path", str, None),
+    ("--out", "out_dir", str, None),
+    ("--config", "config", str, None),
+    ("--sparsity", "sparsity", float, None),
+    ("--max-sparsity", "max_sparsity", float, None),
+    ("--coarse", "coarse", str, ["zeroth", "first", "magnitude", "uniform", "local"]),
+    ("--fine", "fine", str, ["wanda", "sparsegpt", "magnitude"]),
+    ("--granularity", "granularity", str, ["layer", "block"]),
+    ("--samples", "samples", int, None),
+    ("--noises", "noises", int, None),
+    ("--epsilon", "epsilon", float, None),
+    ("--lambda", "hessian_lambda", float, None),
+    ("--seed", "seed", int, None),
+    ("--aggregation", "aggregation", str, ["sum", "mean"]),
+    ("--norm-exponent", "norm_exponent", int, [1, 2]),
+]
+FIELD_FLAGS = [row for row in RUN_FLAGS if row[0] != "--config"]
+PATHS = ["--model-dir", "m", "--calib", "c.json", "--out", "o"]
+
+
+def _flag_values(dest, kind, choices) -> tuple:
+    """Two distinct values for a field, the first not its default."""
+    if not choices:
+        return {str: ("p1", "p2"), int: (7, 9), float: (0.25, 0.375)}[kind]
+    default = getattr(RunConfig(), dest)
+    others = [c for c in choices if c != default]
+    return others[0], (others[1:] or [default])[0]
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command", ["prune", "score"])
+    def test_exactly_the_run_flags(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        actions = {a.option_strings[0]: a for a in sub._actions if a.dest != "help"}
+        assert sorted(actions) == sorted(row[0] for row in RUN_FLAGS)
+        for flag, dest, kind, choices in RUN_FLAGS:
+            action = actions[flag]
+            assert action.option_strings == [flag]
+            assert action.dest == dest
+            assert (list(action.choices) if action.choices else None) == choices
+
+    @pytest.mark.parametrize("command", ["prune", "score"])
+    @pytest.mark.parametrize("flag,dest,kind,choices", FIELD_FLAGS)
+    def test_flag_parses_into_its_field(self, command, flag, dest, kind, choices):
+        value, _ = _flag_values(dest, kind, choices)
+        config = _build_config(build_parser().parse_args([command, *PATHS, flag, str(value)]))
+        assert type(getattr(config, dest)) is kind
+        assert getattr(config, dest) == value
+
+    @pytest.mark.parametrize("command", ["prune", "score"])
+    @pytest.mark.parametrize("flag,dest,kind,choices", FIELD_FLAGS)
+    def test_flag_overrides_config_file(self, tmp_path, command, flag, dest, kind, choices):
+        in_file, on_line = _flag_values(dest, kind, choices)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model_dir": "m", "calib_path": "c.json", "out_dir": "o",
+            "lambda" if dest == "hessian_lambda" else dest: in_file,
+        }))
+        run = [command, "--config", str(cfg)]
+        assert getattr(_build_config(build_parser().parse_args(run)), dest) == in_file
+        args = build_parser().parse_args([*run, flag, str(on_line)])
+        assert getattr(_build_config(args), dest) == on_line
 
 
 class TestConsoleEntryPoint:

@@ -1,16 +1,20 @@
 """Fuzzed prune inputs: whatever is done to the manifest, the calibration
-index or their tensor files, ``prune`` through ``cli.main`` returns an exit
-code, and a failure prints exactly one JSON error line carrying that code."""
+index, their tensor files or a ``--config`` file, ``prune`` through
+``cli.main`` returns an exit code, and a failure prints exactly one JSON
+error line carrying that code."""
 
 import contextlib
+import copy
 import io
 import json
 import math
+import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from coarsefine.cli import main
@@ -164,3 +168,99 @@ def test_mutated_inputs_exit_with_one_error_line(mutations, coarse, fine):
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["exit_code"] == code
         assert code in (1, 2, 3)
+
+
+# A valid config on the fixture above, every field set.  Runs start in
+# root/run, so its relative paths, and the path-like values below (at most
+# one ".." deep), all stay inside the run's temporary directory.
+CONFIG = {
+    "model_dir": "../model", "calib_path": "../calib.json", "out_dir": "out",
+    "sparsity": 0.5, "max_sparsity": 0.6, "coarse": "zeroth", "fine": "wanda",
+    "granularity": "block", "samples": 4, "noises": 1, "epsilon": 1e-3, "lambda": 0.01,
+    "seed": 0, "aggregation": "sum", "norm_exponent": 1,
+}
+NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 2**62, -1, 0, -0.5, 1.5]
+CONFIG_VALUES = NUMBERS + [
+    True, False, None, "x", "", ".", "..", "../model", "../calib.json",
+    "../model/manifest.json", "a/b", "out/../..", [], {}, [0],
+]
+CONFIG_MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(sorted(CONFIG)), st.sampled_from(CONFIG_VALUES)),
+    # the numeric fields again, so extreme numbers meet them more often
+    st.tuples(st.just("set"), st.sampled_from(sorted(k for k, v in CONFIG.items()
+                                                     if not isinstance(v, str))),
+              st.sampled_from(NUMBERS)),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(CONFIG))),
+    st.tuples(st.just("stray"), st.sampled_from(["sparsify", "hessian_lambda", ""])),
+    st.tuples(st.just("replace"), st.sampled_from(CONFIG_VALUES)),  # not an object
+    st.tuples(st.just("truncate"), st.floats(0, 1)),
+)
+
+
+def mutate_config(config, mutations) -> bytes:
+    config, text = dict(config), None
+    for op, *args in mutations:
+        if op == "replace":
+            config = copy.deepcopy(args[0])
+        elif op == "truncate":
+            text = json.dumps(config)
+            text = text[: int(len(text) * args[0])]
+        elif not isinstance(config, dict):
+            continue  # an earlier mutation replaced the object this one edits
+        elif op == "set":
+            config[args[0]] = args[1]
+        elif op == "drop":
+            config.pop(args[0], None)
+        else:
+            config[args[0]] = 1
+    return (json.dumps(config) if text is None else text).encode()
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@given(
+    mutations=st.lists(CONFIG_MUTATION, min_size=1, max_size=3),
+    coarse=st.sampled_from(["zeroth", "first", "magnitude", "uniform", "local"]),
+    fine=st.sampled_from(["wanda", "sparsegpt", "magnitude"]),
+)
+# a noise count numpy cannot allocate, and perturbed losses that overflow
+@example(mutations=[("set", "noises", 2**62)], coarse="zeroth", fine="wanda")
+@example(mutations=[("set", "epsilon", 1e308)], coarse="zeroth", fine="wanda")
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_config_exits_with_one_error_line(mutations, coarse, fine):
+    config = dict(CONFIG, coarse=coarse, fine=fine)
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        for name, data in FILES.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        (root / "run").mkdir()
+        (root / "run" / "cfg.json").write_bytes(mutate_config(config, mutations))
+        before = _tree(root)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root / "run")
+        try:
+            # a numpy warning would print before the JSON line; as an error
+            # it escapes main, which pytest's own warning capture would hide
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(["prune", "--config", "cfg.json"])
+        finally:
+            os.chdir(cwd)
+        unchanged = _tree(root) == before
+    event(f"exit {code}")
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["achieved_global_sparsity"] >= 0
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["exit_code"] == code
+        assert code in (1, 2, 3)
+    if code == 1:  # a usage error writes nothing, --out included
+        assert unchanged
