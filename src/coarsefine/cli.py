@@ -43,8 +43,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         config = RunConfig.from_json(read_json(args.config) if args.config else {})
     except ModelFormatError as e:  # a bad config is a bad command line
         raise UsageError(str(e)) from e
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    return replace(config, **{name: v for name, v in given.items() if v is not None})
+    given = {f.name: v for f in fields(RunConfig) if (v := getattr(args, f.name)) is not None}
+    return replace(config, **given)
 
 
 def build_parser() -> argparse.ArgumentParser:
