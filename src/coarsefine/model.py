@@ -10,14 +10,15 @@ layer from that layer's input, returns per-sample losses and the final
 output, and records each layer's input and pre-activation only when the
 caller asks (backprop and activation capture do; loss-only forwards do
 not).  One loss head computes the losses and, for backprop only, the
-gradient of the mean loss with respect to the output.  Forward passes
-are deterministic: identical inputs and weights produce bit-identical
-losses.  Exact backpropagation is provided as the gradient oracle for
-first-order scores and for tests.
+gradient of the mean loss with respect to the output, in place.  Forward
+passes are deterministic: identical inputs and weights produce
+bit-identical losses.  Backpropagation is one reverse per-layer loop
+that hands each weight gradient to its consumer as soon as it is formed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,12 +209,7 @@ def _act(name: str, x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
 
 
-def _act_grad(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(x)
-    if name == "relu":
-        # subgradient at 0 is 0
-        return (x > 0.0).astype(np.float64)
+def _gelu_grad(x: np.ndarray) -> np.ndarray:
     phi = _INV_SQRT2PI * np.exp(-0.5 * x * x)
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
 
@@ -242,6 +238,8 @@ def batch_input_matrix(model: ModelGraph, batch: CalibrationSet) -> tuple[np.nda
     if not layers:
         raise InputError("model has no layers")
     first = layers[0]
+    if (xs.ndim == 3 or first.kind == "embedding") and xs.shape[1:2] == (0,):
+        raise DimensionError("calibration inputs hold no tokens (empty token axis)")
     if first.kind == "embedding":
         if xs.ndim != 2:
             raise DimensionError("embedding input must be [K, T] token ids")
@@ -296,7 +294,8 @@ def _loss_head(
         losses = np.mean(diff * diff, axis=(1, 2))
         if not grad:
             return losses, None
-        return losses, ((2.0 / (tokens * d * k)) * diff).reshape(k * tokens, d)
+        diff *= 2.0 / (tokens * d * k)
+        return losses, diff.reshape(k * tokens, d)
 
     if head == "cross_entropy":
         if tokens != 1:
@@ -314,9 +313,10 @@ def _loss_head(
     losses = (-logp[rows, classes]).reshape(k, tokens).mean(axis=1)
     if not grad:
         return losses, None
-    probs = np.exp(logp)
+    probs = np.exp(logp, out=logp)
     probs[rows, classes] -= 1.0
-    return losses, probs * (1.0 / (k * tokens))
+    probs *= 1.0 / (k * tokens)
+    return losses, probs
 
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:
@@ -405,23 +405,34 @@ def forward_outputs(model: ModelGraph, batch: CalibrationSet) -> np.ndarray:
     return run_forward(model, batch)[1]
 
 
+def backprop_layers(
+    model: ModelGraph, batch: CalibrationSet, layer_input: np.ndarray | None = None
+) -> Iterator[tuple[LayerSpec, np.ndarray]]:
+    """Yield (layer, d(mean batch loss)/dW) for every layer, last layer first.
+
+    A layer comes only after the gradient it passes down was formed with
+    its weight, so a consumer may replace that weight at once.  Activation
+    gradients go in place into the loop's own output gradient (relu's
+    subgradient at 0 is 0).  layer_input (see :func:`batch_input_matrix`)
+    is only read."""
+    record: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    _, _, grad = run_forward(model, batch, layer_input=layer_input, record=record, grad=True)
+    for i, layer in reversed(list(enumerate(model.layers()))):
+        x, pre = record.pop(layer.name)
+        if layer.activation == "relu":
+            grad *= pre > 0.0
+        elif layer.activation == "gelu":
+            grad *= _gelu_grad(pre)
+        weight_grad = grad.T @ x
+        if i:
+            grad = grad @ layer.weight
+        yield layer, weight_grad
+
+
 def backprop_gradients(
     model: ModelGraph, batch: CalibrationSet
 ) -> dict[str, np.ndarray]:
-    """d(mean batch loss)/dW for every layer, same shapes as the weights.
-
-    relu contributes subgradient 0 at 0; gradients match central finite
-    differences to 1e-4 relative at desk scale.
-    """
-    record: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    _, _, grad = run_forward(model, batch, record=record, grad=True)
-    layers = model.layers()
-    grads: dict[str, np.ndarray] = {}
-    for layer in reversed(layers):
-        x, pre = record[layer.name]
-        grad = grad * _act_grad(layer.activation, pre)
-        grads[layer.name] = grad.T @ x
-        if layer is not layers[0]:
-            grad = grad @ layer.weight
-    return {l.name: grads[l.name] for l in layers}
-
+    """d(mean batch loss)/dW for every layer in layer order, same shapes as
+    the weights; matches central finite differences to 1e-4 relative at
+    desk scale."""
+    return dict(reversed([(l.name, g) for l, g in backprop_layers(model, batch)]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .io import NUMBER, _field, read_json, write_json
-from .model import CalibrationSet, ModelGraph, backprop_gradients
+from .model import CalibrationSet, ModelGraph, backprop_layers
 
 SCORE_METHODS = (
     "magnitude",
@@ -105,12 +105,13 @@ def magnitude_scores(model: ModelGraph) -> dict[str, np.ndarray]:
 def first_order_saliency(
     model: ModelGraph, batch: CalibrationSet
 ) -> dict[str, np.ndarray]:
-    """Elementwise |W| * |dL/dW| per prunable layer, batch-mean gradients."""
-    grads = backprop_gradients(model, batch)
-    return {
-        l.name: np.abs(l.weight) * np.abs(grads[l.name])
-        for l in model.prunable_layers()
+    """Elementwise |W| * |dL/dW| per prunable layer, batch-mean gradients;
+    each gradient becomes its saliency in place as it arrives."""
+    saliency = {
+        l.name: np.multiply(np.abs(g, out=g), np.abs(l.weight), out=g)
+        for l, g in backprop_layers(model, batch) if not l.frozen
     }
+    return dict(reversed(saliency.items()))
 
 
 # -- aggregation ---------------------------------------------------------------

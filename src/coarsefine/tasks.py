@@ -8,6 +8,7 @@ exercises the frozen-layer path.  Each kind is declared once in
 floor, loss head and layers; size overrides reshape the layers.
 Everything is generated from the task seed; training is deterministic
 full-batch Adam, so the same spec always yields bit-identical models.
+Each step updates a layer as the backward loop hands over its gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .model import (
     CalibrationSet,
     LayerSpec,
     ModelGraph,
-    backprop_gradients,
+    backprop_layers,
+    batch_input_matrix,
 )
 
 
@@ -233,12 +235,13 @@ def _adam_train(model: ModelGraph, batch: CalibrationSet, lr: float, epochs: int
     trainable = [l for l in model.layers() if not l.frozen]
     m = {l.name: np.zeros_like(l.weight) for l in trainable}
     v = {l.name: np.zeros_like(l.weight) for l in trainable}
+    h, _ = batch_input_matrix(model, batch)
     for step in range(1, epochs + 1):
-        grads = backprop_gradients(model, batch)
         c1 = 1.0 - beta1**step
         c2 = 1.0 - beta2**step
-        for layer in trainable:
-            g = grads[layer.name]
+        for layer, g in backprop_layers(model, batch, layer_input=h):
+            if layer.frozen:
+                continue
             mw = m[layer.name]
             vw = v[layer.name]
             mw *= beta1

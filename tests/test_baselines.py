@@ -175,9 +175,10 @@ class TestGlobalBaselinesOnlyRead:
     # float64 weight bytes.  Magnitude holds the flat scores next to
     # top_k_mask's negated copy of them, or next to the result's weights
     # (2.52x); an up-front model copy rewritten layer by layer read 4.52x.
-    # Iterative gradient holds the previous iterate through
-    # first_order_saliency (3.56x); with the last flat scores kept alive
-    # too it read 4.56x.
+    # Iterative gradient holds the previous iterate and the flat scores
+    # through top_k_mask's negated copy (3.52x); with the whole gradient
+    # dict alive in first_order_saliency it read 3.56x, and with the last
+    # flat scores kept alive through the next scoring 4.56x.
     @pytest.mark.parametrize("method, bound", [("global_magnitude", 3.0),
                                                ("iterative_gradient", 4.0)])
     def test_peak_memory(self, method, bound):

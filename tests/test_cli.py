@@ -19,7 +19,7 @@ from coarsefine.pipeline import (
     MAX_NOISES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score,
 )
 from coarsefine.scoring import ScoreMap
-from coarsefine.tasks import get_split, make_task, train_reference
+from coarsefine.tasks import build_model, get_split, make_task, train_reference
 
 from conftest import random_batch, random_mlp
 
@@ -720,6 +720,35 @@ class TestMalformedFiles:
         err = one_error_line(capsys)
         assert err["error"] == "ModelFormatError" and err["exit_code"] == 2
         assert not (tmp_path / "cmp").exists()
+
+
+class TestEmptyTokenAxis:
+    # calibration samples with zero tokens used to escape cli.main as a
+    # ValueError traceback: numpy's empty reduction in the token-id check
+    # (char_lm ids [K, 0]) or the output reshape (regression inputs [K, 0, d])
+    @pytest.mark.parametrize("kind", ["char_lm", "synthetic_regression"])
+    @pytest.mark.parametrize("coarse", ["zeroth", "first", "magnitude"])
+    def test_is_one_dimension_error_line(self, tmp_path, capsys, kind, coarse):
+        task = make_task(kind, seed=0)
+        save_model(build_model(task), tmp_path / "model")
+        if kind == "char_lm":
+            samples = [(np.zeros(0), np.zeros(0))] * 4
+        else:
+            samples = [(np.zeros((0, task.sizes["d_in"])), np.zeros(task.sizes["d_out"]))] * 4
+        save_calibration(CalibrationSet(samples), tmp_path / "calib.json")
+        code = main([
+            "prune", "--model-dir", str(tmp_path / "model"),
+            "--calib", str(tmp_path / "calib.json"), "--out", str(tmp_path / "out"),
+            "--coarse", coarse, "--samples", "4",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DimensionError" and err["exit_code"] == 2
+        assert "no tokens" in err["message"]
 
 
 # the prune/score flags: spelling, dest (the RunConfig field), value type

@@ -18,7 +18,14 @@ from coarsefine.model import (
     forward_with_activations,
     per_sample_losses,
 )
-from coarsefine.model import layer_forward, run_forward
+from coarsefine.model import (
+    _gelu_grad,
+    _logsumexp,
+    backprop_layers,
+    batch_input_matrix,
+    layer_forward,
+    run_forward,
+)
 
 from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
 
@@ -184,6 +191,119 @@ class TestBackprop:
             g_num[idx] = (lp - lm) / (2 * step)
         denom = np.maximum(np.abs(g_num), 1e-6)
         assert (np.abs(grads["emb"] - g_num) / denom).max() < 1e-4
+
+
+def out_of_place_backprop(model, batch):
+    """The backward pass before the in-place loop, kept as the bit oracle:
+    the loss-head gradient is built out of place, and every layer
+    multiplies a fresh gradient by a float activation gradient (ones for
+    identity, a float mask for relu)."""
+    record = {}
+    _, out, _ = run_forward(model, batch, record=record)
+    k, tokens, d = out.shape
+    if model.head == "mse":
+        target = batch.ys.reshape(k, 1, -1) if batch.ys.ndim == 2 else batch.ys
+        grad = ((2.0 / (tokens * d * k)) * (out - target)).reshape(k * tokens, d)
+    else:
+        logits = out.reshape(k * tokens, d)
+        probs = np.exp(logits - _logsumexp(logits))
+        probs[np.arange(k * tokens), batch.ys.reshape(-1).astype(np.int64)] -= 1.0
+        grad = probs * (1.0 / (k * tokens))
+    layers = model.layers()
+    grads = {}
+    for i in reversed(range(len(layers))):
+        x, pre = record[layers[i].name]
+        if layers[i].activation == "identity":
+            act_grad = np.ones_like(pre)
+        elif layers[i].activation == "relu":
+            act_grad = (pre > 0.0).astype(np.float64)
+        else:
+            act_grad = _gelu_grad(pre)
+        grad = grad * act_grad
+        grads[layers[i].name] = grad.T @ x
+        if i:
+            grad = grad @ layers[i].weight
+    return {l.name: grads[l.name] for l in layers}
+
+
+def _identity_mse():
+    rng = np.random.default_rng(31)
+    model = tiny_linear_model([rng.normal(size=(6, 5)), rng.normal(size=(3, 6))],
+                              biases=[rng.normal(size=6), None])
+    return model, random_batch(rng, 4, 5, 3)
+
+
+def _relu_mse_tokens():
+    # [K, T, d] inputs and targets; a zero input token makes pre == 0
+    # exactly, where relu's subgradient is 0
+    rng = np.random.default_rng(32)
+    model = tiny_linear_model(
+        [rng.normal(size=(7, 4)), rng.normal(size=(5, 7)), rng.normal(size=(2, 5))],
+        activations=["relu", "relu", "identity"], biases=[None, rng.normal(size=5), None],
+    )
+    xs = rng.normal(size=(3, 4, 4))
+    xs[0, 1] = 0.0
+    return model, CalibrationSet(list(zip(xs, rng.normal(size=(3, 4, 2)))))
+
+
+def _gelu_cross_entropy():
+    rng = np.random.default_rng(33)
+    model = random_mlp(rng, [5, 8, 6, 3], head="cross_entropy", activation="gelu")
+    return model, CalibrationSet(
+        [(rng.normal(size=5), np.float64(rng.integers(0, 3))) for _ in range(6)])
+
+
+def _embedding_next_token():
+    rng = np.random.default_rng(34)
+    layers = [
+        LayerSpec("emb", "embedding", rng.normal(size=(6, 7)), activation="relu"),
+        LayerSpec("fc", "linear", rng.normal(size=(5, 6)), rng.normal(size=5), "gelu"),
+        LayerSpec("out", "linear", rng.normal(size=(7, 5))),
+    ]
+    model = ModelGraph([Block("b", layers)], head="next_token_cross_entropy")
+    ids = rng.integers(0, 7, size=(3, 5)).astype(np.float64)
+    targets = rng.integers(0, 7, size=(3, 5)).astype(np.float64)
+    return model, CalibrationSet(list(zip(ids, targets)))
+
+
+BACKPROP_CASES = {
+    "identity-mse": _identity_mse,
+    "relu-mse-tokens": _relu_mse_tokens,
+    "gelu-cross-entropy": _gelu_cross_entropy,
+    "embedding-next-token": _embedding_next_token,
+}
+
+
+class TestInPlaceBackprop:
+    @pytest.mark.parametrize("case", sorted(BACKPROP_CASES))
+    def test_bits_equal_the_out_of_place_pass(self, case):
+        model, batch = BACKPROP_CASES[case]()
+        expected = out_of_place_backprop(model, batch)
+        grads = backprop_gradients(model, batch)
+        assert list(grads) == [l.name for l in model.layers()]
+        for name, g in expected.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+        streamed = list(backprop_layers(model, batch))
+        assert [l.name for l, _ in streamed] == [l.name for l in reversed(model.layers())]
+        for layer, g in streamed:
+            assert g.tobytes() == expected[layer.name].tobytes(), layer.name
+
+    @pytest.mark.parametrize("case", sorted(BACKPROP_CASES))
+    def test_writes_nothing_the_caller_sees(self, case):
+        model, batch = BACKPROP_CASES[case]()
+        weights = array_bytes(model)
+        xs, ys = batch.xs.tobytes(), batch.ys.tobytes()
+        first = backprop_gradients(model, batch)
+        second = backprop_gradients(model, batch)
+        for name, g in first.items():
+            assert second[name].tobytes() == g.tobytes(), name
+        h = batch_input_matrix(model, batch)[0]
+        h_bytes = h.tobytes()
+        for layer, g in backprop_layers(model, batch, layer_input=h):
+            assert g.tobytes() == first[layer.name].tobytes(), layer.name
+        assert h.tobytes() == h_bytes
+        assert batch.xs.tobytes() == xs and batch.ys.tobytes() == ys
+        assert array_bytes(model) == weights
 
 
 class TestCopy:

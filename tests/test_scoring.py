@@ -5,7 +5,7 @@ import pytest
 
 from coarsefine.allocation import allocate_sparsity
 from coarsefine.errors import InputError
-from coarsefine.model import CalibrationSet, forward_loss
+from coarsefine.model import CalibrationSet, backprop_gradients, forward_loss
 from coarsefine.scoring import (
     ScoreMap,
     aggregate_to_layers,
@@ -13,7 +13,7 @@ from coarsefine.scoring import (
     magnitude_scores,
 )
 
-from conftest import random_batch, random_mlp, tiny_linear_model
+from conftest import array_bytes, random_batch, random_mlp, tiny_linear_model
 
 
 class TestMagnitudeScores:
@@ -46,6 +46,24 @@ class TestFirstOrderSaliency:
         batch = CalibrationSet([(np.ones(2), np.zeros(2))])
         scores = first_order_saliency(model, batch)
         assert np.all(scores["L0"] == 0.0)
+
+    def test_bits_and_order_equal_the_gradient_dict(self):
+        # each gradient becomes its saliency in place; the weights stay
+        # untouched and a frozen layer gets no entry
+        rng = np.random.default_rng(3)
+        model = tiny_linear_model(
+            [rng.normal(size=(5, 4)), rng.normal(size=(5, 5)), rng.normal(size=(3, 5))],
+            activations=["relu", "gelu", "identity"], frozen=[False, True, False],
+        )
+        batch = random_batch(rng, 6, 4, 3)
+        weights = array_bytes(model)
+        grads = backprop_gradients(model, batch)
+        scores = first_order_saliency(model, batch)
+        assert list(scores) == ["L0", "L2"]
+        for name, s in scores.items():
+            expected = np.abs(model.layer(name).weight) * np.abs(grads[name])
+            assert s.tobytes() == expected.tobytes(), name
+        assert array_bytes(model) == weights
 
     def test_1d_analytic(self):
         # w=2, x=1, y=0 (mse): grad = 4, score = |2| * |4| = 8

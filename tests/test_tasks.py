@@ -5,8 +5,10 @@ import pytest
 
 from coarsefine.errors import InputError
 from coarsefine.evaluation import evaluate
-from coarsefine.model import forward_loss
+from coarsefine.model import backprop_gradients, forward_loss
 from coarsefine.tasks import (
+    TASK_KINDS,
+    _adam_train,
     build_model,
     get_split,
     inject_scale_imbalance,
@@ -96,6 +98,48 @@ class TestTraining:
         task.floor = {"accuracy": 1.01}  # impossible by construction
         with pytest.raises(InputError, match="fixture error"):
             train_reference(task)
+
+
+def whole_dict_adam_train(model, batch, lr, epochs):
+    """The Adam loop before the per-layer backward, kept as the bit oracle:
+    each step takes the whole gradient dict first, then updates every
+    trainable layer in forward order."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    trainable = [l for l in model.layers() if not l.frozen]
+    m = {l.name: np.zeros_like(l.weight) for l in trainable}
+    v = {l.name: np.zeros_like(l.weight) for l in trainable}
+    for step in range(1, epochs + 1):
+        grads = backprop_gradients(model, batch)
+        c1 = 1.0 - beta1**step
+        c2 = 1.0 - beta2**step
+        for layer in trainable:
+            g = grads[layer.name]
+            mw = m[layer.name]
+            vw = v[layer.name]
+            mw *= beta1
+            mw += (1.0 - beta1) * g
+            vw *= beta2
+            vw += (1.0 - beta2) * g * g
+            layer.weight = layer.weight - lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
+
+
+class TestPerLayerAdam:
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_equals_whole_dict_steps(self, kind):
+        # each layer is updated as its gradient arrives; the backward loop
+        # must already have used the old weight, or the bits would move
+        task = make_task(kind, seed=2)
+        batch = get_split(task, "train")
+        fresh = build_model(task)
+        streamed, whole = build_model(task), build_model(task)
+        _adam_train(streamed, batch, 0.02, 4)
+        whole_dict_adam_train(whole, batch, 0.02, 4)
+        for a, b, f in zip(streamed.layers(), whole.layers(), fresh.layers()):
+            assert a.weight.tobytes() == b.weight.tobytes(), a.name
+            if a.frozen:
+                assert a.weight.tobytes() == f.weight.tobytes(), a.name
+            else:
+                assert a.weight.tobytes() != f.weight.tobytes(), a.name
 
 
 class TestImbalanceInjection:
