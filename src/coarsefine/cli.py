@@ -12,6 +12,7 @@ one JSON error object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -47,7 +48,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return replace(config, **given)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every :func:`main` call.
+
+    Parsing leaves it unchanged; callers must not change it either."""
     parser = _Parser(
         prog="coarsefine",
         description="Coarse-to-fine one-shot pruning toolkit",

@@ -14,6 +14,8 @@ gradient of the mean loss with respect to the output, in place.  Forward
 passes are deterministic: identical inputs and weights produce
 bit-identical losses.  Backpropagation is one reverse per-layer loop
 that hands each weight gradient to its consumer as soon as it is formed.
+scipy serves only gelu's ``erf``; it is imported by the first gelu
+evaluation, so relu and identity models never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     DimensionError,
@@ -205,11 +206,15 @@ def _act(name: str, x: np.ndarray) -> np.ndarray:
         return x
     if name == "relu":
         return np.maximum(x, 0.0)
+    from scipy.special import erf  # loaded by the first gelu evaluation
+
     # exact gelu: x * Phi(x)
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf
+
     phi = _INV_SQRT2PI * np.exp(-0.5 * x * x)
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coarsefine
 from coarsefine.cli import _build_config, build_parser, main
 from coarsefine.errors import ModelFormatError, UsageError
 from coarsefine.io import load_calibration, load_masks, load_model, save_calibration, save_model
@@ -828,3 +830,67 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "prune" in proc.stdout
+
+
+# Runs in a fresh interpreter, since the test modules import scipy themselves:
+# a relu prune through cli.main, then one gelu forward.
+_SCIPY_PROBE = """
+import json, sys
+from coarsefine import cli
+code = cli.main(sys.argv[1:])
+loaded = {"exit": code, "after_prune": "scipy" in sys.modules}
+import numpy as np
+from coarsefine.model import Block, CalibrationSet, LayerSpec, ModelGraph, forward_outputs
+gelu = ModelGraph([Block("b", [LayerSpec("g", "linear", np.eye(2), activation="gelu")])])
+forward_outputs(gelu, CalibrationSet([(np.ones(2), np.zeros(2))]))
+loaded["after_gelu"] = "scipy.special" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+class TestColdImport:
+    def test_relu_prune_never_loads_scipy(self, fixture_dir, tmp_path):
+        src = str(Path(coarsefine.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, "prune",
+             "--model-dir", str(fixture_dir / "model"),
+             "--calib", str(fixture_dir / "calib.json"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {"exit": 0, "after_prune": False, "after_gelu": True}
+
+
+class TestSharedParser:
+    def test_bad_line_then_help_then_prune(self, fixture_dir, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        assert main(["prune", "--sparsity", "half"]) == 1
+        assert one_error_line(capsys)["exit_code"] == 1
+        assert main(["prune", "--help"]) == 0
+        assert "--sparsity" in capsys.readouterr().out
+        assert main(["prune", "--model-dir", str(fixture_dir / "model"),
+                     "--calib", str(fixture_dir / "calib.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["out_dir"] == str(tmp_path / "out")
+
+    def test_peak_memory_is_steady_across_calls(self, trained_char_lm, tmp_path, capsys):
+        # cyclic garbage left by a call, such as a parser built per call,
+        # moves the next peaks with the collector's timing
+        task, model = trained_char_lm
+        save_model(model, tmp_path / "model")
+        save_calibration(get_split(task, "calib"), tmp_path / "calib.json")
+        argv = ["prune", "--model-dir", str(tmp_path / "model"),
+                "--calib", str(tmp_path / "calib.json"), "--out", str(tmp_path / "out"),
+                "--samples", "32", "--seed", "1"]
+        assert main(argv) == 0  # warm-up
+        peaks = []
+        for _ in range(5):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.01 * min(peaks), peaks

@@ -19,6 +19,7 @@ from coarsefine.model import (
     per_sample_losses,
 )
 from coarsefine.model import (
+    _act,
     _gelu_grad,
     _logsumexp,
     backprop_layers,
@@ -304,6 +305,19 @@ class TestInPlaceBackprop:
         assert h.tobytes() == h_bytes
         assert batch.xs.tobytes() == xs and batch.ys.tobytes() == ys
         assert array_bytes(model) == weights
+
+
+class TestGelu:
+    def test_bits_equal_the_erf_formulas(self):
+        from scipy.special import erf
+
+        x = np.random.default_rng(9).normal(scale=3.0, size=(64, 7))
+        x[0, :3] = [0.0, -0.0, 40.0]
+        direct = 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        direct_grad = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))) + x * (
+            1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x * x))
+        assert _act("gelu", x).tobytes() == direct.tobytes()
+        assert _gelu_grad(x).tobytes() == direct_grad.tobytes()
 
 
 class TestCopy:
