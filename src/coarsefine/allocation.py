@@ -1,16 +1,17 @@
 """Convert global importance scores into per-layer sparsity ratios.
 
-Given a target global sparsity p and a per-layer cap p_max, the keep
-budget N_select = round((1-p)*|W_total|) (``keep_budget``) is split in two
-stages: every layer first receives a guaranteed keep of
-ceil((1-p_max)*|W_i|) (``min_keep``, the pre-pick that enforces the cap),
-then the remainder is split over units proportionally to normalized
-scores, clamping units at full size and redistributing any overflow until
-a fixed point.  A unit is one prunable layer at layer granularity and a
-block's prunable layers at block granularity, so a layer is a block of
-one; each unit's extra keep goes to its members in proportion to their
-headroom.  Fractional keeps are rounded by largest remainder (ties broken
-by position) so the global budget is hit exactly.
+Given a target global sparsity p and a per-layer cap p_max (by default
+p + 0.1, ``default_p_max``), the keep budget N_select = round((1-p)*|W_total|)
+(``keep_budget``) is split in two stages: every layer first receives a
+guaranteed keep of ceil((1-p_max)*|W_i|) (``min_keep``, the pre-pick that
+enforces the cap), then the remainder is split over units proportionally
+to normalized scores, clamping units at full size and redistributing any
+overflow until a fixed point.  A unit is one prunable layer at layer
+granularity and a block's prunable layers at block granularity, so a
+layer is a block of one; each unit's extra keep goes to its members in
+proportion to their headroom.  Every final share lies below its unit's
+headroom, so one largest-remainder pass (shares round down, the largest
+remainders take one more, ties by position) hits the global budget exactly.
 
 Scores are canonicalized by an exact power-of-two rescale before the
 proportional split, so multiplying all scores by a constant leaves the
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FeasibilityError, InputError, UnknownLayerError
+from .errors import FeasibilityError, InputError, ModelFormatError, UnknownLayerError
 from .io import FORMAT_VERSION, NUMBER, _field, read_json, write_json
 from .model import LayerSpec, ModelGraph
 from .scoring import ScoreMap, uniform_scores
@@ -38,6 +39,11 @@ def round_half_up(x: float) -> int:
 def keep_budget(p: float, n: int) -> int:
     """N_select: weights kept out of n at global sparsity p."""
     return round_half_up((1.0 - p) * n)
+
+
+def default_p_max(p: float) -> float:
+    """The per-layer cap when none is given: p + 0.1, at most 1."""
+    return min(p + 0.1, 1.0)
 
 
 def min_keep(size: int, p_max: float) -> int:
@@ -84,7 +90,11 @@ class SparsityPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparsityPlan":
-        """Parse a plan; a missing or mistyped field is a ModelFormatError."""
+        """Parse a plan; a missing or mistyped field or another format
+        version is a ModelFormatError."""
+        version = _field(obj, "format_version", str, "plan")
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported plan format version {version!r}")
         per_layer = {}
         for name, e in _field(obj, "per_layer", dict, "plan").items():
             where = f"plan layer {name!r}"
@@ -110,15 +120,13 @@ class SparsityPlan:
 
 
 def _canonical(scores: np.ndarray) -> np.ndarray:
-    """Rescale by an exact power of two so max(score) lands near [0.5, 1).
+    """Rescale by an exact power of two so max(score), which must be
+    positive, lands near [0.5, 1).
 
     The shift is clamped to the representable exponent range, so subnormal
     or near-overflow score scales cannot overflow the rescale itself.
     """
-    top = scores.max()
-    if top <= 0:
-        return scores
-    _, exp = math.frexp(top)
+    _, exp = math.frexp(scores.max())
     shift = min(max(-exp, -1023), 1023)
     return scores * math.ldexp(1.0, shift)
 
@@ -126,29 +134,22 @@ def _canonical(scores: np.ndarray) -> np.ndarray:
 def _largest_remainder(fractions: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
     """Round fractions to integers summing to total, each <= its cap.
 
-    Ties in the remainders break by position.  Caps are integer ceilings
-    (unit sizes); fractions are assumed <= caps.
+    One ranked pass: every fraction rounds down (to at most its cap), then
+    the units still below their cap take one more each in order of their
+    remainders, ties by position, until total is reached.  A unit gains
+    at most one, so a total that needs more is a FeasibilityError; shares
+    below their caps, as ``_proportional_fill`` passes, never do.
     """
     base = np.minimum(np.floor(fractions).astype(np.int64), caps)
     leftover = total - int(base.sum())
     if leftover < 0:
         raise InputError("largest-remainder called with an overfull base")
+    room = np.flatnonzero(base < caps)
+    if leftover > room.size:
+        raise FeasibilityError("keep budget exceeds total capacity")
     remainders = fractions - base
-    order = sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))
-    out = base.copy()
-    # one unit per pass by remainder rank, wrapping to any remaining headroom
-    while leftover > 0:
-        progressed = False
-        for i in order:
-            if leftover == 0:
-                break
-            if out[i] < caps[i]:
-                out[i] += 1
-                leftover -= 1
-                progressed = True
-        if not progressed:
-            raise FeasibilityError("keep budget exceeds total capacity")
-    return out
+    base[room[np.argsort(-remainders[room], kind="stable")[:leftover]]] += 1
+    return base
 
 
 def _proportional_fill(
@@ -158,7 +159,9 @@ def _proportional_fill(
 
     Units hitting their integer capacity are clamped and the excess is
     redistributed among the rest, iterating to a fixed point; the final
-    fractional shares are rounded by largest remainder.
+    fractional shares are rounded by largest remainder.  Budget left once
+    every positively-scored unit is full goes to the rest in proportion to
+    their headroom, by the same rounding.
     """
     n = len(scores)
     assigned = np.zeros(n, dtype=np.int64)
@@ -171,23 +174,18 @@ def _proportional_fill(
         shares[active] = remaining * (scores[active] / denom)
         over = active & (shares >= capacities - assigned)
         if not over.any():
-            fracs = shares[active]
             caps = (capacities - assigned)[active]
-            rounded = _largest_remainder(fracs, remaining, caps)
-            assigned[active] += rounded
-            remaining = 0
-            break
+            assigned[active] += _largest_remainder(shares[active], remaining, caps)
+            return assigned
         assigned[over] = capacities[over]
         remaining = int(budget) - int(assigned.sum())
         active = active & ~over
 
     if remaining > 0:
-        # every positively-scored unit is full: spill to zero-score units
-        # proportionally to their remaining headroom
         room = capacities - assigned
         if room.sum() < remaining:
             raise FeasibilityError("keep budget exceeds total capacity")
-        assigned += _proportional_fill(room.astype(np.float64), room, remaining)
+        assigned += _largest_remainder(remaining * (room / room.sum()), remaining, room)
     return assigned
 
 
@@ -219,10 +217,6 @@ def allocate_sparsity(
         raise InputError("model has no prunable layers")
     n_total = sum(l.size for l in layers)
     n_select = keep_budget(target_p, n_total)
-    if min_keep(n_total, p_max) > n_select:
-        raise FeasibilityError(
-            f"p_max={p_max} forces keeping more than the budget N_select={n_select}"
-        )
     # guaranteed per-layer keep enforcing p_i <= p_max
     guaranteed = {l.name: min_keep(l.size, p_max) for l in layers}
     extra_budget = n_select - sum(guaranteed.values())

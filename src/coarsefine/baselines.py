@@ -14,7 +14,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .allocation import SparsityPlan, allocate_sparsity, keep_budget, uniform_plan
+from .allocation import (
+    SparsityPlan, allocate_sparsity, default_p_max, keep_budget, uniform_plan,
+)
 from .errors import InputError
 from .localprune import (
     apply_mask, sequential_prune, sparsegpt_layer_score, top_k_mask, wanda_scores,
@@ -142,5 +144,5 @@ def local_score_ratios(
 ) -> SparsityPlan:
     """The ablation: layer ratios from local scores instead of global ones."""
     if p_max is None:
-        p_max = min(p + 0.1, 1.0)
+        p_max = default_p_max(p)
     return allocate_sparsity(local_layer_scores(model, batch, fine_method), model, p, p_max)

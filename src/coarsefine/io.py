@@ -4,14 +4,15 @@ Model directory: ``manifest.json`` (format version "1": blocks, layer
 specs, shapes, frozen flags, loss kind) plus one raw tensor file per
 tensor — ``<layer>.bin`` for the weight and ``<layer>.bias.bin`` for the
 optional bias — little-endian IEEE-754 float32, row-major, no header.
-In memory everything is float64; files quantize to float32.
+No two tensors of a model may share a file.  In memory everything is
+float64; files quantize to float32.
 
 Calibration file: ``<name>.json`` index listing per-sample input/target
 shapes next to one ``.bin`` holding the tensors concatenated in sample
 order with the same binary convention.
 
 Masks: ``<layer>.mask.bin`` packed bits (row-major, MSB-first within a
-byte) plus a ``masks.json`` index.
+byte, as the index's ``bit_order`` must say) plus a ``masks.json`` index.
 
 Every JSON file the package writes (these indexes, score maps, plans,
 reports) goes through :func:`write_json`: sorted keys, indent 2, a
@@ -126,14 +127,26 @@ def _read_f32(path: Path, shape: tuple[int, ...]) -> np.ndarray:
 # -- model directories ------------------------------------------------------
 
 
+def _claim(claimed: set[str], fname: str) -> str:
+    """fname, which no other tensor of the model may use: a layer "X" with
+    a bias and a layer named "X.bias" would both use "X.bias.bin"."""
+    if fname in claimed:
+        raise ModelFormatError(f"two tensors of the model map to {fname!r}")
+    claimed.add(fname)
+    return fname
+
+
 def save_model(model: ModelGraph, directory: str | Path) -> Path:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {"format_version": FORMAT_VERSION, "head": model.head, "blocks": []}
+    claimed: set[str] = set()
+    tensors = []
     for block in model.blocks:
         entry = {"name": _check_name(block.name), "layers": []}
         for layer in block.layers:
-            _check_name(layer.name)
+            tensors.append((_claim(claimed, _check_name(layer.name) + ".bin"), layer.weight))
+            if layer.bias is not None:
+                tensors.append((_claim(claimed, f"{layer.name}.bias.bin"), layer.bias))
             entry["layers"].append(
                 {
                     "name": layer.name,
@@ -144,10 +157,10 @@ def save_model(model: ModelGraph, directory: str | Path) -> Path:
                     "has_bias": layer.bias is not None,
                 }
             )
-            _write_f32(directory / f"{layer.name}.bin", layer.weight)
-            if layer.bias is not None:
-                _write_f32(directory / f"{layer.name}.bias.bin", layer.bias)
         manifest["blocks"].append(entry)
+    directory.mkdir(parents=True, exist_ok=True)
+    for fname, tensor in tensors:
+        _write_f32(directory / fname, tensor)
     write_json(manifest, directory / "manifest.json")
     return directory
 
@@ -160,6 +173,7 @@ def load_model(directory: str | Path) -> ModelGraph:
             f"unsupported model format version {manifest.get('format_version')!r}"
         )
     blocks = []
+    claimed: set[str] = set()
     for bentry in _field(manifest, "blocks", list, "manifest"):
         bname = _check_name(_field(bentry, "name", str, "manifest block"))
         layers = []
@@ -169,10 +183,10 @@ def load_model(directory: str | Path) -> ModelGraph:
             shape = _shape(lentry, "shape", where)
             if len(shape) != 2 or 0 in shape:
                 raise ModelFormatError(f"{where}: shape must be two positive integers")
-            weight = _read_f32(directory / f"{name}.bin", shape)
+            weight = _read_f32(directory / _claim(claimed, name + ".bin"), shape)
             bias = None
             if _field(lentry, "has_bias", bool, where, False):
-                bias = _read_f32(directory / f"{name}.bias.bin", (shape[0],))
+                bias = _read_f32(directory / _claim(claimed, f"{name}.bias.bin"), (shape[0],))
             layers.append(
                 LayerSpec(
                     name=name,
@@ -265,6 +279,8 @@ def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
     index = read_json(directory / "masks.json")
     if index.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError("unsupported mask format version")
+    if index.get("bit_order") != "msb_first":
+        raise ModelFormatError(f"unsupported mask bit order {index.get('bit_order')!r}")
     masks = {}
     for name, entry in _field(index, "layers", dict, "mask index").items():
         where = f"mask {name!r}"

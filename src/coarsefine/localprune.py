@@ -309,9 +309,7 @@ def sequential_prune(
             continue
         alloc = plan.per_layer[layer.name]
         try:
-            if alloc.keep_count == layer.size:
-                mask, new_w = np.ones_like(layer.weight, dtype=bool), layer.weight.copy()
-            elif fine_method == "sparsegpt":
+            if fine_method == "sparsegpt":
                 mask, new_w = sparsegpt_prune_layer(layer, h, alloc.keep_count, lam)
             else:
                 mask = (

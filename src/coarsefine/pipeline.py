@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import get_args
 
 from . import io as cfio
-from .allocation import SparsityPlan, allocate_sparsity
+from .allocation import SparsityPlan, allocate_sparsity, default_p_max
 from .baselines import local_layer_scores
 from .errors import InputError, ModelFormatError, UsageError
 from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
@@ -94,7 +94,7 @@ class RunConfig:
     def effective_max_sparsity(self) -> float:
         if self.max_sparsity is not None:
             return self.max_sparsity
-        return min(self.sparsity + 0.1, 1.0)
+        return default_p_max(self.sparsity)
 
     def validate(self) -> None:
         pmax, eps, lam = self.effective_max_sparsity(), self.epsilon, self.hessian_lambda
@@ -126,16 +126,25 @@ class RunConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
         """The config a JSON object (a config file, a report's echo) sets;
-        a stray or mistyped field is a ModelFormatError."""
+        a stray or mistyped field is a ModelFormatError.  A float field
+        holds a float, as its flag gives, even where the JSON has an
+        integer."""
         named = {f.metadata["json"] or f.name: f for f in fields(cls)}
         stray = set(obj) - set(named)
         if stray:
             raise ModelFormatError(f"config: unknown fields {sorted(stray)}")
+        values = {}
         for key, value in obj.items():
             kind = cls.value_type(named[key])
             if value is not None or named[key].default is not None:  # null keeps a None default
                 _field(obj, key, NUMBER if kind is float else kind, "config")
-        return cls(**{named[key].name: value for key, value in obj.items()})
+                if kind is float:
+                    try:
+                        value = float(value)
+                    except OverflowError as e:  # an integer past the float range
+                        raise ModelFormatError(f"config: field {key!r} is out of range") from e
+            values[named[key].name] = value
+        return cls(**values)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Shared fixtures: tiny hand-built models and cached trained references."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,21 @@ def random_batch(rng, k, d_in, d_out):
     return CalibrationSet(
         [(rng.normal(size=d_in), rng.normal(size=d_out)) for _ in range(k)]
     )
+
+
+def write_aliased_model(directory):
+    """A model directory by hand whose biased 4x3 layer "a" and 1x4 layer
+    "a.bias" both name the file a.bias.bin, which holds [9, 8, 7, 6]."""
+    directory.mkdir(parents=True)
+    layer = dict(kind="linear", activation="identity", frozen=False)
+    manifest = {"format_version": "1", "head": "mse", "blocks": [{"name": "b", "layers": [
+        dict(layer, name="a", shape=[4, 3], has_bias=True),
+        dict(layer, name="a.bias", shape=[1, 4], has_bias=False),
+    ]}]}
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    np.ones((4, 3), dtype="<f4").tofile(directory / "a.bin")
+    np.array([9, 8, 7, 6], dtype="<f4").tofile(directory / "a.bias.bin")
+    return directory
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coarsefine.allocation import (
     SparsityPlan,
     _largest_remainder,
+    _proportional_fill,
     allocate_sparsity,
     round_half_up,
     uniform_plan,
@@ -349,11 +350,6 @@ class TestUnitPath:
 
 
 class TestLargestRemainder:
-    def test_wraps_to_remaining_headroom(self):
-        # zero remainders tie, so units fill by position, one per pass
-        out = _largest_remainder(np.array([0.0, 0.0]), 3, np.array([2, 2]))
-        assert out.tolist() == [2, 1]
-
     def test_rounds_by_largest_remainder(self):
         out = _largest_remainder(np.array([1.2, 0.7, 1.1]), 3, np.array([5, 5, 5]))
         assert out.tolist() == [1, 1, 1]
@@ -363,3 +359,66 @@ class TestLargestRemainder:
     def test_total_beyond_caps_is_infeasible(self):
         with pytest.raises(FeasibilityError):
             _largest_remainder(np.array([0.0, 0.0]), 5, np.array([2, 2]))
+
+
+def reference_fill(scores, capacities, budget):
+    """A plain-Python proportional fill: clamp every unit whose share
+    reaches its headroom and share the rest again until none does, round
+    by largest remainder (a stable argsort of the negated remainders, so
+    ties go to the lower index, one more per unit, wrapping round the
+    units with headroom left), then give what is left once every scored
+    unit is full to the rest, by the same fill over their headroom."""
+    n = len(scores)
+    assigned = [0] * n
+    active = [i for i in range(n) if scores[i] > 0]
+    remaining = budget
+    while remaining > 0 and active:
+        denom = np.array([scores[i] for i in active]).sum()
+        shares = {i: remaining * (scores[i] / denom) for i in active}
+        over = [i for i in active if shares[i] >= capacities[i] - assigned[i]]
+        if not over:
+            for i in active:
+                assigned[i] += min(math.floor(shares[i]), capacities[i] - assigned[i])
+            left = budget - sum(assigned)
+            rem = np.array([shares[i] - math.floor(shares[i]) for i in active])
+            order = [active[j] for j in np.argsort(-rem, kind="stable")]
+            while left > 0:
+                for i in order:
+                    if left > 0 and assigned[i] < capacities[i]:
+                        assigned[i] += 1
+                        left -= 1
+            return assigned
+        for i in over:
+            assigned[i] = capacities[i]
+        remaining = budget - sum(assigned)
+        active = [i for i in active if i not in over]
+    if remaining > 0:
+        room = [c - a for c, a in zip(capacities, assigned)]
+        extra = reference_fill([float(r) for r in room], room, remaining)
+        assigned = [a + e for a, e in zip(assigned, extra)]
+    return assigned
+
+
+class TestProportionalFill:
+    """One ranked largest-remainder pass hits the budget exactly."""
+
+    @given(
+        units=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.integers(1, 4).map(float),
+                          st.floats(1e-6, 1e6)),
+                st.integers(0, 60),
+            ),
+            min_size=1, max_size=6,
+        ),
+        fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_exact_within_caps_and_equal_to_the_reference(self, units, fraction):
+        scores = np.array([s for s, _ in units])
+        capacities = np.array([c for _, c in units], dtype=np.int64)
+        budget = int(fraction * int(capacities.sum()))
+        out = _proportional_fill(scores, capacities, budget)
+        assert int(out.sum()) == budget
+        assert ((0 <= out) & (out <= capacities)).all()
+        assert out.tolist() == reference_fill(scores.tolist(), capacities.tolist(), budget)

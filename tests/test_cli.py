@@ -23,7 +23,7 @@ from coarsefine.pipeline import (
 from coarsefine.scoring import ScoreMap
 from coarsefine.tasks import build_model, get_split, make_task, train_reference
 
-from conftest import random_batch, random_mlp
+from conftest import random_batch, random_mlp, write_aliased_model
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +411,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelFormatError"
 
+    def test_aliased_model_files_are_exit_2(self, tmp_path, capsys):
+        write_aliased_model(tmp_path / "model")
+        save_calibration(random_batch(np.random.default_rng(0), 8, 3, 1), tmp_path / "c.json")
+        code = main([
+            "prune", "--model-dir", str(tmp_path / "model"),
+            "--calib", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = one_error_line(capsys)
+        assert err["error"] == "ModelFormatError" and "a.bias.bin" in err["message"]
+
     def test_failed_rerun_leaves_no_report(self, fixture_dir, tmp_path, capsys, monkeypatch):
         # a second prune into the same directory fails while reloading the
         # pruned model: the first run's report must not survive as its record
@@ -530,6 +541,7 @@ class TestConfigFile:
         ("noises", 2.0),
         ("coarse", 3),
         ("sparsity", None),
+        pytest.param("epsilon", 10**400, id="epsilon-beyond-float-range"),
     ])
     def test_mistyped_config_field_is_one_usage_error_line(
         self, fixture_dir, tmp_path, capsys, field, value
@@ -557,6 +569,24 @@ class TestConfigFile:
         )
         assert (config.sparsity, config.epsilon, config.samples) == (0, 1, 8)
         assert config.max_sparsity is None and config.hessian_lambda is None
+
+
+    def test_config_file_echoes_like_the_flags(self, fixture_dir, tmp_path, capsys):
+        # JSON integers in float fields echo as floats, as the flags do
+        inputs = ["--model-dir", str(fixture_dir / "model"),
+                  "--calib", str(fixture_dir / "calib.json"), "--samples", "8"]
+        (tmp_path / "cfg.json").write_text(json.dumps({"sparsity": 0, "epsilon": 1}))
+        assert main(["prune", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "file"), *inputs]) == 0
+        assert main(["prune", "--sparsity", "0", "--epsilon", "1",
+                     "--out", str(tmp_path / "flags"), *inputs]) == 0
+        reports = [(tmp_path / out / "report.json").read_text().replace(str(tmp_path / out), "")
+                   for out in ("file", "flags")]
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert all(isinstance(x, float) for x in (
+            report["config"]["sparsity"], report["config"]["epsilon"],
+            report["sparsity_plan"]["target_p"]))
 
 
 def one_error_line(capsys) -> dict:

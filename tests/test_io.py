@@ -16,7 +16,7 @@ from coarsefine.io import (
 )
 from coarsefine.model import Block, CalibrationSet, LayerSpec, ModelGraph
 
-from conftest import tiny_linear_model
+from conftest import tiny_linear_model, write_aliased_model
 
 
 def f32_grid(arr):
@@ -104,6 +104,26 @@ class TestModelRoundTrip:
             save_model(model, tmp_path / "m")
 
 
+class TestAliasedTensorFiles:
+    """Two tensors of one model may not share a file: the weight of a layer
+    named "a.bias" would be read back as layer "a"'s bias."""
+
+    @pytest.mark.parametrize("biased_first", [True, False])
+    def test_save_rejects_a_shared_file(self, tmp_path, biased_first):
+        biased = LayerSpec("a", "linear", np.ones((4, 3 if biased_first else 4)),
+                           bias=np.zeros(4))
+        other = LayerSpec("a.bias", "linear", np.ones((1, 4) if biased_first else (4, 3)))
+        model = ModelGraph([Block("b", [biased, other] if biased_first else [other, biased])],
+                           "mse")
+        with pytest.raises(ModelFormatError, match="a.bias.bin"):
+            save_model(model, tmp_path / "m")
+        assert not (tmp_path / "m").exists()  # nothing written
+
+    def test_load_rejects_a_shared_file(self, tmp_path):
+        with pytest.raises(ModelFormatError, match="a.bias.bin"):
+            load_model(write_aliased_model(tmp_path / "m"))
+
+
 class TestCalibrationRoundTrip:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -163,8 +183,9 @@ class TestMaskRoundTrip:
         lambda index: index.update(layers=[1]),
         lambda index: index["layers"]["a"].update(file="gone.mask.bin"),
         lambda index: index["layers"]["a"].update(file="../outside/a.mask.bin"),
+        lambda index: index.update(bit_order="lsb_first"),
     ], ids=["no kept", "no shape", "shape a string", "no layers", "layers a list",
-            "file missing", "file outside"])
+            "file missing", "file outside", "bits lsb first"])
     def test_malformed_index_rejected(self, tmp_path, change):
         masks = {"a": np.ones((2, 5), dtype=bool)}
         save_masks(masks, tmp_path / "m")
@@ -190,6 +211,7 @@ class TestPlanAndScoreFiles:
         "plan n_select a bool": ("plan", lambda o: o.update(n_select=True)),
         "plan target_p a string": ("plan", lambda o: o.update(target_p="half")),
         "plan without granularity": ("plan", lambda o: o.pop("granularity")),
+        "plan format_version 2": ("plan", lambda o: o.update(format_version="2")),
         "scores entries a list": ("scores", lambda o: o.update(entries=[1.0])),
         "scores entry a string": ("scores", lambda o: o["entries"].update(L0="x")),
         "scores entry null": ("scores", lambda o: o["entries"].update(L0=None)),
