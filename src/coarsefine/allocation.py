@@ -3,8 +3,9 @@
 Given a target global sparsity p and a per-layer cap p_max (by default
 p + 0.1, ``default_p_max``), the keep budget N_select = round((1-p)*|W_total|)
 (``keep_budget``) is split in two stages: every layer first receives a
-guaranteed keep of ceil((1-p_max)*|W_i|) (``min_keep``, the pre-pick that
-enforces the cap), then the remainder is split over units proportionally
+guaranteed keep, the smallest whose recorded sparsity 1 - keep/|W_i| is at
+most p_max (``min_keep``, the pre-pick that enforces the cap), then the
+remainder is split over units proportionally
 to normalized scores, clamping units at full size and redistributing any
 overflow until a fixed point.  A unit is one prunable layer at layer
 granularity and a block's prunable layers at block granularity, so a
@@ -47,8 +48,17 @@ def default_p_max(p: float) -> float:
 
 
 def min_keep(size: int, p_max: float) -> int:
-    """The fewest weights a unit of this size keeps under the cap p_max."""
-    return math.ceil((1.0 - p_max) * size)
+    """The fewest weights a unit of this size keeps under the cap p_max:
+    the smallest keep whose recorded sparsity 1.0 - keep/size is <= p_max,
+    the comparison a reader of the plan makes.  The float ceiling of
+    (1 - p_max) * size misses it by one where the product rounds onto an
+    integer, so it is stepped to the smallest such keep."""
+    keep = math.ceil((1.0 - p_max) * size)
+    while keep > 0 and 1.0 - (keep - 1) / size <= p_max:
+        keep -= 1
+    while keep < size and 1.0 - keep / size > p_max:
+        keep += 1
+    return keep
 
 
 @dataclass
@@ -311,13 +321,14 @@ def validate_plan(plan: SparsityPlan, model: ModelGraph) -> list[str]:
             violations.append(f"{name}: recorded size {a.size} != model size {size}")
         if not 0 <= a.keep_count <= size:
             violations.append(f"{name}: keep_count {a.keep_count} out of range")
-        floor_keep = min_keep(size, plan.p_max)
-        if a.keep_count < floor_keep:
+        # the recorded values themselves, not min_keep: a plan that breaks
+        # the cap as its reader compares it is flagged whatever produced it
+        if not 0.0 <= a.sparsity <= plan.p_max:
             violations.append(
-                f"{name}: cap exceeded (keep {a.keep_count} < minimum {floor_keep} "
-                f"for p_max {plan.p_max})"
+                f"{name}: cap exceeded (sparsity {a.sparsity} not in [0, p_max "
+                f"{plan.p_max}])"
             )
-        if a.keep_count != size - round_half_up(a.sparsity * size):
+        elif a.keep_count != size - round_half_up(a.sparsity * size):
             violations.append(
                 f"{name}: keep/sparsity inconsistency (p={a.sparsity}, keep={a.keep_count})"
             )

@@ -34,8 +34,10 @@ def _global_prune(
 
     The input model is only read.  All prunable weights are ranked as one
     flat vector in layer order with earlier-pruned positions at -inf, so
-    masks only shrink.  Each iterate copies the previous one with masked
-    weights, and the result counts the forwards its scoring spent.
+    masks only shrink.  The previous iterate is dropped once scored, so it
+    is not alive through the ranking; each iterate masks the input model's
+    arrays, which gives the same bits as masking the previous one.  The
+    result counts the forwards its scoring spent.
     """
     layers = model.prunable_layers()
     n_total = model.num_prunable_weights()
@@ -44,16 +46,17 @@ def _global_prune(
     kept = np.ones(n_total, dtype=bool)
     for target in targets:
         per_layer = saliency(pruned)
+        spent = pruned.forward_count
+        del pruned
         flat = np.concatenate([per_layer.pop(l.name).reshape(-1) for l in layers])
         flat[~kept] = -np.inf
         kept = top_k_mask(flat[None, :], keep_budget(target, n_total))[0]
         del flat  # not alive through the next target's scoring
         pieces = np.split(kept, cuts)
         masks = {l.name: m.reshape(l.weight.shape) for l, m in zip(layers, pieces)}
-        spent = pruned.forward_count
-        pruned = pruned.copy(weights={
+        pruned = model.copy(weights={
             l.name: check_finite(apply_mask(l, masks[l.name]), f"weights for {l.name!r}")
-            for l in pruned.prunable_layers()
+            for l in layers
         })
         pruned.forward_count = spent
     return pruned, masks

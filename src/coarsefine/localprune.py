@@ -12,7 +12,7 @@ Three local criteria fill the per-layer budgets of a SparsityPlan:
   the chosen mask).  Blocks of rows eliminate in lockstep, each row's
   inverse held in Woodbury form H^-1 - U U^T, so one greedy step is a
   handful of numpy calls for the whole block; the block's U buffer is
-  bounded by about two cols x cols matrices;
+  bounded by twice the larger of the weight and the inverse Hessian;
 * magnitude: plain |W| top-k within the layer.
 
 The sequential driver prunes layers in model order, feeding each layer
@@ -192,13 +192,16 @@ def sparsegpt_prune_layer(
     final survivors equal the least-squares refit of the chosen mask.
     Returns (mask, new weights); pruned entries are exactly zero.
 
-    Rows are eliminated in lockstep, B = max(1, 2*cols // T) at a time,
-    where T is the largest per-row prune count.  After t steps row r's
-    inverse is H^-1_0 - U_r U_r^T with U_r of shape [cols, t]: the pivot
-    column is H^-1_0[:, q] - U_r U_r[q]^T and its diagonal is tracked
-    as d_r.  The block's U buffer (B x T x cols) is thus no larger than
-    the dense inverse copy plus the rank-1 update a per-row loop holds;
-    only H^-1_0 is kept, not H.
+    Rows are eliminated in lockstep, B = max(1, 2*max(rows, cols) // T)
+    at a time (at most rows), where T is the largest per-row prune count.
+    After t steps row r's inverse is H^-1_0 - U_r U_r^T with U_r of shape
+    [cols, t]: the pivot column is H^-1_0[:, q] - U_r U_r[q]^T and its
+    diagonal is tracked as d_r.  The block's U buffer (B x T x cols) is
+    thus at most twice the larger of the weight (rows x cols) and the
+    dense inverse (cols x cols), and a tall layer takes fewer, larger
+    blocks than a square one.  Only H^-1_0 is kept, not H.  How many rows
+    share a block changes no bit of the result: each row goes through
+    the same operations in the same order.
     """
     w = layer.weight
     rows, cols = w.shape
@@ -214,7 +217,7 @@ def sparsegpt_prune_layer(
     hinv0 = build_hessian(x, lam)
     n_prune = cols - budgets  # non-decreasing: the first rows keep one more
     steps = int(n_prune[-1])
-    block = max(1, 2 * cols // steps)
+    block = min(rows, max(1, 2 * max(rows, cols) // steps))
     u = np.empty((block, steps, cols))
     mask = np.ones_like(w, dtype=bool)
     new_w = w.copy()
@@ -240,32 +243,44 @@ def _eliminate_block(
     Row r's downdated inverse is H^-1_0 - U_r U_r^T, where column t of U_r
     is the scaled pivot column of its t-th elimination; only its diagonal
     d_r is kept explicitly.  n_prune is non-decreasing, so the rows still
-    eliminating at step t are a suffix of the block.  Entries of w at
-    pruned positions are left stale for the caller to zero.
+    eliminating at step t are a suffix of the block.  An eliminated entry
+    of w is set to +inf; finite updates leave it there, so its score is
+    inf / 1.0 = inf and argmin (ties to the lowest index) never prefers
+    it to an active entry.  The caller zeroes those
+    entries; active, not w, is the mask, so a weight that overflows to
+    inf stays in the result for the finite check to catch.
     """
     u = u[: w.shape[0]]
     d = np.repeat(np.diag(hinv0)[None, :], w.shape[0], axis=0)
     r = np.arange(w.shape[0])
+    row_start = r * w.shape[1]  # [r, q] is flat (C-order) index row_start[r] + q
     for t in range(int(n_prune[-1])):
         if t == n_prune[0]:  # the rows with one prune fewer are done
             k = int(np.searchsorted(n_prune, t, side="right"))
-            w, active, n_prune, u, d, r = (
-                w[k:], active[k:], n_prune[k:], u[k:], d[k:], r[: r.size - k]
-            )
+            w, active, n_prune, u, d = w[k:], active[k:], n_prune[k:], u[k:], d[k:]
+            r, row_start = r[: r.size - k], row_start[: r.size - k]
         diag = np.where(active, d, 1.0)
-        if (diag <= 0).any():
+        # any active d <= 0; fmin skips NaN, which compares false anyway
+        if np.fmin.reduce(diag, axis=None) <= 0:
             raise NumericalError(
                 f"layer {name!r}: inverse Hessian lost positivity "
                 "during elimination; increase damping"
             )
-        q = np.where(active, w * w / diag, np.inf).argmin(axis=1)
-        dq = d[r, q]
+        score = np.square(w)
+        score /= diag
+        q = score.argmin(axis=1)
+        at = row_start + q
+        dq = d.take(at)
         # column q of each row's current inverse, by one batched matmul
-        col = hinv0.T[q] - np.matmul(u[r, :t, q][:, None, :], u[:, :t])[:, 0]
-        w -= (w[r, q] / dq)[:, None] * col
-        u[:, t] = col / np.sqrt(dq)[:, None]
-        d -= u[:, t] ** 2
-        active[r, q] = False
+        col = hinv0.T[q]
+        if t:
+            col -= np.matmul(u[r, :t, q][:, None, :], u[:, :t])[:, 0]
+        w -= (w.take(at) / dq)[:, None] * col
+        ut = u[:, t]
+        np.divide(col, np.sqrt(dq)[:, None], out=ut)
+        d -= np.square(ut)
+        active.put(at, False)
+        w.put(at, np.inf)
 
 
 def apply_mask(layer: LayerSpec, mask: np.ndarray) -> np.ndarray:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsefine.allocation import (
+    LayerAllocation,
     SparsityPlan,
     _largest_remainder,
     _proportional_fill,
     allocate_sparsity,
+    min_keep,
     round_half_up,
     uniform_plan,
     validate_plan,
@@ -215,6 +217,66 @@ class TestValidation:
         plan.per_layer["L1"].sparsity = 0.2
         msgs = validate_plan(plan, model)
         assert any("cap exceeded" in m for m in msgs)
+
+    @pytest.mark.parametrize("sparsity", [math.nan, -math.inf, math.inf, -0.1])
+    def test_non_finite_or_negative_sparsity_is_a_violation(self, sparsity):
+        # a plan read from JSON may hold these; rounding them would raise
+        model = tiny_linear_model([np.ones((10, 1)), np.ones((1, 10))])
+        plan = allocate_sparsity(scores_for(model, [1.0, 1.0]), model, 0.5, 0.6)
+        plan.per_layer["L0"].sparsity = sparsity
+        assert [m for m in validate_plan(plan, model) if m.startswith("L0")] == [
+            f"L0: cap exceeded (sparsity {sparsity} not in [0, p_max 0.6])"
+        ]
+
+    def test_one_ulp_cap_holds_as_recorded(self):
+        # 720 * (1 - p_max) lies just above 330, but the float product is
+        # 330.0: a keep of 330 would record sparsity 0.5416666666666667
+        p_max = 0.5416666666666666
+        model = tiny_linear_model([np.ones((360, 2)), np.ones((1, 360))])
+        scores = scores_for(model, [0.0, 1.0])
+        plan = allocate_sparsity(scores, model, 0.5, p_max)
+        assert plan.per_layer["L0"].keep_count == 331
+        assert all(a.sparsity <= p_max for a in plan.per_layer.values())
+        assert validate_plan(plan, model) == []
+        # the minimum keeps 331 + 166 exceed n_select = 495
+        with pytest.raises(FeasibilityError):
+            allocate_sparsity(scores, model, 0.5415, p_max)
+        # the keep the float ceiling gave is flagged from the recorded values
+        plan.per_layer["L0"] = LayerAllocation(1.0 - 330 / 720, 330, 720)
+        plan.per_layer["L1"] = LayerAllocation(1.0 - 210 / 360, 210, 360)
+        assert [m for m in validate_plan(plan, model) if "cap exceeded" in m] == [
+            "L0: cap exceeded (sparsity 0.5416666666666667 not in [0, p_max "
+            "0.5416666666666666])"
+        ]
+
+    @given(
+        sizes=st.lists(st.integers(1, 2000), min_size=2, max_size=4),
+        k_frac=st.floats(0.0, 1.0),
+        ulps=st.sampled_from([-1, 0, 1]),
+        p=st.floats(0.0, 0.95),
+        raw_scores=st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=2, max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_caps_one_ulp_from_a_layer_ratio(self, sizes, k_frac, ulps, p, raw_scores):
+        # p_max = 1 - k/s for one layer size s, moved by at most one ulp
+        s = sizes[0]
+        p_max = 1.0 - round(k_frac * s) / s
+        p_max = p_max if ulps == 0 else math.nextafter(p_max, ulps * math.inf)
+        if not p < p_max <= 1.0:
+            return
+        for size in sizes:
+            keep = min_keep(size, p_max)
+            assert 1.0 - keep / size <= p_max
+            assert keep == 0 or 1.0 - (keep - 1) / size > p_max
+        if not any(raw_scores):
+            return
+        # two layers of the first two sizes
+        model = tiny_linear_model([np.ones((1, sizes[0])), np.ones((sizes[1], 1))])
+        try:
+            plan = allocate_sparsity(scores_for(model, raw_scores), model, p, p_max)
+        except FeasibilityError:
+            return
+        assert validate_plan(plan, model) == []
 
     def test_all_zero_scores_rejected(self):
         model = tiny_linear_model([np.ones((10, 1)), np.ones((1, 10))])

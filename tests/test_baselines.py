@@ -175,17 +175,22 @@ class TestGlobalBaselinesOnlyRead:
     # float64 weight bytes.  Magnitude holds the flat scores next to
     # top_k_mask's negated copy of them, or next to the result's weights
     # (2.52x); an up-front model copy rewritten layer by layer read 4.52x.
-    # Iterative gradient holds the previous iterate and the flat scores
-    # through top_k_mask's negated copy (3.52x); with the whole gradient
-    # dict alive in first_order_saliency it read 3.56x, and with the last
-    # flat scores kept alive through the next scoring 4.56x.
+    # Iterative gradient peaks in its saliency phase (the iterate, the
+    # saliency dict, the backprop record and one gradient, 2.72x); with
+    # the previous iterate alive through top_k_mask's ranking it read
+    # 3.52x, with the whole gradient dict alive in first_order_saliency
+    # 3.56x, and with the last flat scores kept alive through the next
+    # scoring 4.56x.
     @pytest.mark.parametrize("method, bound", [("global_magnitude", 3.0),
-                                               ("iterative_gradient", 4.0)])
+                                               ("iterative_gradient", 2.8)])
     def test_peak_memory(self, method, bound):
         rng = np.random.default_rng(41)
         model = random_mlp(rng, [256, 512, 512, 128])
         batch = random_batch(rng, 64, 256, 128)
         weight_bytes = 8 * model.num_prunable_weights()
+        # gelu loads scipy on its first call; that import is not the
+        # baseline's memory, so it happens before tracing starts
+        import scipy.special  # noqa: F401
         tracemalloc.start()
         try:
             if method == "global_magnitude":

@@ -81,6 +81,51 @@ def sparsegpt_row_loop(layer, activations, keep_count, lam=None):
     return mask, new_w
 
 
+def lockstep_reference(layer, activations, keep_count, lam=None):
+    """Reference lockstep sparsegpt as first written: blocks of
+    max(1, 2*cols // T) rows, eliminated entries masked out of the score
+    by a second np.where, positivity checked by a compare and .any().
+    sparsegpt_prune_layer must give the same bits and the same errors."""
+    w = layer.weight
+    rows, cols = w.shape
+    if keep_count == w.size:
+        return np.ones_like(w, dtype=bool), w.copy()
+    base, rem = divmod(keep_count, rows)
+    n_prune_all = cols - np.array([base + (1 if r < rem else 0) for r in range(rows)])
+    hinv0 = localprune.build_hessian(activations, lam)
+    steps = int(n_prune_all[-1])
+    block = max(1, 2 * cols // steps)
+    mask = np.ones_like(w, dtype=bool)
+    new_w = w.copy()
+    for b0 in range(0, rows, block):
+        rows_b = slice(b0, b0 + block)
+        w_b, active, n_prune = new_w[rows_b], mask[rows_b], n_prune_all[rows_b]
+        u = np.empty((w_b.shape[0], steps, cols))
+        d = np.repeat(np.diag(hinv0)[None, :], w_b.shape[0], axis=0)
+        r = np.arange(w_b.shape[0])
+        for t in range(int(n_prune[-1])):
+            if t == n_prune[0]:
+                k = int(np.searchsorted(n_prune, t, side="right"))
+                w_b, active, n_prune, u, d, r = (
+                    w_b[k:], active[k:], n_prune[k:], u[k:], d[k:], r[: r.size - k]
+                )
+            diag = np.where(active, d, 1.0)
+            if (diag <= 0).any():
+                raise NumericalError(
+                    f"layer {layer.name!r}: inverse Hessian lost positivity "
+                    "during elimination; increase damping"
+                )
+            q = np.where(active, w_b * w_b / diag, np.inf).argmin(axis=1)
+            dq = d[r, q]
+            col = hinv0.T[q] - np.matmul(u[r, :t, q][:, None, :], u[:, :t])[:, 0]
+            w_b -= (w_b[r, q] / dq)[:, None] * col
+            u[:, t] = col / np.sqrt(dq)[:, None]
+            d -= u[:, t] ** 2
+            active[r, q] = False
+    new_w[~mask] = 0.0
+    return mask, new_w
+
+
 def argsort_top_k(scores, budgets):
     """Reference top-k: the first budget entries of a stable argsort of
     each row's negated scores."""
@@ -369,6 +414,66 @@ class TestSparseGPTLockstep:
         np.testing.assert_allclose(new_w, ref_w, rtol=0, atol=1e-10)
         kept = mask.sum(axis=1)
         assert kept.max() - kept.min() <= 1 and int(kept.sum()) == keep
+
+    def test_bit_equal_to_lockstep_reference(self):
+        rng = np.random.default_rng(17)
+        seen = dict.fromkeys(["tall", "zeros", "uneven", "ragged", "lam0", "error"], 0)
+        for i in range(240):
+            rows, cols = int(rng.integers(1, 70)), int(rng.integers(2, 41))
+            w = rng.normal(size=(rows, cols))
+            if i % 4 == 0:  # exact zeros: equal scores, ties to the lowest index
+                w[rng.random(w.shape) < 0.3] = 0.0
+            # fewer activation rows than columns: H is singular without damping
+            acts = rng.normal(size=(int(rng.integers(cols // 2 + 1, cols + 9)), cols))
+            keep = int(rng.integers(0, rows * cols + 1))
+            lam = (None, 0.0, 1e-6)[i % 3]
+            layer = layer_of(w)
+            results = []
+            for prune in (lockstep_reference, sparsegpt_prune_layer):
+                try:
+                    mask, new_w = prune(layer, acts, keep, lam)
+                    results.append((mask.tobytes(), new_w.tobytes()))
+                except NumericalError as e:
+                    results.append((type(e), str(e)))
+            assert results[0] == results[1]
+            seen["error"] += results[0][0] is NumericalError
+            seen["lam0"] += lam == 0.0 and results[0][0] is not NumericalError
+            seen["tall"] += rows > cols
+            seen["zeros"] += i % 4 == 0
+            if keep < rows * cols:
+                steps = cols - keep // rows
+                seen["ragged"] += rows % min(rows, max(1, 2 * max(rows, cols) // steps)) != 0
+                seen["uneven"] += keep % rows != 0
+        assert min(seen.values()) > 20, seen
+
+    def test_positivity_lost_mid_elimination_raises_as_reference(self, monkeypatch):
+        # diag(H^-1) is positive but H^-1 is indefinite: the third step
+        # finds a negative diagonal entry on an active column
+        hinv = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
+        monkeypatch.setattr(localprune, "build_hessian", lambda x, lam=None: hinv.copy())
+        layer = layer_of([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        acts = np.eye(3)
+        messages = []
+        for prune in (lockstep_reference, sparsegpt_prune_layer):
+            with pytest.raises(NumericalError, match="lost positivity") as info:
+                prune(layer, acts, 0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        # one prune fewer never reaches the negative entry
+        mask, _ = sparsegpt_prune_layer(layer, acts, 2)
+        assert mask.sum(axis=1).tolist() == [1, 1]
+
+    def test_tall_layer_u_buffer_within_twice_the_weight(self):
+        # 512x64 at 0.5: B = 2*512 // 32 = 32 rows a block, so U is
+        # 32 x 32 x 64 doubles, twice the weight; with the result (1x) and
+        # the mask (1/8x) that leaves under 7/8x for the inverse and the
+        # per-step temporaries
+        rng = np.random.default_rng(18)
+        layer = layer_of(rng.normal(size=(512, 64)))
+        acts = rng.normal(size=(128, 64))
+        assert peak_bytes(sparsegpt_prune_layer, layer, acts, layer.size // 2) <= (
+            4 * layer.weight.nbytes
+        )
 
     def test_peak_memory_not_above_row_loop(self):
         rng = np.random.default_rng(16)

@@ -21,6 +21,12 @@ Run it on two checkouts and compare the digest files; equal files mean
 byte-identical outputs::
 
     python tools/output_matrix.py --work /tmp/matrix --digest digest.json
+
+The sparsegpt outputs depend on the BLAS thread count (``np.linalg.inv``
+gives other bits at 1 and 2 OpenBLAS threads), so before numpy loads the
+tool sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 where the environment does not set them.  A
+digest file compares only with one made at the same thread count.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # read once, when numpy loads BLAS
 
 import numpy as np  # noqa: E402
 
