@@ -302,11 +302,13 @@ def sequential_prune(
     pruned earlier layers; frozen layers are skipped but still forwarded.
     The input model is only read: the result is ``model.copy(weights=...)``
     over the arrays the fine steps return, and a layer's pruned
-    pre-activation serves both its reconstruction error and the next
-    layer's input.  Returns (pruned model, keep-masks, per-layer
-    reconstruction errors), where the reconstruction error is the squared
-    Frobenius distance between dense and pruned pre-activation outputs on
-    the captured activations.
+    pre-activation serves both its reconstruction error and, with bias
+    and activation applied in its own buffer, the next layer's input.
+    The error is squared in the dense pre-activation's buffer, so a
+    layer holds its input and two output-sized arrays at most.  Returns
+    (pruned model, keep-masks, per-layer reconstruction errors), where the
+    reconstruction error is the squared Frobenius distance between dense
+    and pruned pre-activation outputs on the captured activations.
     """
     if fine_method not in FINE_METHODS:
         raise InputError(f"fine_method must be one of {FINE_METHODS}")
@@ -343,8 +345,13 @@ def sequential_prune(
         masks[layer.name] = mask
         new[layer.name] = check_finite(new_w, f"weights for {layer.name!r}")
         out = h @ new_w.T
-        recon[layer.name] = float(np.sum((h @ layer.weight.T - out) ** 2))
-        h = _act(layer.activation, out if layer.bias is None else out + layer.bias)
+        err = h @ layer.weight.T
+        err -= out
+        recon[layer.name] = float(np.sum(np.square(err, out=err)))
+        del err
+        if layer.bias is not None:
+            out += layer.bias
+        h = _act(layer.activation, out, out=out)
     pruned = model.copy(weights=new)
     pruned.forward_count += batch.count
     return pruned, masks, recon

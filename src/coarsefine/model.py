@@ -12,10 +12,20 @@ caller asks (backprop and activation capture do; loss-only forwards do
 not).  One loss head computes the losses and, for backprop only, the
 gradient of the mean loss with respect to the output, in place.  Forward
 passes are deterministic: identical inputs and weights produce
-bit-identical losses.  Backpropagation is one reverse per-layer loop
-that hands each weight gradient to its consumer as soon as it is formed.
-scipy serves only gelu's ``erf``; it is imported by the first gelu
-evaluation, so relu and identity models never load it.
+bit-identical losses.
+
+A forward that records nothing owns its buffers: each layer's GEMM
+result is a new array, so the bias, the activation and the loss
+arithmetic go in place into it, and a layer's input dies once the next
+is formed.  The recording forward keeps every pre-activation, because
+backprop reads it, so it activates into a new array.  Both paths do the
+same floating-point operations in the same order, and neither writes
+into the caller's input, batch or weights.
+
+Backpropagation is one reverse per-layer loop that hands each weight
+gradient to its consumer as soon as it is formed.  scipy serves only
+gelu's ``erf``; it is imported by the first gelu evaluation, so relu and
+identity models never load it.
 """
 
 from __future__ import annotations
@@ -201,15 +211,27 @@ class CalibrationSet:
 # -- activations ----------------------------------------------------------
 
 
-def _act(name: str, x: np.ndarray) -> np.ndarray:
+def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Activation name of x, written into out when given (numpy's out=
+    convention; out=x works in place).  With or without out, each element
+    goes through the same floating-point operations in the same order, so
+    the bits are the same.  identity without out returns x itself."""
     if name == "identity":
-        return x
+        if out is None or out is x:
+            return x
+        np.copyto(out, x)
+        return out
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     from scipy.special import erf  # loaded by the first gelu evaluation
 
-    # exact gelu: x * Phi(x)
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    # exact gelu: x * Phi(x) = (0.5 * x) * (1.0 + erf(x * (1 / sqrt 2)))
+    phi = x * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    out = np.multiply(0.5, x, out=out)
+    out *= phi
+    return out
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -269,13 +291,15 @@ def layer_preact(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
         )
     pre = x @ layer.weight.T
     if layer.bias is not None:
-        pre = pre + layer.bias
+        pre += layer.bias
     return pre
 
 
 def layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
-    """Post-activation output of one layer on an input matrix."""
-    return _act(layer.activation, layer_preact(layer, x))
+    """Post-activation output of one layer on an input matrix, activated
+    in the fresh pre-activation's own buffer; x is only read."""
+    pre = layer_preact(layer, x)
+    return _act(layer.activation, pre, out=pre)
 
 
 def _loss_head(
@@ -296,9 +320,9 @@ def _loss_head(
         if target.shape[1] not in (1, tokens) or target.shape[2] != d:
             raise DimensionError("mse target shape does not match predictions")
         diff = out - target
-        losses = np.mean(diff * diff, axis=(1, 2))
         if not grad:
-            return losses, None
+            return np.mean(np.multiply(diff, diff, out=diff), axis=(1, 2)), None
+        losses = np.mean(diff * diff, axis=(1, 2))
         diff *= 2.0 / (tokens * d * k)
         return losses, diff.reshape(k * tokens, d)
 
@@ -326,7 +350,8 @@ def _loss_head(
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=1, keepdims=True)
-    return m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
+    shifted = logits - m
+    return m + np.log(np.sum(np.exp(shifted, out=shifted), axis=1, keepdims=True))
 
 
 def run_forward(
@@ -362,9 +387,11 @@ def run_forward(
 
     for layer in layers[start:]:
         pre = layer_preact(layer, h)
-        if record is not None:
+        if record is None:
+            h = _act(layer.activation, pre, out=pre)
+        else:  # backprop reads the recorded pre, so the activation is a new array
             record[layer.name] = (h, pre)
-        h = _act(layer.activation, pre)
+            h = _act(layer.activation, pre)
 
     check_finite(h, "model output")
     out = h.reshape(k, tokens, -1)

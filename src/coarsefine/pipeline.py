@@ -16,7 +16,12 @@ reload sees.
 A prune holds two models' weights only in the fine pass, which reads the
 dense model and builds the pruned one from its own arrays.  The dense
 model is dropped once the pass returns, the pruned one once it is saved;
-the pruned evaluation reads the reload alone.
+the pruned evaluation reads the reload alone.  Past the weights and the
+batch, a loss-only forward holds one layer's input and output at a time,
+because it applies bias, activation and loss in buffers it owns (see
+:mod:`coarsefine.model`).  Zeroth-order scoring adds the scored layer's
+clean input, and the fine pass one output-sized array for the
+reconstruction error.
 """
 
 # no "from __future__ import annotations": RunConfig.value_type reads field types

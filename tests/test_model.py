@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coarsefine.allocation import uniform_plan
 from coarsefine.errors import (
     DimensionError,
     InputError,
@@ -27,6 +28,8 @@ from coarsefine.model import (
     layer_forward,
     run_forward,
 )
+from coarsefine.localprune import sequential_prune
+from coarsefine.zograd import ZOConfig, zo_layer_score
 
 from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
 
@@ -275,6 +278,30 @@ BACKPROP_CASES = {
 }
 
 
+# signed zeros, large magnitudes where gelu and relu saturate, subnormals
+SPECIALS = [0.0, -0.0, 40.0, -40.0, 5e-324, -5e-324, 1e-310, -2.5e-320]
+
+
+def _specials_into(activation):
+    # an identity-matrix first layer hands the planted inputs to the
+    # activation unchanged (up to the sign of zero); the second layer
+    # has a bias, the others do not
+    def case():
+        rng = np.random.default_rng(35)
+        model = tiny_linear_model(
+            [np.eye(6), rng.normal(size=(4, 6)), rng.normal(size=(3, 4))],
+            activations=[activation, activation, "identity"],
+            biases=[None, rng.normal(size=4), None])
+        batch = random_batch(rng, 5, 6, 3)
+        batch.xs.reshape(-1)[:len(SPECIALS)] = SPECIALS
+        return model, batch
+    return case
+
+
+FORWARD_CASES = dict(BACKPROP_CASES, **{
+    f"{act}-specials-mse": _specials_into(act) for act in ("identity", "relu", "gelu")})
+
+
 class TestInPlaceBackprop:
     @pytest.mark.parametrize("case", sorted(BACKPROP_CASES))
     def test_bits_equal_the_out_of_place_pass(self, case):
@@ -289,9 +316,9 @@ class TestInPlaceBackprop:
         for layer, g in streamed:
             assert g.tobytes() == expected[layer.name].tobytes(), layer.name
 
-    @pytest.mark.parametrize("case", sorted(BACKPROP_CASES))
+    @pytest.mark.parametrize("case", sorted(FORWARD_CASES))
     def test_writes_nothing_the_caller_sees(self, case):
-        model, batch = BACKPROP_CASES[case]()
+        model, batch = FORWARD_CASES[case]()
         weights = array_bytes(model)
         xs, ys = batch.xs.tobytes(), batch.ys.tobytes()
         first = backprop_gradients(model, batch)
@@ -306,18 +333,107 @@ class TestInPlaceBackprop:
         assert batch.xs.tobytes() == xs and batch.ys.tobytes() == ys
         assert array_bytes(model) == weights
 
+        # the loss-only forwards work in buffers they own; the first
+        # layer's input is the batch itself for [K, d] inputs
+        _, inputs = forward_with_activations(model, batch)
+        seen = {name: x.tobytes() for name, x in inputs.items()}
+        run_forward(model, batch)
+        for i, layer in enumerate(model.layers()):
+            x = inputs[layer.name]
+            run_forward(model, batch, start=i, layer_input=x)
+            per_sample_losses(model, batch, i, x)
+            layer_forward(layer, x)
+            zo_layer_score(model, layer.name, batch, ZOConfig(), layer_input=x)
+        sequential_prune(model, uniform_plan(model, 0.5), batch, "wanda")
+        assert {name: x.tobytes() for name, x in inputs.items()} == seen
+        assert batch.xs.tobytes() == xs and batch.ys.tobytes() == ys
+        assert array_bytes(model) == weights
+
+
+def allocating_act(name, x):
+    from scipy.special import erf
+
+    if name == "relu":
+        return np.maximum(x, 0.0)
+    if name == "gelu":
+        return 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    return x
+
+
+def allocating_forward(model, batch):
+    """The loss-only forward before forwards worked in their own buffers,
+    kept as the bit oracle: every bias, activation and loss step makes a
+    new array.  Returns (losses, output, each layer's input)."""
+    h = batch_input_matrix(model, batch)[0]
+    inputs = {}
+    for layer in model.layers():
+        inputs[layer.name] = h
+        pre = h @ layer.weight.T
+        if layer.bias is not None:
+            pre = pre + layer.bias
+        h = allocating_act(layer.activation, pre)
+    k = batch.count
+    out = h.reshape(k, -1, h.shape[1])
+    if model.head == "mse":
+        target = batch.ys.reshape(k, 1, -1) if batch.ys.ndim == 2 else batch.ys
+        diff = out - target
+        return np.mean(diff * diff, axis=(1, 2)), out, inputs
+    m = h.max(axis=1, keepdims=True)
+    logp = h - (m + np.log(np.sum(np.exp(h - m), axis=1, keepdims=True)))
+    picked = logp[np.arange(len(logp)), batch.ys.reshape(-1).astype(np.int64)]
+    return (-picked).reshape(k, -1).mean(axis=1), out, inputs
+
+
+class TestInPlaceForward:
+    @pytest.mark.parametrize("case", sorted(FORWARD_CASES))
+    def test_bits_equal_the_allocating_forward(self, case):
+        model, batch = FORWARD_CASES[case]()
+        losses, out, inputs = allocating_forward(model, batch)
+        for grad in (False, True):
+            got_losses, got_out, _ = run_forward(model, batch, grad=grad)
+            assert got_losses.tobytes() == losses.tobytes()
+            assert got_out.tobytes() == out.tobytes()
+        layers = model.layers()
+        for i, layer in enumerate(layers):
+            x = inputs[layer.name]
+            got_losses, got_out, _ = run_forward(model, batch, start=i, layer_input=x)
+            assert got_losses.tobytes() == losses.tobytes(), layer.name
+            assert got_out.tobytes() == out.tobytes(), layer.name
+            assert per_sample_losses(model, batch, i, x).tobytes() == losses.tobytes()
+            nxt = inputs[layers[i + 1].name] if i + 1 < len(layers) else out
+            assert layer_forward(layer, x).tobytes() == nxt.tobytes(), layer.name
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])  # gelu: TestGelu
+    def test_act_out_bits_equal_the_allocating_formula(self, activation):
+        x = np.random.default_rng(36).normal(scale=3.0, size=(16, 5))
+        x.reshape(-1)[:len(SPECIALS)] = SPECIALS
+        expected = allocating_act(activation, x)
+        assert _act(activation, x).tobytes() == expected.tobytes()
+        into = np.full_like(x, np.nan)
+        assert _act(activation, x, out=into) is into
+        assert into.tobytes() == expected.tobytes()
+        inplace = x.copy()
+        assert _act(activation, inplace, out=inplace) is inplace
+        assert inplace.tobytes() == expected.tobytes()
+
 
 class TestGelu:
     def test_bits_equal_the_erf_formulas(self):
         from scipy.special import erf
 
         x = np.random.default_rng(9).normal(scale=3.0, size=(64, 7))
-        x[0, :3] = [0.0, -0.0, 40.0]
+        x.reshape(-1)[:len(SPECIALS)] = SPECIALS
         direct = 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
         direct_grad = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))) + x * (
             1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x * x))
         assert _act("gelu", x).tobytes() == direct.tobytes()
         assert _gelu_grad(x).tobytes() == direct_grad.tobytes()
+        into = np.full_like(x, np.nan)
+        assert _act("gelu", x, out=into) is into
+        assert into.tobytes() == direct.tobytes()
+        inplace = x.copy()
+        assert _act("gelu", inplace, out=inplace) is inplace
+        assert inplace.tobytes() == direct.tobytes()
 
 
 class TestCopy:
