@@ -63,9 +63,10 @@ def sparsity_accounting(
     size_total = 0
     for layer in model.prunable_layers():
         if masks is not None and layer.name in masks:
-            zeros = int((~masks[layer.name]).sum())
-        else:
-            zeros = int((layer.weight == 0.0).sum())
+            mask = masks[layer.name]
+            zeros = mask.size - int(np.count_nonzero(mask))
+        else:  # NaN is nonzero, as it is not == 0.0
+            zeros = layer.size - int(np.count_nonzero(layer.weight))
         per_layer[layer.name] = {
             "zeros": zeros,
             "size": layer.size,

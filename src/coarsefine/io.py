@@ -268,7 +268,7 @@ def save_masks(masks: dict[str, np.ndarray], directory: str | Path) -> Path:
         index["layers"][name] = {
             "shape": list(mask.shape),
             "file": fname,
-            "kept": int(mask.sum()),
+            "kept": int(np.count_nonzero(mask)),
         }
     write_json(index, directory / "masks.json")
     return directory
@@ -291,7 +291,7 @@ def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
         if flat.size != n:
             raise ModelFormatError(f"mask file for {name!r} too short")
         mask = flat.reshape(shape)
-        if int(mask.sum()) != _field(entry, "kept", int, where):
+        if int(np.count_nonzero(mask)) != _field(entry, "kept", int, where):
             raise ModelFormatError(f"mask for {name!r} disagrees with its index")
         masks[name] = mask
     return masks

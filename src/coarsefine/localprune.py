@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .allocation import SparsityPlan, validate_plan
-from .errors import InputError, NumericalError
+from .errors import DimensionError, InputError, NumericalError
 from .model import (
     CalibrationSet,
     LayerSpec,
@@ -95,9 +95,11 @@ def top_k_mask(scores: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     ranks below every number, -inf included.  Each row's k-th largest
     score t is found by partitioning a negated copy, which keeps NaN
     last; the row keeps every score above t and its first (k - #above)
-    entries equal to t.  Rows are grouped by budget and processed
-    TOP_K_BLOCK elements at a time (one row at least), so every
-    temporary stays within a block.
+    entries equal to t.  A numeric t has k scores at or above it, so a
+    block whose t are all numbers and whose rows hold k such scores per
+    row in total keeps them with no tie pass.  Rows are grouped by
+    budget and processed TOP_K_BLOCK elements at a time (one row at
+    least), so every temporary stays within a block.
     """
     s = np.asarray(scores, dtype=np.float64)
     rows, cols = s.shape
@@ -124,9 +126,12 @@ def _top_k_block(s: np.ndarray, b: int) -> np.ndarray:
     neg = np.negative(s)
     neg.partition(b - 1, axis=1)
     t = -neg[:, b - 1 : b]
-    keep = s > t
-    tie = s == t
+    keep = s >= t
     nan_t = np.flatnonzero(np.isnan(t[:, 0]))
+    if not nan_t.size and np.count_nonzero(keep) == keep.shape[0] * b:
+        return keep  # no tie crosses the budget
+    tie = s == t
+    keep ^= tie  # s > t
     if nan_t.size:  # fewer than b numbers: keep them all, then NaN by index
         nan_s = np.isnan(s[nan_t])
         keep[nan_t] = ~nan_s
@@ -284,8 +289,19 @@ def _eliminate_block(
 
 
 def apply_mask(layer: LayerSpec, mask: np.ndarray) -> np.ndarray:
-    """A new weight array: survivors keep their bits, pruned entries are +0.0."""
-    return np.where(mask, layer.weight, 0.0)
+    """A new C-contiguous weight array: survivors keep their bits, pruned
+    entries are +0.0.  The mask (read as bool, of the weight's shape) is
+    negated as int64 to 0 or all ones and ANDed with the weight bits."""
+    w = layer.weight
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != w.shape:
+        raise DimensionError(f"mask shape {mask.shape} != weight shape {w.shape}")
+    out = np.empty(w.shape)
+    bits = out.view(np.int64)  # out, not a view, is returned: it owns its buffer
+    bits[...] = mask
+    np.negative(bits, out=bits)
+    bits &= w.view(np.int64)
+    return out
 
 
 def sequential_prune(
@@ -337,7 +353,7 @@ def sequential_prune(
                 new_w = apply_mask(layer, mask)
         except (InputError, NumericalError) as e:
             raise type(e)(f"while pruning layer {layer.name!r}: {e}") from e
-        kept = int(mask.sum())
+        kept = int(np.count_nonzero(mask))
         if kept != alloc.keep_count:
             raise InputError(
                 f"layer {layer.name!r}: mask keeps {kept}, plan says {alloc.keep_count}"

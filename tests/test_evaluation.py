@@ -1,5 +1,7 @@
 """Metrics, sparsity accounting, distribution report, run comparison."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,19 @@ class TestSparsityAccounting:
         per_layer, global_s = sparsity_accounting(model)
         assert per_layer["L0"]["zeros"] == 3
         assert global_s == 0.75
+
+    def test_nan_is_not_a_zero_and_negative_zero_is(self):
+        model = tiny_linear_model([np.array([[np.nan, -0.0], [0.0, 1.0]])])
+        assert sparsity_accounting(model)[0]["L0"]["zeros"] == 2
+
+    @pytest.mark.parametrize("with_masks", [True, False])
+    def test_zeros_are_json_ints(self, with_masks):
+        # np.count_nonzero returns np.int64, which json.dumps rejects
+        model = tiny_linear_model([np.array([[1.0, 0.0, 2.0]])])
+        masks = {"L0": np.array([[True, False, True]])} if with_masks else None
+        per_layer, _ = sparsity_accounting(model, masks)
+        assert type(per_layer["L0"]["zeros"]) is int
+        assert json.loads(json.dumps(per_layer))["L0"]["zeros"] == 1
 
 
 class TestDistributionReport:

@@ -165,6 +165,10 @@ class TestMaskRoundTrip:
         assert set(again) == set(masks)
         for name in masks:
             np.testing.assert_array_equal(again[name], masks[name])
+        index = json.loads((load_dir / "masks.json").read_text())
+        kept = {name: entry["kept"] for name, entry in index["layers"].items()}
+        assert kept == {name: int(m.sum()) for name, m in masks.items()}
+        assert all(type(k) is int for k in kept.values())  # JSON ints, not floats
 
     def test_tampered_index_rejected(self, tmp_path):
         masks = {"a": np.ones((2, 5), dtype=bool)}

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from coarsefine import localprune
 from coarsefine.allocation import LayerAllocation, SparsityPlan, allocate_sparsity, uniform_plan
-from coarsefine.errors import InputError, NumericalError
+from coarsefine.errors import DimensionError, InputError, NumericalError
 from coarsefine.localprune import (
     build_hessian,
     magnitude_prune_layer,
@@ -203,8 +203,13 @@ def scores_and_budgets(draw):
         st.integers(-2, 2).map(float),  # integer-valued: ties everywhere
         st.one_of(st.integers(-3, 3).map(float), special),
         st.floats(allow_nan=True, allow_infinity=True),
+        None,
     ]))
-    scores = draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+    if values is None:  # row-distinct numbers: no tie, so the early return
+        scores = draw(hnp.arrays(np.float64, (rows, cols), unique=True,
+                                 elements=st.floats(allow_nan=False)))
+    else:
+        scores = draw(hnp.arrays(np.float64, (rows, cols), elements=values))
     budgets = draw(st.one_of(
         st.integers(0, cols),  # one budget for every row
         st.lists(st.integers(0, cols), min_size=rows, max_size=rows),
@@ -234,6 +239,19 @@ class TestTopKMask:
         got = [np.flatnonzero(top_k_mask(s, k)[0]).tolist() for k in range(8)]
         assert got == [[], [5], [0, 5], [0, 2, 5], [0, 2, 3, 5], [0, 2, 3, 4, 5],
                        [0, 1, 2, 3, 4, 5], list(range(7))]
+
+    @pytest.mark.parametrize("scores, b", [
+        # row 0's threshold is NaN (one number for b = 2) and it holds no
+        # score >= NaN; row 1's four ties make up the rows * b total
+        ([[1.0, np.nan, np.nan, np.nan], [5.0, 5.0, 5.0, 5.0]], 2),
+        ([[np.nan, 2.0, np.nan], [7.0, 7.0, 7.0], [0.0, -0.0, 0.0]], 2),
+        ([[3.0, 1.0, 3.0, 3.0], [2.0, 2.0, 0.0, 2.0]], 2),  # ties cross b
+        ([[-0.0, 0.0, 1.0], [1.0, 0.0, -0.0]], 2),  # signed zeros tie
+        ([[0.5, -1.0, 3.0, 2.0], [9.0, -np.inf, np.inf, 1.0]], 2),  # distinct
+    ])
+    def test_early_return_guard(self, scores, b):
+        s = np.array(scores)
+        np.testing.assert_array_equal(top_k_mask(s, b), argsort_top_k(s, [b] * len(s)))
 
     @pytest.mark.parametrize("k", [-1, 4, [0, 4]])
     def test_infeasible_budget_rejected(self, k):
@@ -629,3 +647,34 @@ class TestOwnership:
         assert out.tobytes() == expected.tobytes()
         assert np.signbit(out[0, 0]) and np.signbit(out[1, 1])
         assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 0])
+
+    def test_apply_mask_matches_where_bit_for_bit(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        payloads = np.array([0x7FF8000000000001, 0xFFF0000000000ABC,
+                             0x7FF4000000000000], dtype=np.uint64).view(np.float64)
+        specials = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny,
+             big, -big, 1.0], payloads,
+        ])
+        # each value once as a survivor and once pruned, in a 2-D layer
+        w = np.concatenate([specials, specials]).reshape(2, -1)
+        mask = np.zeros(w.shape, dtype=bool)
+        mask[0] = True
+        for m in (mask, ~mask, np.random.default_rng(2).random(w.shape) < 0.5):
+            out = localprune.apply_mask(layer_of(w), m)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert not np.shares_memory(out, w)
+            assert out.tobytes() == np.where(m, w, 0.0).tobytes()
+
+    def test_apply_mask_reads_a_mask_as_bool(self):
+        layer = layer_of(np.arange(1.0, 7.0).reshape(2, 3))
+        expected = np.array([[1.0, 0.0, 3.0], [0.0, 0.0, 6.0]])
+        for mask in ([[1, 0, 1], [0, 0, 1]], np.array([[2.0, 0.0, -1.0], [0, 0, 0.5]])):
+            assert localprune.apply_mask(layer, mask).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (3,), (2, 3, 1)])
+    def test_apply_mask_rejects_another_shape(self, shape):
+        # np.where would broadcast a (1, cols) mask across the rows
+        with pytest.raises(DimensionError):
+            localprune.apply_mask(layer_of(np.ones((2, 3))), np.ones(shape, bool))
