@@ -22,13 +22,13 @@ plan unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FeasibilityError, InputError, ModelFormatError, UnknownLayerError
-from .io import FORMAT_VERSION, NUMBER, _field, read_json, write_json
+from .errors import FeasibilityError, InputError, UnknownLayerError
+from .io import FORMAT_VERSION, check_version, read_json, read_record, write_json
 from .model import LayerSpec, ModelGraph
 from .scoring import ScoreMap, uniform_scores
 
@@ -82,44 +82,13 @@ class SparsityPlan:
         return sum(a.keep_count for a in self.per_layer.values())
 
     def to_json(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "target_p": self.target_p,
-            "p_max": self.p_max,
-            "granularity": self.granularity,
-            "n_select": self.n_select,
-            "per_layer": {
-                name: {
-                    "sparsity": a.sparsity,
-                    "keep_count": a.keep_count,
-                    "size": a.size,
-                }
-                for name, a in self.per_layer.items()
-            },
-        }
+        return {"format_version": FORMAT_VERSION, **asdict(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparsityPlan":
-        """Parse a plan; a missing or mistyped field or another format
-        version is a ModelFormatError."""
-        version = _field(obj, "format_version", str, "plan")
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported plan format version {version!r}")
-        per_layer = {}
-        for name, e in _field(obj, "per_layer", dict, "plan").items():
-            where = f"plan layer {name!r}"
-            per_layer[name] = LayerAllocation(
-                sparsity=float(_field(e, "sparsity", NUMBER, where)),
-                keep_count=_field(e, "keep_count", int, where),
-                size=_field(e, "size", int, where),
-            )
-        return cls(
-            target_p=float(_field(obj, "target_p", NUMBER, "plan")),
-            p_max=float(_field(obj, "p_max", NUMBER, "plan")),
-            granularity=_field(obj, "granularity", str, "plan"),
-            n_select=_field(obj, "n_select", int, "plan"),
-            per_layer=per_layer,
-        )
+        """Parse a plan; a bad field or another format version is a ModelFormatError."""
+        check_version(obj, "plan")
+        return read_record(cls, obj, "plan")
 
     def save(self, path: str | Path) -> Path:
         return write_json(self.to_json(), path)

@@ -16,18 +16,29 @@ byte, as the index's ``bit_order`` must say) plus a ``masks.json`` index.
 
 Every JSON file the package writes (these indexes, score maps, plans,
 reports) goes through :func:`write_json`: sorted keys, indent 2, a
-trailing newline, under the one ``FORMAT_VERSION``.  Every JSON file it
-reads goes through :func:`read_json`, and the loaders check each field's
-type and every name or file they name, so a malformed or tampered file
-is a ``ModelFormatError`` and no read leaves the directory it was given.
+trailing newline, under the one ``FORMAT_VERSION`` (:func:`check_version`).
+Every JSON file it reads goes through :func:`read_json`, and the loaders
+check each field's type and every name or file they name, so a malformed
+or tampered file is a ``ModelFormatError`` and no read leaves the
+directory it was given.
+
+A dataclass record (a score map, a plan, a run config) is read by
+:func:`read_record` under its field annotations: ``float`` takes any JSON
+number but a bool, within the float range; ``int`` and ``str`` take
+exactly that type; ``X | None`` takes null too; ``dict[str, X]`` values
+and nested dataclasses are read in turn.  A field with a default may be
+missing; keys that name no field are ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import re
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +104,48 @@ def _field(obj, key: str, kind: type, where: str, default=_REQUIRED):
         name = getattr(kind, "__name__", "number")
         raise ModelFormatError(f"{where}: field {key!r} must be a {name}")
     return value
+
+
+def check_version(obj, what: str) -> None:
+    """obj's "format_version" must be the one this package writes."""
+    version = _field(obj, "format_version", str, what)
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported {what} format version {version!r}")
+
+
+_hints = functools.cache(typing.get_type_hints)  # cli.main reads a RunConfig per call
+
+
+def _value(obj: dict, key: str, hint, where: str):
+    """obj[key] read under the annotation hint (see the module docstring)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is dict:
+        entries = _field(obj, key, dict, where)
+        return {k: _value(entries, k, args[1], f"{where} {key}") for k in entries}
+    if is_dataclass(hint):
+        return read_record(hint, _field(obj, key, dict, where), f"{where} {key!r}")
+    if args:  # X | None; a missing key falls through to X's error
+        return None if obj.get(key, ...) is None else _value(obj, key, args[0], where)
+    if hint is not float:
+        return _field(obj, key, hint, where)
+    try:
+        return float(_field(obj, key, NUMBER, where))
+    except OverflowError as e:  # an integer past the float range
+        raise ModelFormatError(f"{where}: field {key!r} is out of range") from e
+
+
+def read_record(cls, obj, where: str):
+    """The dataclass cls from the JSON object obj, each field from the key its
+    "json" metadata names (default its name); a bad field is a ModelFormatError."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
+    hints = _hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = f.metadata.get("json") or f.name
+        if key in obj or (f.default, f.default_factory) == (MISSING, MISSING):
+            values[f.name] = _value(obj, key, hints[f.name], where)
+    return cls(**values)
 
 
 def _shape(obj, key: str, where: str) -> tuple[int, ...]:
@@ -168,10 +221,7 @@ def save_model(model: ModelGraph, directory: str | Path) -> Path:
 def load_model(directory: str | Path) -> ModelGraph:
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {manifest.get('format_version')!r}"
-        )
+    check_version(manifest, "manifest")
     blocks = []
     claimed: set[str] = set()
     for bentry in _field(manifest, "blocks", list, "manifest"):
@@ -226,8 +276,7 @@ def save_calibration(batch: CalibrationSet, json_path: str | Path) -> Path:
 def load_calibration(json_path: str | Path) -> CalibrationSet:
     json_path = Path(json_path)
     index = read_json(json_path)
-    if index.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError("unsupported calibration format version")
+    check_version(index, "calibration index")
     data_file = _check_name(_field(index, "data_file", str, "calibration index"))
     data = _read_raw(json_path.parent / data_file, "<f4")
     if not np.all(np.isfinite(data)):
@@ -277,8 +326,7 @@ def save_masks(masks: dict[str, np.ndarray], directory: str | Path) -> Path:
 def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
     directory = Path(directory)
     index = read_json(directory / "masks.json")
-    if index.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError("unsupported mask format version")
+    check_version(index, "mask index")
     if index.get("bit_order") != "msb_first":
         raise ModelFormatError(f"unsupported mask bit order {index.get('bit_order')!r}")
     masks = {}

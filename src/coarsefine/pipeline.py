@@ -132,24 +132,11 @@ class RunConfig:
     def from_json(cls, obj: dict) -> "RunConfig":
         """The config a JSON object (a config file, a report's echo) sets;
         a stray or mistyped field is a ModelFormatError.  A float field
-        holds a float, as its flag gives, even where the JSON has an
-        integer."""
-        named = {f.metadata["json"] or f.name: f for f in fields(cls)}
-        stray = set(obj) - set(named)
+        holds a float, as its flag gives, even for a JSON integer."""
+        stray = set(obj) - {f.metadata["json"] or f.name for f in fields(cls)}
         if stray:
             raise ModelFormatError(f"config: unknown fields {sorted(stray)}")
-        values = {}
-        for key, value in obj.items():
-            kind = cls.value_type(named[key])
-            if value is not None or named[key].default is not None:  # null keeps a None default
-                _field(obj, key, NUMBER if kind is float else kind, "config")
-                if kind is float:
-                    try:
-                        value = float(value)
-                    except OverflowError as e:  # an integer past the float range
-                        raise ModelFormatError(f"config: field {key!r} is out of range") from e
-            values[named[key].name] = value
-        return cls(**values)
+        return cfio.read_record(cls, obj, "config")
 
 
 @dataclass
@@ -359,8 +346,7 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
     reports = []
     for p in report_paths:
         obj = cfio.read_json(p)
-        if obj.get("format_version") != cfio.FORMAT_VERSION:
-            raise InputError(f"{p}: unsupported report format version")
+        cfio.check_version(obj, f"report {p}")
         config = _field(obj, "config", dict, p)
         pruned = _field(obj, "eval_pruned", dict, p)
         where = f"{p} config"

@@ -10,13 +10,13 @@ a block's layer scores itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .io import NUMBER, _field, read_json, write_json
+from .io import _field, read_json, read_record, write_json
 from .model import CalibrationSet, ModelGraph, backprop_layers
 
 SCORE_METHODS = (
@@ -56,25 +56,13 @@ class ScoreMap:
         self.entries = clean
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "aggregation": self.aggregation,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "entries": dict(sorted(self.entries.items())),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScoreMap":
         """Parse a score map; a missing or mistyped field is a ModelFormatError."""
-        entries = _field(obj, "entries", dict, "score map")
-        return cls(
-            entries={n: _field(entries, n, NUMBER, "score map entries") for n in entries},
-            method=_field(obj, "method", str, "score map"),
-            aggregation=_field(obj, "aggregation", str, "score map"),
-            seed=_field(obj, "seed", int, "score map", 0),
-            sample_count=_field(obj, "sample_count", int, "score map", 0),
-        )
+        _field(obj, "aggregation", str, "score map")  # a file must name it, default or not
+        return read_record(cls, obj, "score map")
 
     def save(self, path: str | Path) -> Path:
         return write_json(self.to_json(), path)

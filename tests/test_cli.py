@@ -761,6 +761,10 @@ class TestMalformedFiles:
         "config without fine": lambda o: o["config"].pop("fine"),
         "achieved without global_sparsity": lambda o: o["achieved"].pop("global_sparsity"),
         "eval_pruned loss a string": lambda o: o["eval_pruned"].update(loss="low"),
+        # the first escaped cli.main as an OverflowError traceback, the
+        # second printed an InputError
+        "plan p_max past the float range": lambda o: o["sparsity_plan"].update(p_max=10**400),
+        "report format_version 2": lambda o: o.update(format_version="2"),
     }
 
     @pytest.mark.parametrize("mutation", sorted(REPORT_MUTATIONS))

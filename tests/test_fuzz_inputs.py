@@ -1,7 +1,9 @@
-"""Fuzzed prune inputs: whatever is done to the manifest, the calibration
-index, their tensor files or a ``--config`` file, ``prune`` through
-``cli.main`` returns an exit code, and a failure prints exactly one JSON
-error line carrying that code."""
+"""Fuzzed inputs: whatever is done to the manifest, the calibration index,
+their tensor files or a ``--config`` file, ``prune`` through ``cli.main``
+returns an exit code, and a failure prints exactly one JSON error line
+carrying that code.  The same holds for ``compare`` on a mutated
+``report.json``, and a mutated ``plan.json`` or ``scores.json`` loads or
+raises a ``CoarseFineError``."""
 
 import contextlib
 import copy
@@ -17,9 +19,13 @@ import numpy as np
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from coarsefine.allocation import SparsityPlan
 from coarsefine.cli import main
+from coarsefine.errors import CoarseFineError
 from coarsefine.io import save_calibration, save_model
 from coarsefine.model import Block, LayerSpec, ModelGraph
+from coarsefine.pipeline import RunConfig, cmd_prune
+from coarsefine.scoring import ScoreMap
 
 from conftest import random_batch
 
@@ -50,6 +56,26 @@ FILES = _fixture_files()
 JSON_FILES = ("model/manifest.json", "calib.json")
 
 
+def _write(root: Path, files: dict[str, bytes]) -> None:
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+
+
+def _run_files() -> dict[str, bytes]:
+    """The JSON files a magnitude + wanda prune of the fixture above writes."""
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        _write(root, FILES)
+        cmd_prune(RunConfig(model_dir=str(root / "model"), calib_path=str(root / "calib.json"),
+                            out_dir=str(root / "out"), coarse="magnitude", samples=4))
+        return {name: (root / "out" / name).read_bytes()
+                for name in ("report.json", "plan.json", "scores.json")}
+
+
+RUN_FILES = _run_files()
+
+
 def _locations(obj, path=()):
     """Every path into a JSON tree, the root () included."""
     yield path
@@ -58,17 +84,40 @@ def _locations(obj, path=()):
             yield from _locations(child, path + (key,))
 
 
-LOCATIONS = [(f, loc) for f in JSON_FILES for loc in _locations(json.loads(FILES[f]))]
-VALUES = [
-    math.nan, math.inf, -math.inf, 1e308, -1e308, 2**62, -1, 0, -0.5, 1.5, True, None,
-    "x", "", ".", "..", "../model/L0.bin", "/abs/L0", "a/b", [], {}, [0], [-1, 2], [2, 3, 4],
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, 2**62, -1, 0, -0.5, 1.5]
+VALUES = NUMBERS + [
+    True, None, "x", "", ".", "..", "../model/L0.bin", "/abs/L0", "a/b", [], {}, [0],
+    [-1, 2], [2, 3, 4],
 ]
+
+
+def _edits(files: dict[str, bytes], json_files=None) -> st.SearchStrategy:
+    """Set a value anywhere in json_files (default all files), drop a key or
+    an item there, or truncate any of files."""
+    json_files = files if json_files is None else json_files
+    trees = {f: json.loads(files[f]) for f in json_files}
+    locations = [(f, loc) for f in json_files for loc in _locations(trees[f])]
+    numeric = [(f, loc) for f, loc in locations
+               if type(_at(trees[f], loc)) in (int, float)]
+    return st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(locations), st.sampled_from(VALUES)),
+        # the numbers again, so extreme values meet them more often
+        st.tuples(st.just("set"), st.sampled_from(numeric), st.sampled_from(NUMBERS)),
+        st.tuples(st.just("drop"), st.sampled_from([l for l in locations if l[1]])),
+        st.tuples(st.just("truncate"), st.sampled_from(sorted(files)), st.floats(0, 1)),
+    )
+
+
 BIN_FILES = sorted(f for f in FILES if f.endswith(".bin"))
 
 MUTATION = st.one_of(
-    st.tuples(st.just("set"), st.sampled_from(LOCATIONS), st.sampled_from(VALUES)),
-    st.tuples(st.just("drop"), st.sampled_from([l for l in LOCATIONS if l[1]])),
-    st.tuples(st.just("truncate"), st.sampled_from(sorted(FILES)), st.floats(0, 1)),
+    _edits(FILES, JSON_FILES),
     st.tuples(st.just("poison"), st.sampled_from(BIN_FILES),
               st.sampled_from([math.nan, math.inf, 3e38, -3e38])),
     # the width between two layers, set in both shapes that share it, with
@@ -85,12 +134,6 @@ def _set_json(files, name, change) -> None:
     except (ValueError, LookupError, TypeError, AttributeError):
         return  # an earlier mutation removed what this one edits
     files[name] = json.dumps(obj).encode()
-
-
-def _at(obj, path):
-    for key in path:
-        obj = obj[key]
-    return obj
 
 
 def _set(obj, path, value):
@@ -117,8 +160,8 @@ def _width(files, boundary, width) -> None:
     _set_json(files, "model/manifest.json", change)
 
 
-def mutate(mutations) -> dict[str, bytes]:
-    files = dict(FILES)
+def mutate(mutations, base=FILES) -> dict[str, bytes]:
+    files = dict(base)
     for op, *args in mutations:
         if op == "set":
             (name, path), value = args
@@ -149,9 +192,7 @@ def mutate(mutations) -> dict[str, bytes]:
 def test_mutated_inputs_exit_with_one_error_line(mutations, coarse, fine):
     with tempfile.TemporaryDirectory() as d:
         root = Path(d)
-        for name, data in mutate(mutations).items():
-            (root / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / name).write_bytes(data)
+        _write(root, mutate(mutations))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([
@@ -170,6 +211,49 @@ def test_mutated_inputs_exit_with_one_error_line(mutations, coarse, fine):
         assert code in (1, 2, 3)
 
 
+REPORT = {"report.json": RUN_FILES["report.json"]}
+
+
+@given(mutations=st.lists(_edits(REPORT), min_size=1, max_size=3))
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_report_compares_or_exits_with_one_error_line(mutations):
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        _write(root, {"good.json": REPORT["report.json"]})
+        _write(root, mutate(mutations, REPORT))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["compare", str(root / "good.json"), str(root / "report.json"),
+                         "--out", str(root / "cmp")])
+    event(f"exit {code}")
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["reports"] == 2
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["exit_code"] == 2
+
+
+RECORDS = {"plan.json": SparsityPlan, "scores.json": ScoreMap}
+RECORD_FILES = {name: RUN_FILES[name] for name in RECORDS}
+
+
+@given(mutations=st.lists(_edits(RECORD_FILES), min_size=1, max_size=3))
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_plan_and_scores_load_or_raise_a_package_error(mutations):
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        _write(root, mutate(mutations, RECORD_FILES))
+        for name, cls in RECORDS.items():
+            try:
+                cls.load(root / name)
+                event(f"{name} loads")
+            except CoarseFineError as e:
+                event(f"{name} {type(e).__name__}")
+
+
 # A valid config on the fixture above, every field set.  Runs start in
 # root/run, so its relative paths, and the path-like values below (at most
 # one ".." deep), all stay inside the run's temporary directory.
@@ -179,7 +263,6 @@ CONFIG = {
     "granularity": "block", "samples": 4, "noises": 1, "epsilon": 1e-3, "lambda": 0.01,
     "seed": 0, "aggregation": "sum", "norm_exponent": 1,
 }
-NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 2**62, -1, 0, -0.5, 1.5]
 CONFIG_VALUES = NUMBERS + [
     True, False, None, "x", "", ".", "..", "../model", "../calib.json",
     "../model/manifest.json", "a/b", "out/../..", [], {}, [0],
@@ -233,9 +316,7 @@ def test_mutated_config_exits_with_one_error_line(mutations, coarse, fine):
     config = dict(CONFIG, coarse=coarse, fine=fine)
     with tempfile.TemporaryDirectory() as d:
         root = Path(d)
-        for name, data in FILES.items():
-            (root / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / name).write_bytes(data)
+        _write(root, FILES)
         (root / "run").mkdir()
         (root / "run" / "cfg.json").write_bytes(mutate_config(config, mutations))
         before = _tree(root)

@@ -221,6 +221,12 @@ class TestPlanAndScoreFiles:
         "scores entry null": ("scores", lambda o: o["entries"].update(L0=None)),
         "scores without method": ("scores", lambda o: o.pop("method")),
         "scores seed a string": ("scores", lambda o: o.update(seed="0")),
+        # these three used to raise OverflowError
+        "plan target_p past the float range": ("plan", lambda o: o.update(target_p=10**400)),
+        "plan sparsity past the float range": ("plan", lambda o: o["per_layer"]["L0"].update(
+            sparsity=10**400)),
+        "scores entry past the float range": ("scores", lambda o: o["entries"].update(
+            L0=10**400)),
     }
 
     @pytest.mark.parametrize("change", sorted(CHANGES))
