@@ -22,12 +22,14 @@ check each field's type and every name or file they name, so a malformed
 or tampered file is a ``ModelFormatError`` and no read leaves the
 directory it was given.
 
-A dataclass record (a score map, a plan, a run config) is read by
-:func:`read_record` under its field annotations: ``float`` takes any JSON
-number but a bool, within the float range; ``int`` and ``str`` take
-exactly that type; ``X | None`` takes null too; ``dict[str, X]`` values
-and nested dataclasses are read in turn.  A field with a default may be
-missing; keys that name no field are ignored.
+Every field a writer writes must be present when its file is read back;
+only a ``--config`` file may omit fields (``RunConfig.from_json`` fills in
+the defaults).  A dataclass record is read by :func:`read_record` under
+its field annotations: ``float`` takes any JSON number but a bool or NaN,
+within the float range (Infinity stays: a perplexity can overflow);
+``int`` and ``str`` take exactly that type; ``X | None`` takes null too;
+``dict[str, X]`` values and nested dataclasses are read in turn; keys
+that name no field are ignored.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import os
 import re
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +51,6 @@ from .model import Block, CalibrationSet, LayerSpec, ModelGraph
 FORMAT_VERSION = "1"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-_REQUIRED = object()
-NUMBER = (int, float)  # a JSON number, as a _field kind
 
 
 def _check_name(name: str) -> str:
@@ -92,13 +92,11 @@ def read_json(path: str | Path) -> dict:
     return obj
 
 
-def _field(obj, key: str, kind: type, where: str, default=_REQUIRED):
+def _field(obj, key: str, kind: type, where: str):
     """obj[key], which must have type kind, a type or a tuple of types
     (bool is not an int here)."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} must be a JSON object")
-    if key not in obj and default is not _REQUIRED:
-        return default
     value = obj.get(key)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         name = getattr(kind, "__name__", "number")
@@ -129,23 +127,22 @@ def _value(obj: dict, key: str, hint, where: str):
     if hint is not float:
         return _field(obj, key, hint, where)
     try:
-        return float(_field(obj, key, NUMBER, where))
+        value = float(_field(obj, key, (int, float), where))
     except OverflowError as e:  # an integer past the float range
         raise ModelFormatError(f"{where}: field {key!r} is out of range") from e
+    if math.isnan(value):
+        raise ModelFormatError(f"{where}: field {key!r} is NaN")
+    return value
 
 
 def read_record(cls, obj, where: str):
-    """The dataclass cls from the JSON object obj, each field from the key its
-    "json" metadata names (default its name); a bad field is a ModelFormatError."""
+    """The dataclass cls from the JSON object obj, every field (default or not) from the key
+    its "json" metadata names, or its name; a missing or bad field is a ModelFormatError."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} must be a JSON object")
     hints = _hints(cls)
-    values = {}
-    for f in fields(cls):
-        key = f.metadata.get("json") or f.name
-        if key in obj or (f.default, f.default_factory) == (MISSING, MISSING):
-            values[f.name] = _value(obj, key, hints[f.name], where)
-    return cls(**values)
+    return cls(**{f.name: _value(obj, f.metadata.get("json") or f.name, hints[f.name], where)
+                  for f in fields(cls)})
 
 
 def _shape(obj, key: str, where: str) -> tuple[int, ...]:
@@ -155,13 +152,21 @@ def _shape(obj, key: str, where: str) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _reshape(flat: np.ndarray, shape: tuple[int, ...], where: str) -> np.ndarray:
+    try:
+        return flat.reshape(shape)
+    except ValueError as e:  # no elements, but more or larger dims than numpy allows
+        raise ModelFormatError(f"{where}: numpy cannot hold an array of that shape") from e
+
+
 def _read_raw(path: Path, dtype: str) -> np.ndarray:
     if not path.is_file():
         raise ModelFormatError(f"missing data file {path}")
     return np.fromfile(path, dtype=dtype)
 
 
-def _write_f32(path: Path, arr: np.ndarray) -> None:
+def _write_f32(path, arr: np.ndarray) -> None:
+    """arr as float32 to path, a Path or a file open for binary writing."""
     np.ascontiguousarray(arr, dtype=np.float64).astype("<f4").tofile(path)
 
 
@@ -235,7 +240,7 @@ def load_model(directory: str | Path) -> ModelGraph:
                 raise ModelFormatError(f"{where}: shape must be two positive integers")
             weight = _read_f32(directory / _claim(claimed, name + ".bin"), shape)
             bias = None
-            if _field(lentry, "has_bias", bool, where, False):
+            if _field(lentry, "has_bias", bool, where):
                 bias = _read_f32(directory / _claim(claimed, f"{name}.bias.bin"), (shape[0],))
             layers.append(
                 LayerSpec(
@@ -243,8 +248,8 @@ def load_model(directory: str | Path) -> ModelGraph:
                     kind=_field(lentry, "kind", str, where),
                     weight=weight,
                     bias=bias,
-                    activation=_field(lentry, "activation", str, where, "identity"),
-                    frozen=_field(lentry, "frozen", bool, where, False),
+                    activation=_field(lentry, "activation", str, where),
+                    frozen=_field(lentry, "frozen", bool, where),
                 )
             )
         blocks.append(Block(name=bname, layers=layers))
@@ -268,8 +273,8 @@ def save_calibration(batch: CalibrationSet, json_path: str | Path) -> Path:
     }
     with open(json_path.parent / data_name, "wb") as f:
         for x, y in batch.samples:
-            f.write(np.ascontiguousarray(x, dtype=np.float64).astype("<f4").tobytes())
-            f.write(np.ascontiguousarray(y, dtype=np.float64).astype("<f4").tobytes())
+            _write_f32(f, x)
+            _write_f32(f, y)
     return write_json(index, json_path)
 
 
@@ -278,26 +283,16 @@ def load_calibration(json_path: str | Path) -> CalibrationSet:
     index = read_json(json_path)
     check_version(index, "calibration index")
     data_file = _check_name(_field(index, "data_file", str, "calibration index"))
-    data = _read_raw(json_path.parent / data_file, "<f4")
-    if not np.all(np.isfinite(data)):
-        raise ModelFormatError(f"{data_file}: non-finite values on disk")
-    samples = []
-    offset = 0
-    for entry in _field(index, "samples", list, "calibration index"):
-        xs = _shape(entry, "input", "calibration sample")
-        ys = _shape(entry, "target", "calibration sample")
-        nx = math.prod(xs)
-        ny = math.prod(ys)
-        if offset + nx + ny > data.size:
-            raise ModelFormatError("calibration data file shorter than its index")
-        x = data[offset : offset + nx].astype(np.float64).reshape(xs)
-        offset += nx
-        y = data[offset : offset + ny].astype(np.float64).reshape(ys)
-        offset += ny
-        samples.append((x, y))
-    if offset != data.size:
-        raise ModelFormatError("calibration data file longer than its index")
-    return CalibrationSet(samples)
+    shapes = [_shape(entry, key, "calibration sample")
+              for entry in _field(index, "samples", list, "calibration index")
+              for key in ("input", "target")]
+    data = _read_f32(json_path.parent / data_file, (sum(map(math.prod, shapes)),))
+    tensors, offset = [], 0
+    for shape in shapes:  # views into the one converted block, in file order
+        size = math.prod(shape)
+        tensors.append(_reshape(data[offset : offset + size], shape, "calibration sample"))
+        offset += size
+    return CalibrationSet(list(zip(tensors[::2], tensors[1::2])))
 
 
 # -- masks -------------------------------------------------------------------
@@ -338,7 +333,7 @@ def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
         flat = np.unpackbits(bits)[:n].astype(bool)
         if flat.size != n:
             raise ModelFormatError(f"mask file for {name!r} too short")
-        mask = flat.reshape(shape)
+        mask = _reshape(flat, shape, where)
         if int(np.count_nonzero(mask)) != _field(entry, "kept", int, where):
             raise ModelFormatError(f"mask for {name!r} disagrees with its index")
         masks[name] = mask

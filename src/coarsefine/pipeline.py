@@ -27,7 +27,7 @@ reconstruction error.
 # no "from __future__ import annotations": RunConfig.value_type reads field types
 import math
 import time
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, make_dataclass
 from pathlib import Path
 from typing import get_args
 
@@ -36,7 +36,6 @@ from .allocation import SparsityPlan, allocate_sparsity, default_p_max
 from .baselines import local_layer_scores
 from .errors import InputError, ModelFormatError, UsageError
 from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
-from .io import NUMBER, _field
 from .localprune import FINE_METHODS, sequential_prune
 from .model import CalibrationSet, ModelGraph
 from .scoring import (
@@ -130,13 +129,17 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
-        """The config a JSON object (a config file, a report's echo) sets;
-        a stray or mistyped field is a ModelFormatError.  A float field
-        holds a float, as its flag gives, even for a JSON integer."""
-        stray = set(obj) - {f.metadata["json"] or f.name for f in fields(cls)}
+        """The config a ``--config`` file sets, the defaults filling in any
+        field it leaves out; a stray or mistyped field is a ModelFormatError.
+        A float field holds a float, as its flag gives, even for a JSON integer."""
+        defaults = {f.metadata["json"] or f.name: f.default for f in fields(cls)}
+        stray = set(obj) - set(defaults)
         if stray:
             raise ModelFormatError(f"config: unknown fields {sorted(stray)}")
-        return cfio.read_record(cls, obj, "config")
+        return cfio.read_record(cls, {**defaults, **obj}, "config")
+
+
+_Achieved = make_dataclass("_Achieved", [("global_sparsity", float)])  # what compare reads
 
 
 @dataclass
@@ -343,46 +346,30 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
     sparsity table)."""
     if not report_paths:
         raise UsageError("compare needs at least one report")
-    reports = []
+    curve_rows, layer_rows, fixtures = [], [], set()
     for p in report_paths:
         obj = cfio.read_json(p)
         cfio.check_version(obj, f"report {p}")
-        config = _field(obj, "config", dict, p)
-        pruned = _field(obj, "eval_pruned", dict, p)
-        where = f"{p} config"
-        reports.append((
-            f'{_field(config, "coarse", str, where)}-{_field(config, "fine", str, where)}',
-            _field(config, "sparsity", NUMBER, where),
-            {**{m: _field(pruned, m, NUMBER + (type(None),), f"{p} eval_pruned", None)
-                for m in ("loss", "accuracy", "perplexity")},
-             "achieved_global_sparsity": _field(
-                 _field(obj, "achieved", dict, p), "global_sparsity", NUMBER, f"{p} achieved"
-             )},
-            SparsityPlan.from_json(_field(obj, "sparsity_plan", dict, p)),
-        ))
-    if len({tuple(sorted(r[-1].per_layer)) for r in reports}) > 1:
+        config = cfio.read_record(RunConfig, obj.get("config"), f"{p} config")
+        try:
+            config.validate()
+        except UsageError as e:  # a value no prune run writes
+            raise ModelFormatError(f"{p} config: {e}") from e
+        pruned = cfio.read_record(EvalResult, obj.get("eval_pruned"), f"{p} eval_pruned")
+        achieved = cfio.read_record(_Achieved, obj.get("achieved"), f"{p} achieved")
+        plan = SparsityPlan.from_json(obj.get("sparsity_plan"))
+        run = {"method": f"{config.coarse}-{config.fine}", "sparsity": config.sparsity}
+        metrics = {"loss": pruned.loss, "accuracy": pruned.accuracy,
+                   "perplexity": pruned.perplexity,
+                   "achieved_global_sparsity": achieved.global_sparsity}
+        curve_rows += [{**run, "metric": metric, "value": value}
+                       for metric, value in metrics.items() if value is not None]
+        layer_rows += [{**run, "layer": layer, "layer_sparsity": entry.sparsity,
+                        "keep_count": entry.keep_count, "size": entry.size}
+                       for layer, entry in sorted(plan.per_layer.items())]
+        fixtures.add(tuple(sorted(plan.per_layer)))
+    if len(fixtures) > 1:
         raise InputError("reports come from incompatible model fixtures")
-
-    curve_rows = []
-    layer_rows = []
-    for method, sparsity, metrics, plan in reports:
-        for metric, value in metrics.items():
-            if value is None:
-                continue
-            curve_rows.append(
-                {"method": method, "sparsity": sparsity, "metric": metric, "value": value}
-            )
-        for layer, entry in sorted(plan.per_layer.items()):
-            layer_rows.append(
-                {
-                    "method": method,
-                    "sparsity": sparsity,
-                    "layer": layer,
-                    "layer_sparsity": entry.sparsity,
-                    "keep_count": entry.keep_count,
-                    "size": entry.size,
-                }
-            )
     curve_rows.sort(key=lambda row: (row["sparsity"], row["method"], row["metric"]))
     layer_rows.sort(key=lambda row: (row["sparsity"], row["method"], row["layer"]))
 
@@ -392,5 +379,5 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
     return {
         "comparison_csv": str(out / "comparison.csv"),
         "per_layer_csv": str(out / "per_layer_sparsity.csv"),
-        "reports": len(reports),
+        "reports": len(report_paths),
     }

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .io import _field, read_json, read_record, write_json
+from .io import read_json, read_record, write_json
 from .model import CalibrationSet, ModelGraph, backprop_layers
 
 SCORE_METHODS = (
@@ -61,7 +61,6 @@ class ScoreMap:
     @classmethod
     def from_json(cls, obj: dict) -> "ScoreMap":
         """Parse a score map; a missing or mistyped field is a ModelFormatError."""
-        _field(obj, "aggregation", str, "score map")  # a file must name it, default or not
         return read_record(cls, obj, "score map")
 
     def save(self, path: str | Path) -> Path:

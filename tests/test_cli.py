@@ -722,6 +722,20 @@ class TestMalformedFiles:
         "manifest block name unsafe": lambda root: _edit_json(
             root / "model" / "manifest.json", lambda o: o["blocks"][0].update(name="a/b")),
         "manifest zero-size layers": _zero_size_layers,
+        # these three were read as their defaults; every written field is required
+        "manifest layer without frozen": lambda root: _edit_json(
+            root / "model" / "manifest.json",
+            lambda o: o["blocks"][0]["layers"][0].pop("frozen")),
+        "manifest layer without activation": lambda root: _edit_json(
+            root / "model" / "manifest.json",
+            lambda o: o["blocks"][0]["layers"][0].pop("activation")),
+        "manifest layer without has_bias": lambda root: _edit_json(
+            root / "model" / "manifest.json",
+            lambda o: o["blocks"][0]["layers"][0].pop("has_bias")),
+        # an empty sample in a shape numpy cannot hold escaped as a ValueError
+        "calibration shape past numpy's limits": lambda root: _edit_json(
+            root / "calib.json", lambda o: o["samples"].append(
+                {"input": [0, 10**400], "target": [0]})),
     }
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -765,6 +779,12 @@ class TestMalformedFiles:
         # second printed an InputError
         "plan p_max past the float range": lambda o: o["sparsity_plan"].update(p_max=10**400),
         "report format_version 2": lambda o: o.update(format_version="2"),
+        # these four were written to the CSVs with exit 0
+        "config sparsity negative": lambda o: o["config"].update(sparsity=-5),
+        "config sparsity past the float range": lambda o: o["config"].update(sparsity=10**400),
+        "eval_pruned loss NaN": lambda o: o["eval_pruned"].update(loss=float("nan")),
+        "achieved global_sparsity NaN": lambda o: o["achieved"].update(
+            global_sparsity=float("nan")),
     }
 
     @pytest.mark.parametrize("mutation", sorted(REPORT_MUTATIONS))

@@ -2,8 +2,9 @@
 their tensor files or a ``--config`` file, ``prune`` through ``cli.main``
 returns an exit code, and a failure prints exactly one JSON error line
 carrying that code.  The same holds for ``compare`` on a mutated
-``report.json``, and a mutated ``plan.json`` or ``scores.json`` loads or
-raises a ``CoarseFineError``."""
+``report.json``; a mutated ``plan.json`` or ``scores.json`` loads or
+raises a ``CoarseFineError``, and so does a mutated mask directory,
+whose loader reads no file outside it."""
 
 import contextlib
 import copy
@@ -14,6 +15,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, event, example, given, settings
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from coarsefine.allocation import SparsityPlan
 from coarsefine.cli import main
 from coarsefine.errors import CoarseFineError
-from coarsefine.io import save_calibration, save_model
+from coarsefine.io import load_masks, save_calibration, save_model
 from coarsefine.model import Block, LayerSpec, ModelGraph
 from coarsefine.pipeline import RunConfig, cmd_prune
 from coarsefine.scoring import ScoreMap
@@ -63,14 +65,16 @@ def _write(root: Path, files: dict[str, bytes]) -> None:
 
 
 def _run_files() -> dict[str, bytes]:
-    """The JSON files a magnitude + wanda prune of the fixture above writes."""
+    """The JSON files and the masks a magnitude + wanda prune of the fixture
+    above writes."""
     with tempfile.TemporaryDirectory() as d:
         root = Path(d)
         _write(root, FILES)
         cmd_prune(RunConfig(model_dir=str(root / "model"), calib_path=str(root / "calib.json"),
                             out_dir=str(root / "out"), coarse="magnitude", samples=4))
-        return {name: (root / "out" / name).read_bytes()
-                for name in ("report.json", "plan.json", "scores.json")}
+        return {p.relative_to(root / "out").as_posix(): p.read_bytes()
+                for name in ("report.json", "plan.json", "scores.json", "masks/*")
+                for p in sorted((root / "out").glob(name))}
 
 
 RUN_FILES = _run_files()
@@ -252,6 +256,48 @@ def test_mutated_plan_and_scores_load_or_raise_a_package_error(mutations):
                 event(f"{name} loads")
             except CoarseFineError as e:
                 event(f"{name} {type(e).__name__}")
+
+
+MASKS = {name: data for name, data in RUN_FILES.items() if name.startswith("masks/")}
+
+
+@contextlib.contextmanager
+def _reads():
+    """The paths passed to open, Path.read_text, Path.read_bytes and
+    np.fromfile while inside."""
+    paths = []
+
+    def recorded(read):
+        def wrapper(path, *args, **kwargs):
+            paths.append(Path(path))
+            return read(path, *args, **kwargs)
+        return wrapper
+
+    with mock.patch("builtins.open", recorded(open)), \
+            mock.patch.object(Path, "read_text", recorded(Path.read_text)), \
+            mock.patch.object(Path, "read_bytes", recorded(Path.read_bytes)), \
+            mock.patch.object(np, "fromfile", recorded(np.fromfile)):
+        yield paths
+
+
+@given(mutations=st.lists(_edits(MASKS, ["masks/masks.json"]), min_size=1, max_size=3))
+# no bits, in a shape numpy cannot hold
+@example(mutations=[("set", ("masks/masks.json", ("layers", "L0", "shape", 0)), 0),
+                    ("set", ("masks/masks.json", ("layers", "L0", "shape", 1)), 10**400),
+                    ("set", ("masks/masks.json", ("layers", "L0", "kept")), 0)])
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_masks_load_or_raise_a_package_error(mutations):
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d).resolve()
+        # the model's files beside the masks, where "../model/L0.bin" points
+        _write(root, {**FILES, **mutate(mutations, MASKS)})
+        with _reads() as paths:
+            try:
+                load_masks(root / "masks")
+                event("loads")
+            except CoarseFineError as e:
+                event(type(e).__name__)
+    assert paths and all(p.resolve().is_relative_to(root / "masks") for p in paths), paths
 
 
 # A valid config on the fixture above, every field set.  Runs start in

@@ -143,11 +143,13 @@ class TestCalibrationRoundTrip:
         again = load_calibration(save_calibration(batch, tmp_path / "c.json"))
         np.testing.assert_array_equal(again.samples[0][0], ids)
 
-    def test_truncated_data_rejected(self, tmp_path):
+    @pytest.mark.parametrize("resize", [lambda data: data[:-4], lambda data: data + data[:4]],
+                             ids=["one float short", "one float long"])
+    def test_truncated_data_rejected(self, tmp_path, resize):
         batch = CalibrationSet([(np.ones(4), np.ones(2))])
         path = save_calibration(batch, tmp_path / "c.json")
         data = (tmp_path / "c.bin").read_bytes()
-        (tmp_path / "c.bin").write_bytes(data[:-4])
+        (tmp_path / "c.bin").write_bytes(resize(data))
         with pytest.raises(ModelFormatError):
             load_calibration(path)
 
@@ -188,8 +190,10 @@ class TestMaskRoundTrip:
         lambda index: index["layers"]["a"].update(file="gone.mask.bin"),
         lambda index: index["layers"]["a"].update(file="../outside/a.mask.bin"),
         lambda index: index.update(bit_order="lsb_first"),
+        # escaped as a ValueError: no bits, but a dimension numpy cannot hold
+        lambda index: index["layers"]["a"].update(shape=[0, 10**400], kept=0),
     ], ids=["no kept", "no shape", "shape a string", "no layers", "layers a list",
-            "file missing", "file outside", "bits lsb first"])
+            "file missing", "file outside", "bits lsb first", "shape past numpy's limits"])
     def test_malformed_index_rejected(self, tmp_path, change):
         masks = {"a": np.ones((2, 5), dtype=bool)}
         save_masks(masks, tmp_path / "m")
@@ -227,6 +231,10 @@ class TestPlanAndScoreFiles:
             sparsity=10**400)),
         "scores entry past the float range": ("scores", lambda o: o["entries"].update(
             L0=10**400)),
+        # the first two were read as their defaults; every written field is required
+        "scores without seed": ("scores", lambda o: o.pop("seed")),
+        "scores without sample_count": ("scores", lambda o: o.pop("sample_count")),
+        "scores without aggregation": ("scores", lambda o: o.pop("aggregation")),
     }
 
     @pytest.mark.parametrize("change", sorted(CHANGES))
