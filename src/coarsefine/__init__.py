@@ -42,48 +42,3 @@ from .zograd import BufferMeter, ZOConfig, perturb_replay, zo_all_scores, zo_lay
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Block",
-    "BufferMeter",
-    "CalibrationSet",
-    "EvalResult",
-    "LayerSpec",
-    "ModelGraph",
-    "PruneReport",
-    "RunConfig",
-    "ScoreMap",
-    "SparsityPlan",
-    "TaskSpec",
-    "ZOConfig",
-    "aggregate_to_layers",
-    "allocate_sparsity",
-    "backprop_gradients",
-    "build_hessian",
-    "build_model",
-    "cmd_compare",
-    "cmd_eval",
-    "cmd_prune",
-    "cmd_score",
-    "compare_runs",
-    "distribution_report",
-    "evaluate",
-    "first_order_saliency",
-    "forward_with_activations",
-    "get_split",
-    "global_magnitude_prune",
-    "iterative_gradient_prune",
-    "local_score_ratios",
-    "magnitude_prune_layer",
-    "magnitude_scores",
-    "make_task",
-    "perturb_replay",
-    "sequential_prune",
-    "sparsegpt_prune_layer",
-    "train_reference",
-    "uniform_layerwise_prune",
-    "uniform_plan",
-    "validate_plan",
-    "wanda_prune_layer",
-    "zo_all_scores",
-    "zo_layer_score",
-]

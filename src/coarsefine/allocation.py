@@ -32,6 +32,8 @@ from .io import FORMAT_VERSION, check_version, read_json, read_record, write_jso
 from .model import LayerSpec, ModelGraph
 from .scoring import ScoreMap, uniform_scores
 
+GRANULARITIES = ("layer", "block")  # the units allocate_sparsity splits the budget over
+
 
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -188,8 +190,8 @@ def allocate_sparsity(
         raise InputError(f"target sparsity must be in [0, 1), got {target_p}")
     if not target_p < p_max <= 1:
         raise InputError(f"p_max must satisfy target_p < p_max <= 1, got {p_max}")
-    if granularity not in ("layer", "block"):
-        raise InputError(f"granularity must be layer or block, got {granularity!r}")
+    if granularity not in GRANULARITIES:
+        raise InputError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
 
     layers = model.prunable_layers()
     if not layers:

@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--task", required=True, choices=list(TASK_KINDS))
     p_eval.add_argument("--split", required=True, choices=SPLITS)
     p_eval.add_argument("--task-seed", type=int, default=0)
-    p_eval.add_argument("--out", help="write the EvalResult JSON here")
+    p_eval.add_argument("--out", help="write the EvalResult here: JSON, or for a path "
+                        "ending in .csv one CSV row")
 
     p_cmp = sub.add_parser("compare", help="merge prune reports into curve CSVs")
     p_cmp.add_argument("reports", nargs="+", help="report.json files")

@@ -20,6 +20,7 @@ from .model import CalibrationSet, ModelGraph, backprop_gradients, run_forward
 from .tasks import TaskSpec, get_split
 
 HIST_BINS = 64
+_METRICS = ("loss", "accuracy", "perplexity", "global_sparsity")  # compare_runs, to_row
 
 
 @dataclass
@@ -39,15 +40,7 @@ class EvalResult:
 
     def to_row(self) -> dict:
         """Flat single-row form for CSV tables."""
-        return {
-            "task": self.task,
-            "split": self.split,
-            "sample_count": self.sample_count,
-            "loss": self.loss,
-            "accuracy": self.accuracy,
-            "perplexity": self.perplexity,
-            "global_sparsity": self.global_sparsity,
-        }
+        return {k: getattr(self, k) for k in ("task", "split", "sample_count", *_METRICS)}
 
 
 def sparsity_accounting(
@@ -187,9 +180,6 @@ def distribution_report(model: ModelGraph, batch: CalibrationSet) -> dict:
 
 
 # -- run comparison ---------------------------------------------------------------
-
-
-_METRICS = ("loss", "accuracy", "perplexity", "global_sparsity")
 
 
 def compare_runs(

@@ -12,7 +12,9 @@ shapes next to one ``.bin`` holding the tensors concatenated in sample
 order with the same binary convention.
 
 Masks: ``<layer>.mask.bin`` packed bits (row-major, MSB-first within a
-byte, as the index's ``bit_order`` must say) plus a ``masks.json`` index.
+byte, as the index's ``bit_order`` must say, zero padding) plus a
+``masks.json`` index.  Each ``.bin`` file is exactly as long as its
+index implies: 4 bytes a float, ``ceil(n / 8)`` bytes for an n-bit mask.
 
 Every JSON file the package writes (these indexes, score maps, plans,
 reports) goes through :func:`write_json`: sorted keys, indent 2, a
@@ -159,10 +161,14 @@ def _reshape(flat: np.ndarray, shape: tuple[int, ...], where: str) -> np.ndarray
         raise ModelFormatError(f"{where}: numpy cannot hold an array of that shape") from e
 
 
-def _read_raw(path: Path, dtype: str) -> np.ndarray:
+def _read_raw(path: Path, dtype: str, count: int) -> np.ndarray:
+    """The count elements of dtype in path, a file of exactly their size."""
     if not path.is_file():
         raise ModelFormatError(f"missing data file {path}")
-    return np.fromfile(path, dtype=dtype)
+    raw, expected = np.fromfile(path, dtype="u1"), count * np.dtype(dtype).itemsize
+    if raw.size != expected:
+        raise ModelFormatError(f"{path}: {raw.size} bytes on disk, expected {expected}")
+    return raw.view(dtype)
 
 
 def _write_f32(path, arr: np.ndarray) -> None:
@@ -171,12 +177,7 @@ def _write_f32(path, arr: np.ndarray) -> None:
 
 
 def _read_f32(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    raw = _read_raw(path, "<f4")
-    expected = math.prod(shape)
-    if raw.size != expected:
-        raise ModelFormatError(
-            f"{path}: {raw.size} floats on disk, expected {expected}"
-        )
+    raw = _read_raw(path, "<f4", math.prod(shape))
     if not np.all(np.isfinite(raw)):
         raise ModelFormatError(f"{path}: non-finite values on disk")
     return raw.astype(np.float64).reshape(shape)
@@ -329,11 +330,11 @@ def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
         where = f"mask {name!r}"
         shape = _shape(entry, "shape", where)
         n = math.prod(shape)
-        bits = _read_raw(directory / _check_name(_field(entry, "file", str, where)), "u1")
-        flat = np.unpackbits(bits)[:n].astype(bool)
-        if flat.size != n:
-            raise ModelFormatError(f"mask file for {name!r} too short")
-        mask = _reshape(flat, shape, where)
+        path = directory / _check_name(_field(entry, "file", str, where))
+        bits = np.unpackbits(_read_raw(path, "u1", -(-n // 8)))  # ceil(n / 8) bytes
+        if bits[n:].any():
+            raise ModelFormatError(f"mask file for {name!r} has nonzero padding bits")
+        mask = _reshape(bits[:n].astype(bool), shape, where)
         if int(np.count_nonzero(mask)) != _field(entry, "kept", int, where):
             raise ModelFormatError(f"mask for {name!r} disagrees with its index")
         masks[name] = mask

@@ -36,6 +36,7 @@ from .model import (
 )
 
 FINE_METHODS = ("wanda", "sparsegpt", "magnitude")
+NORM_EXPONENTS = (1, 2)  # wanda's e in ||X_j||^e
 TOP_K_BLOCK = 1 << 15  # elements per block of rows in top_k_mask
 
 
@@ -161,8 +162,8 @@ def wanda_prune_layer(
     norm_exponent: int = 1,
 ) -> np.ndarray:
     """Keep the top |W_ij| * ||X_j||^e scores within each output row."""
-    if norm_exponent not in (1, 2):
-        raise InputError(f"norm_exponent must be 1 or 2, got {norm_exponent}")
+    if norm_exponent not in NORM_EXPONENTS:
+        raise InputError(f"norm_exponent must be one of {NORM_EXPONENTS}, got {norm_exponent}")
     w = layer.weight
     x = np.asarray(activations, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.shape[1]:

@@ -32,19 +32,37 @@ from pathlib import Path
 from typing import get_args
 
 from . import io as cfio
-from .allocation import SparsityPlan, allocate_sparsity, default_p_max
+from .allocation import GRANULARITIES, SparsityPlan, allocate_sparsity, default_p_max
 from .baselines import local_layer_scores
 from .errors import InputError, ModelFormatError, UsageError
 from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
-from .localprune import FINE_METHODS, sequential_prune
+from .localprune import FINE_METHODS, NORM_EXPONENTS, sequential_prune
 from .model import CalibrationSet, ModelGraph
 from .scoring import (
-    ScoreMap, aggregate_to_layers, first_order_saliency, magnitude_scores, uniform_scores,
+    ELEMENT_AGGREGATIONS, ScoreMap, aggregate_to_layers, first_order_saliency,
+    magnitude_scores, uniform_scores,
 )
 from .tasks import TASK_KINDS, make_task
 from .zograd import BufferMeter, ZOConfig, zo_all_scores
 
-COARSE_MODES = ("zeroth", "first", "magnitude", "uniform", "local")
+# coarse mode -> scorer (config, model, batch) -> ScoreMap; a scorer looks its
+# callees up when it runs, so wrappers and monkeypatches of this module reach them
+_COARSE = {
+    "zeroth": lambda config, model, batch: zo_all_scores(model, batch, ZOConfig(
+        epsilon=config.epsilon, noises_per_sample=config.noises, seed=config.seed),
+        meter=BufferMeter()),
+    "first": lambda config, model, batch: aggregate_to_layers(
+        first_order_saliency(model, batch), mode=config.aggregation, method="first_order",
+        seed=config.seed, sample_count=batch.count),
+    "magnitude": lambda config, model, batch: aggregate_to_layers(
+        magnitude_scores(model), mode=config.aggregation, method="magnitude",
+        seed=config.seed),
+    "uniform": lambda config, model, batch: uniform_scores(model, seed=config.seed),
+    "local": lambda config, model, batch: local_layer_scores(
+        model, batch, config.fine, norm_exponent=config.norm_exponent,
+        lam=config.hessian_lambda),
+}
+COARSE_MODES = tuple(_COARSE)
 # 10**6 noises already cost 2*L*K*10**6 forwards and an 8*K*10**6-byte
 # buffer per layer, and no recipe here uses more than 10**4; a larger
 # count could only fail deep in numpy, as a traceback
@@ -75,7 +93,7 @@ class RunConfig:
     coarse: str = _option("zeroth", "coarse (global) layer score", choices=COARSE_MODES)
     fine: str = _option("wanda", "fine (local) pruning method", choices=FINE_METHODS)
     granularity: str = _option("block", "unit the sparsity budget is allocated to",
-                               choices=("layer", "block"))
+                               choices=GRANULARITIES)
     samples: int = _option(32, "calibration samples K (default 32)")
     noises: int = _option(1, f"noises per sample, at most {MAX_NOISES} (default 1)")
     epsilon: float = _option(1e-3, "perturbation scale (default 1e-3)")
@@ -83,8 +101,8 @@ class RunConfig:
         None, "Hessian damping (default 0.01 * mean diag)", flag="--lambda", json="lambda")
     seed: int = _option(0, "random seed (default 0)")
     aggregation: str = _option("sum", "element-to-layer score aggregation",
-                               choices=("sum", "mean"))
-    norm_exponent: int = _option(1, "wanda activation norm exponent", choices=(1, 2))
+                               choices=ELEMENT_AGGREGATIONS)
+    norm_exponent: int = _option(1, "wanda activation norm exponent", choices=NORM_EXPONENTS)
 
     @staticmethod
     def flag(f: Field) -> str:
@@ -188,35 +206,7 @@ def compute_scores(
     Returns the ScoreMap and the number of forward passes spent.
     """
     before = model.forward_count
-    if config.coarse == "zeroth":
-        cfg = ZOConfig(
-            epsilon=config.epsilon, noises_per_sample=config.noises, seed=config.seed
-        )
-        scores = zo_all_scores(model, batch, cfg, meter=BufferMeter())
-    elif config.coarse == "first":
-        element = first_order_saliency(model, batch)
-        scores = aggregate_to_layers(
-            element,
-            mode=config.aggregation,
-            method="first_order",
-            seed=config.seed,
-            sample_count=batch.count,
-        )
-    elif config.coarse == "magnitude":
-        element = magnitude_scores(model)
-        scores = aggregate_to_layers(
-            element, mode=config.aggregation, method="magnitude", seed=config.seed
-        )
-    elif config.coarse == "uniform":
-        scores = uniform_scores(model, seed=config.seed)
-    else:  # local
-        scores = local_layer_scores(
-            model,
-            batch,
-            config.fine,
-            norm_exponent=config.norm_exponent,
-            lam=config.hessian_lambda,
-        )
+    scores = _COARSE[config.coarse](config, model, batch)
     return scores, model.forward_count - before
 
 

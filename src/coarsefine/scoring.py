@@ -27,7 +27,8 @@ SCORE_METHODS = (
     "local_wanda",
     "local_sparsegpt",
 )
-AGGREGATIONS = ("sum", "mean", "scalar")
+ELEMENT_AGGREGATIONS = ("sum", "mean")  # aggregate_to_layers
+AGGREGATIONS = (*ELEMENT_AGGREGATIONS, "scalar")
 
 
 @dataclass
@@ -112,8 +113,9 @@ def aggregate_to_layers(
     sample_count: int = 0,
 ) -> ScoreMap:
     """Collapse elementwise scores to one scalar per layer (sum or mean)."""
-    if mode not in ("sum", "mean"):
-        raise InputError(f"aggregation mode must be sum or mean, got {mode!r}")
+    if mode not in ELEMENT_AGGREGATIONS:
+        raise InputError(
+            f"aggregation mode must be one of {ELEMENT_AGGREGATIONS}, got {mode!r}")
     entries = {}
     for name, scores in element_scores.items():
         scores = np.asarray(scores, dtype=np.float64)

@@ -45,8 +45,8 @@ class ZOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:  # NaN too
+            raise InputError("epsilon must be finite and positive")
         if self.noises_per_sample < 1:
             raise InputError("noises_per_sample must be >= 1")
         if self.seed < 0:
@@ -108,8 +108,8 @@ def perturb_replay(
     with W <- W - 2u in place, i.e. fl(fl(W0 + u) - 2u); "restore" puts
     W0 back, bit-exact, from either leg.  The seed is read on +1 only.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive (zero makes the estimate 0/0)")
+    if not 0 < epsilon < np.inf:  # NaN too; zero makes the estimate 0/0
+        raise InputError("epsilon must be finite and positive")
     layer = model.layer(layer_name)
     if layer.frozen:
         raise FrozenLayerError(f"layer {layer_name!r} is frozen")

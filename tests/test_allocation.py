@@ -1,6 +1,7 @@
 """Sparsity allocation: worked examples, exact budgets, caps, invariance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from coarsefine.allocation import (
     validate_plan,
 )
 from coarsefine.errors import FeasibilityError, InputError
+from coarsefine.localprune import sequential_prune
+from coarsefine.model import CalibrationSet
 from coarsefine.scoring import ScoreMap
 
 from conftest import tiny_linear_model
@@ -217,6 +220,31 @@ class TestValidation:
         plan.per_layer["L1"].sparsity = 0.2
         msgs = validate_plan(plan, model)
         assert any("cap exceeded" in m for m in msgs)
+
+    # a corruption of a valid plan and the violation it must report
+    CORRUPTIONS = {
+        "unknown layer": (lambda plan: plan.per_layer.update(X=LayerAllocation(0.5, 5, 10)),
+                          "unknown layer: plan entry 'X' not prunable in model"),
+        "missing layer": (lambda plan: plan.per_layer.pop("L1"),
+                          "missing layer: 'L1' has no plan entry"),
+        "n_select mismatch": (lambda plan: setattr(plan, "n_select", 11),
+                              "n_select mismatch: plan says 11, model implies 10"),
+        "size mismatch": (lambda plan: setattr(plan.per_layer["L0"], "size", 11),
+                          "L0: recorded size 11 != model size 10"),
+        "keep out of range": (lambda plan: setattr(plan.per_layer["L0"], "keep_count", -1),
+                              "L0: keep_count -1 out of range"),
+    }
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_violation_is_reported_and_refused_by_the_fine_pass(self, corruption):
+        model = tiny_linear_model([np.ones((10, 1)), np.ones((1, 10))])
+        plan = allocate_sparsity(scores_for(model, [1.0, 1.0]), model, 0.5, 1.0)
+        change, message = self.CORRUPTIONS[corruption]
+        change(plan)
+        assert message in validate_plan(plan, model)
+        batch = CalibrationSet([(np.ones(1), np.ones(1))])
+        with pytest.raises(InputError, match=r"^invalid plan: .*" + re.escape(message)):
+            sequential_prune(model, plan, batch, "wanda")
 
     @pytest.mark.parametrize("sparsity", [math.nan, -math.inf, math.inf, -0.1])
     def test_non_finite_or_negative_sparsity_is_a_violation(self, sparsity):

@@ -289,6 +289,28 @@ class TestCmdEval:
         assert lines[0].startswith("task,split,sample_count,loss")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("out", [None, "eval.json", "eval.csv"])
+    def test_main_prints_one_line_and_writes_out(self, fixture_dir, tmp_path, capsys, out):
+        argv = ["eval", "--model-dir", str(fixture_dir / "model"),
+                "--task", "synthetic_regression", "--split", "val"]
+        assert main(argv + (["--out", str(tmp_path / out)] if out else [])) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        from coarsefine.evaluation import evaluate
+
+        expected = evaluate(load_model(fixture_dir / "model"),
+                            make_task("synthetic_regression", seed=0), "val")
+        assert json.loads(line) == expected.to_json()
+        if out == "eval.json":
+            assert json.loads((tmp_path / out).read_text()) == expected.to_json()
+        elif out == "eval.csv":
+            assert (tmp_path / out).read_text().splitlines() == [
+                "task,split,sample_count,loss,accuracy,perplexity,global_sparsity",
+                f"synthetic_regression,val,{expected.sample_count},{expected.loss:.6g},,,"
+                f"{expected.global_sparsity:.6g}",
+            ]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
 
 class TestCmdCompare:
     def test_two_reports_sorted_by_sparsity(self, fixture_dir, tmp_path):

@@ -143,8 +143,9 @@ class TestCalibrationRoundTrip:
         again = load_calibration(save_calibration(batch, tmp_path / "c.json"))
         np.testing.assert_array_equal(again.samples[0][0], ids)
 
-    @pytest.mark.parametrize("resize", [lambda data: data[:-4], lambda data: data + data[:4]],
-                             ids=["one float short", "one float long"])
+    @pytest.mark.parametrize("resize", [lambda data: data[:-4], lambda data: data + data[:4],
+                                        lambda data: data + b"\0"],  # read as 6 floats
+                             ids=["one float short", "one float long", "one byte long"])
     def test_truncated_data_rejected(self, tmp_path, resize):
         batch = CalibrationSet([(np.ones(4), np.ones(2))])
         path = save_calibration(batch, tmp_path / "c.json")
@@ -192,8 +193,13 @@ class TestMaskRoundTrip:
         lambda index: index.update(bit_order="lsb_first"),
         # escaped as a ValueError: no bits, but a dimension numpy cannot hold
         lambda index: index["layers"]["a"].update(shape=[0, 10**400], kept=0),
+        # the (2, 5) mask's bytes 0xff 0xc0 under a smaller shape: a byte more
+        # than 5 bits need, and a set padding bit after 9 bits; both used to load
+        lambda index: index["layers"]["a"].update(shape=[1, 5], kept=5),
+        lambda index: index["layers"]["a"].update(shape=[3, 3], kept=9),
     ], ids=["no kept", "no shape", "shape a string", "no layers", "layers a list",
-            "file missing", "file outside", "bits lsb first", "shape past numpy's limits"])
+            "file missing", "file outside", "bits lsb first", "shape past numpy's limits",
+            "file longer than its shape", "padding bits set"])
     def test_malformed_index_rejected(self, tmp_path, change):
         masks = {"a": np.ones((2, 5), dtype=bool)}
         save_masks(masks, tmp_path / "m")

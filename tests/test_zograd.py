@@ -1,5 +1,6 @@
 """Zeroth-order estimation: seed replay, estimator fidelity, memory."""
 
+import math
 import runpy
 from pathlib import Path
 
@@ -77,8 +78,9 @@ class TestPerturbReplay:
 
     def test_zero_epsilon_rejected(self):
         model = tiny_linear_model([np.eye(2)])
-        with pytest.raises(InputError):
-            perturb_replay(model, "L0", 0, 0.0, 1)
+        for epsilon in (0.0, math.nan, math.inf):  # NaN and inf used to pass
+            with pytest.raises(InputError):
+                perturb_replay(model, "L0", 0, epsilon, 1)
 
     def test_frozen_layer_rejected(self):
         model = tiny_linear_model([np.eye(2)], frozen=[True])
@@ -218,8 +220,9 @@ class TestAllScores:
 
 class TestZOConfig:
     def test_validation(self):
-        with pytest.raises(InputError):
-            ZOConfig(epsilon=0.0)
+        for epsilon in (0.0, math.nan, math.inf):  # NaN and inf used to pass
+            with pytest.raises(InputError):
+                ZOConfig(epsilon=epsilon)
         with pytest.raises(InputError):
             ZOConfig(noises_per_sample=0)
         with pytest.raises(InputError):

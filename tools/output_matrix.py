@@ -22,6 +22,16 @@ byte-identical outputs::
 
     python tools/output_matrix.py --work /tmp/matrix --digest digest.json
 
+With ``--golden`` it runs only the 30 runs at sparsity 0.5 of three
+fixtures (``GOLDEN``: the 29k-weight MLP, ``char_lm`` and
+``two_tower_fusion``), and the digest file also records the numpy, scipy
+and BLAS versions.  ``tests/test_golden_digests.py`` runs that subset and
+compares it with ``tests/golden_digests.json``; a change that moves bits
+on purpose regenerates the file::
+
+    python tools/output_matrix.py --golden --work /tmp/golden \
+        --digest tests/golden_digests.json
+
 The sparsegpt outputs depend on the BLAS thread count (``np.linalg.inv``
 gives other bits at 1 and 2 OpenBLAS threads), so before numpy loads the
 tool sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
@@ -60,6 +70,7 @@ from coarsefine.tasks import (  # noqa: E402
 )
 
 SPARSITIES = ("0.5", "0.7")
+GOLDEN = ("mlp29k-fo-sparsegpt", "char_lm", "two_tower_fusion")  # at sparsity 0.5
 WORKLOAD_SEED, TASK_SEED, RUN_SEED = 1, 3, 0
 DEMO_06_TASK = dict(  # demos/demo_06_distribution_report.py
     kind="two_tower_fusion", seed=0,
@@ -77,15 +88,20 @@ def _workloads():
     return module
 
 
-def build_fixtures(work: Path) -> dict[str, tuple[int, tuple[str, ...]]]:
-    """Write every fixture under work; name -> (samples, sparsities)."""
+def build_fixtures(work: Path, names=None) -> dict[str, tuple[int, tuple[str, ...]]]:
+    """Write the named fixtures (default: every one) under work;
+    name -> (samples, sparsities)."""
     bench = _workloads()
     fixtures = {}
     for name, workload in bench.WORKLOADS.items():
+        if names is not None and name not in names:
+            continue
         bench.build_fixture(workload, WORKLOAD_SEED, 0, work / name)
         sparsities = SPARSITIES[:1] if name == "mlp459k-zo-wanda" else SPARSITIES
         fixtures[name] = (workload.samples, sparsities)
     for kind in TASK_KINDS:
+        if names is not None and kind not in names:
+            continue
         task = make_task(kind, seed=TASK_SEED)
         cfio.save_model(train_reference(task), work / kind / "model")
         cfio.save_calibration(get_split(task, "calib"), work / kind / "calib.json")
@@ -168,20 +184,38 @@ def task_outputs() -> dict[str, str]:
     return digests
 
 
+def versions() -> dict[str, str]:
+    """The numpy, scipy (gelu's erf) and BLAS builds that made the bits."""
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
 def main_matrix(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", required=True, help="empty work directory to create")
     parser.add_argument("--digest", required=True, help="digest JSON to write")
+    parser.add_argument("--golden", action="store_true",
+                        help="only the GOLDEN runs, with the library versions")
     args = parser.parse_args(argv)
     digest_path = Path(args.digest).resolve()
     work = Path(args.work)
     work.mkdir(parents=True, exist_ok=False)
     os.chdir(work)
-    fixtures = build_fixtures(Path("."))
-    digests, failed = run_matrix(fixtures)
-    digests.update(baseline_outputs(fixtures))
-    digests.update(task_outputs())
-    digest_path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    if args.golden:
+        fixtures = build_fixtures(Path("."), GOLDEN)
+        digests, failed = run_matrix({name: (samples, SPARSITIES[:1])
+                                      for name, (samples, _) in fixtures.items()})
+        record = {"versions": versions(), "digests": digests}
+    else:
+        fixtures = build_fixtures(Path("."))
+        digests, failed = run_matrix(fixtures)
+        digests.update(baseline_outputs(fixtures))
+        digests.update(task_outputs())
+        record = digests
+    digest_path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     runs = sum(1 for k in digests if k.endswith("<stdout>"))
     print(json.dumps({"runs": runs, "failed": failed, "entries": len(digests)}))
     return 1 if failed else 0
