@@ -220,15 +220,7 @@ def write_csv(rows: list[dict], path: str | Path) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        for row in rows:
-            out = []
-            for key in header:
-                v = row.get(key)
-                if isinstance(v, float):
-                    out.append(f"{v:.6g}")
-                elif v is None:
-                    out.append("")
-                else:
-                    out.append(str(v))
-            writer.writerow(out)
+        for row in rows:  # csv writes None as "" and str() of other values
+            values = (row.get(key) for key in header)
+            writer.writerow(f"{v:.6g}" if isinstance(v, float) else v for v in values)
     return path

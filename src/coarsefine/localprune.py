@@ -155,6 +155,14 @@ def wanda_scores(
     return scores
 
 
+def _layer_input(layer: LayerSpec, activations: np.ndarray) -> np.ndarray:
+    """The activations as float64 [samples, d_in]; any other shape is refused."""
+    x, d_in = np.asarray(activations, dtype=np.float64), layer.weight.shape[1]
+    if x.ndim != 2 or x.shape[1] != d_in:
+        raise InputError(f"activations shape {x.shape} does not match layer d_in {d_in}")
+    return x
+
+
 def wanda_prune_layer(
     layer: LayerSpec,
     activations: np.ndarray,
@@ -165,11 +173,7 @@ def wanda_prune_layer(
     if norm_exponent not in NORM_EXPONENTS:
         raise InputError(f"norm_exponent must be one of {NORM_EXPONENTS}, got {norm_exponent}")
     w = layer.weight
-    x = np.asarray(activations, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise InputError(
-            f"activations shape {x.shape} does not match layer d_in {w.shape[1]}"
-        )
+    x = _layer_input(layer, activations)
     budgets = _row_budgets(keep_count, w.shape[0], w.shape[1])
     return top_k_mask(wanda_scores(w, x, norm_exponent), budgets)
 
@@ -211,11 +215,7 @@ def sparsegpt_prune_layer(
     """
     w = layer.weight
     rows, cols = w.shape
-    x = np.asarray(activations, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cols:
-        raise InputError(
-            f"activations shape {x.shape} does not match layer d_in {cols}"
-        )
+    x = _layer_input(layer, activations)
     budgets = _row_budgets(keep_count, rows, cols)
     if keep_count == w.size:
         return np.ones_like(w, dtype=bool), w.copy()

@@ -35,7 +35,7 @@ from . import io as cfio
 from .allocation import GRANULARITIES, SparsityPlan, allocate_sparsity, default_p_max
 from .baselines import local_layer_scores
 from .errors import InputError, ModelFormatError, UsageError
-from .evaluation import EvalResult, evaluate, evaluate_on_batch, write_csv
+from .evaluation import _METRICS, EvalResult, evaluate, evaluate_on_batch, write_csv
 from .localprune import FINE_METHODS, NORM_EXPONENTS, sequential_prune
 from .model import CalibrationSet, ModelGraph
 from .scoring import (
@@ -205,6 +205,8 @@ def compute_scores(
 
     Returns the ScoreMap and the number of forward passes spent.
     """
+    if config.coarse not in _COARSE:
+        raise InputError(f"coarse mode must be one of {COARSE_MODES}, got {config.coarse!r}")
     before = model.forward_count
     scores = _COARSE[config.coarse](config, model, batch)
     return scores, model.forward_count - before
@@ -349,9 +351,8 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
         achieved = cfio.read_record(_Achieved, obj.get("achieved"), f"{p} achieved")
         plan = SparsityPlan.from_json(obj.get("sparsity_plan"))
         run = {"method": f"{config.coarse}-{config.fine}", "sparsity": config.sparsity}
-        metrics = {"loss": pruned.loss, "accuracy": pruned.accuracy,
-                   "perplexity": pruned.perplexity,
-                   "achieved_global_sparsity": achieved.global_sparsity}
+        metrics = {m: getattr(pruned, m) for m in _METRICS if m != "global_sparsity"}
+        metrics["achieved_global_sparsity"] = achieved.global_sparsity
         curve_rows += [{**run, "metric": metric, "value": value}
                        for metric, value in metrics.items() if value is not None]
         layer_rows += [{**run, "layer": layer, "layer_sparsity": entry.sparsity,

@@ -147,21 +147,19 @@ def _rng(task: TaskSpec, stream: int) -> np.random.Generator:
 # -- data generation ---------------------------------------------------------
 
 
-def _gen_samples(task: TaskSpec, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _gen_samples(task: TaskSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
     s = task.sizes
     rng = _rng(task, 0)
     if task.kind == "synthetic_regression":
         target_map = _rng(task, 2).normal(size=(s["d_out"], s["d_in"])) / np.sqrt(s["d_in"])
         xs = rng.normal(size=(count, s["d_in"]))
-        ys = xs @ target_map.T
-        return [(xs[i], ys[i]) for i in range(count)]
+        return xs, xs @ target_map.T
     if task.kind == "synthetic_classification":
         direction = _rng(task, 2).normal(size=s["d_in"])
         direction /= np.linalg.norm(direction)
         labels = rng.integers(0, s["classes"], size=count)
         centers = np.where(labels[:, None] == 0, -2.0, 2.0) * direction[None, :]
-        xs = centers + 0.8 * rng.normal(size=(count, s["d_in"]))
-        return [(xs[i], np.float64(labels[i])) for i in range(count)]
+        return centers + 0.8 * rng.normal(size=(count, s["d_in"])), labels.astype(np.float64)
     if task.kind == "char_lm":
         v, t = s["vocab"], s["seq_len"]
         trng = _rng(task, 2)
@@ -177,34 +175,29 @@ def _gen_samples(task: TaskSpec, count: int) -> list[tuple[np.ndarray, np.ndarra
             u = rng.random(count)
             cdf = np.cumsum(trans[seqs[:, pos - 1]], axis=1)
             seqs[:, pos] = np.minimum((u[:, None] > cdf).sum(axis=1), v - 1)
-        return [
-            (seqs[i, :t].astype(np.float64), seqs[i, 1:].astype(np.float64))
-            for i in range(count)
-        ]
+        return seqs[:, :t].astype(np.float64), seqs[:, 1:].astype(np.float64)
     # two_tower_fusion: teacher net defines the regression target
     trng = _rng(task, 2)
     t1 = trng.normal(size=(10, s["d_in"])) / np.sqrt(s["d_in"])
     t2 = trng.normal(size=(s["d_out"], 10)) / np.sqrt(10)
     xs = rng.normal(size=(count, s["d_in"]))
-    ys = np.maximum(xs @ t1.T, 0.0) @ t2.T
-    return [(xs[i], ys[i]) for i in range(count)]
+    return xs, np.maximum(xs @ t1.T, 0.0) @ t2.T
 
 
 def get_split(task: TaskSpec, split: str) -> CalibrationSet:
     """train / val / calib samples; calib is a prefix of train."""
     if split not in SPLITS:
         raise InputError(f"unknown split {split!r}")
-    total = task.n_train + task.n_val
-    samples = _gen_samples(task, total)
+    xs, ys = _gen_samples(task, task.n_train + task.n_val)
     if split == "train":
-        picked = samples[: task.n_train]
+        picked = slice(task.n_train)
     elif split == "val":
-        picked = samples[task.n_train :]
+        picked = slice(task.n_train, None)
     else:
-        picked = samples[: task.n_calib]
-    if not picked:
+        picked = slice(task.n_calib)
+    if not len(xs[picked]):
         raise InputError(f"split {split!r} of task {task.kind} is empty")
-    return CalibrationSet(picked)
+    return CalibrationSet(list(zip(xs[picked], ys[picked])))
 
 
 # -- architectures -------------------------------------------------------------
@@ -274,8 +267,7 @@ def inject_scale_imbalance(
         raise InputError("scale injection needs a positively homogeneous activation")
     if factor <= 0:
         raise InputError("scale factor must be positive")
-    names = [l.name for l in model.layers()]
-    if names.index(layer_down) != names.index(layer_up) + 1:
+    if model.layer_index(layer_down) != model.layer_index(layer_up) + 1:
         raise InputError("layers must be adjacent for an exact rescale")
     up.weight = up.weight * factor
     down.weight = down.weight / factor

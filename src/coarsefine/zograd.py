@@ -87,8 +87,6 @@ def noise_seed(global_seed: int, layer_index: int, noise_index: int) -> tuple:
 
 
 def _regenerate(seed_key, n: int) -> np.ndarray:
-    if isinstance(seed_key, (int, np.integer)):
-        seed_key = (int(seed_key),)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed_key)))
     return gen.standard_normal(n)
 
@@ -166,11 +164,9 @@ def zo_layer_score(
     Deterministic given (cfg.seed, batch order); costs 2*K loss
     evaluations per noise, each run from this layer to the loss on
     layer_input, the clean input of the layer (computed here when not
-    given).  The layer is restored on every exit path.
+    given).  The layer is restored on every exit path.  A frozen layer is
+    refused by the first leg's perturb_replay, before any weight changes.
     """
-    layer = model.layer(layer_name)
-    if layer.frozen:
-        raise FrozenLayerError(f"layer {layer_name!r} is frozen")
     layer_index = model.layer_index(layer_name)
     h = layer_input
     if h is None:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,11 +15,12 @@ import pytest
 
 import coarsefine
 from coarsefine.cli import _build_config, build_parser, main
-from coarsefine.errors import ModelFormatError, UsageError
+from coarsefine.errors import InputError, ModelFormatError, UsageError
 from coarsefine.io import load_calibration, load_masks, load_model, save_calibration, save_model
 from coarsefine.model import CalibrationSet
 from coarsefine.pipeline import (
-    MAX_NOISES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score,
+    COARSE_MODES, MAX_NOISES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score,
+    compute_scores,
 )
 from coarsefine.scoring import ScoreMap
 from coarsefine.tasks import build_model, get_split, make_task, train_reference
@@ -85,6 +87,13 @@ class TestCmdScore:
             first_order_saliency(model, batch), "sum", "first_order"
         )
         assert saved.entries == expected.entries
+
+    def test_unknown_coarse_mode_is_input_error(self):
+        # a library caller may skip RunConfig.validate, so the check is compute_scores' own
+        rng = np.random.default_rng(0)
+        with pytest.raises(InputError, match=re.escape(f"{COARSE_MODES}, got 'bogus'")):
+            compute_scores(RunConfig(coarse="bogus"), random_mlp(rng, [3, 2]),
+                           random_batch(rng, 2, 3, 2))
 
     def test_score_file_schema(self, fixture_dir, tmp_path):
         config = run_config(fixture_dir, tmp_path, coarse="zeroth")
@@ -275,8 +284,6 @@ class TestCmdEval:
     def test_unknown_split_errors(self, tmp_path):
         task = make_task("synthetic_regression", seed=0)
         save_model(train_reference(task), tmp_path / "model")
-        from coarsefine.errors import InputError
-
         with pytest.raises(InputError):
             cmd_eval(str(tmp_path / "model"), "synthetic_regression", "nope")
 
@@ -333,9 +340,23 @@ class TestCmdCompare:
         keep = sum(int(r.split(",")[4]) for r in rows[1:])
         assert keep == report.plan.n_select
 
-    def test_incompatible_fixtures_rejected(self, fixture_dir, three_layer_dir, tmp_path):
-        from coarsefine.errors import InputError
+    @pytest.mark.parametrize("kind, metrics", [
+        ("synthetic_regression", ["achieved_global_sparsity", "loss"]),
+        ("synthetic_classification", ["accuracy", "achieved_global_sparsity", "loss"]),
+        ("char_lm", ["achieved_global_sparsity", "loss", "perplexity"]),
+    ])
+    def test_metric_column_follows_the_head(self, kind, metrics, tmp_path):
+        task = make_task(kind, seed=0)
+        save_model(build_model(task), tmp_path / "model")
+        save_calibration(get_split(task, "calib"), tmp_path / "calib.json")
+        report = cmd_prune(run_config(tmp_path, tmp_path / "run", coarse="magnitude"))
+        cmd_compare([str(tmp_path / "run" / "report.json")], str(tmp_path / "cmp"))
+        rows = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
+        values = {**report.eval_pruned.to_json(),
+                  "achieved_global_sparsity": report.achieved["global_sparsity"]}
+        assert rows[1:] == [f"magnitude-wanda,0.5,{m},{values[m]:.6g}" for m in metrics]
 
+    def test_incompatible_fixtures_rejected(self, fixture_dir, three_layer_dir, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
         cmd_prune(run_config(fixture_dir, a, coarse="magnitude"))
@@ -925,11 +946,18 @@ class TestFlagSurface:
         assert getattr(_build_config(args), dest) == on_line
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(coarsefine.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "coarsefine.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0
         assert "prune" in proc.stdout
@@ -953,13 +981,11 @@ print(json.dumps(loaded))
 
 class TestColdImport:
     def test_relu_prune_never_loads_scipy(self, fixture_dir, tmp_path):
-        src = str(Path(coarsefine.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, "prune",
              "--model-dir", str(fixture_dir / "model"),
              "--calib", str(fixture_dir / "calib.json"), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])

@@ -1,6 +1,7 @@
 """Metrics, sparsity accounting, distribution report, run comparison."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -202,3 +203,12 @@ class TestCompareRuns:
         assert text[0].startswith("label,loss,")
         assert len(text) == 3
         assert text[1].split(",")[0] == "dense"
+
+    def test_csv_value_text(self, tmp_path):
+        row = {"third": 1 / 3, "tiny": 1e-7, "inf": math.inf, "none": None,
+               "int": 7, "str": "a,b", "bool": True}
+        path = write_csv([row], tmp_path / "values.csv")
+        assert path.read_bytes() == (
+            b"third,tiny,inf,none,int,str,bool\r\n"
+            b'0.333333,1e-07,inf,,7,"a,b",True\r\n'
+        )

@@ -397,6 +397,13 @@ class TestSparseGPT:
         assert wins >= 0.95 * trials
 
 
+@pytest.mark.parametrize("prune", [wanda_prune_layer, sparsegpt_prune_layer])
+@pytest.mark.parametrize("shape", [(3, 3), (2,)], ids=["wrong width", "1-D"])
+def test_activation_shape_rejected(prune, shape):
+    with pytest.raises(InputError, match=r"does not match layer d_in 2"):
+        prune(layer_of([[1.0, 2.0], [3.0, 4.0]]), np.ones(shape), 2)
+
+
 class TestSparseGPTLockstep:
     """The lockstep elimination against the per-row reference loop."""
 

@@ -28,7 +28,7 @@ from coarsefine.zograd import (
     zo_layer_score,
 )
 
-from conftest import random_batch, random_mlp, tiny_linear_model
+from conftest import array_bytes, random_batch, random_mlp, tiny_linear_model
 
 
 class TestPerturbReplay:
@@ -155,6 +155,21 @@ class TestLayerScore:
         g = backprop_gradients(model, batch)["L0"]
         sigma = np.linalg.norm(g)
         assert abs(np.mean(vals)) < 4 * sigma / np.sqrt(len(vals))
+
+    @pytest.mark.parametrize("given_input", [False, True])
+    def test_frozen_layer_refused_with_bits_unchanged(self, given_input):
+        rng = np.random.default_rng(8)
+        model = random_mlp(rng, [4, 5, 2])
+        model.layer("L1").frozen = True
+        batch = random_batch(rng, 3, 4, 2)
+        h = None
+        if given_input:
+            h = layer_forward(model.layer("L0"), batch_input_matrix(model, batch)[0])
+        before = array_bytes(model)
+        with pytest.raises(FrozenLayerError):
+            zo_layer_score(model, "L1", batch, ZOConfig(), layer_input=h)
+        assert array_bytes(model) == before
+        assert not hasattr(model.layer("L1"), "_perturb_cycle")
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
