@@ -312,20 +312,32 @@ def sequential_prune(
     fine_method: str,
     norm_exponent: int = 1,
     lam: float | None = None,
+    out: ModelGraph | None = None,
 ) -> tuple[ModelGraph, dict[str, np.ndarray], dict[str, float]]:
     """Prune layers in model order, conditioning on the pruned prefix.
 
     Each layer's activations are the batch propagated through the already
     pruned earlier layers; frozen layers are skipped but still forwarded.
-    The input model is only read: the result is ``model.copy(weights=...)``
-    over the arrays the fine steps return, and a layer's pruned
-    pre-activation serves both its reconstruction error and, with bias
-    and activation applied in its own buffer, the next layer's input.
-    The error is squared in the dense pre-activation's buffer, so a
-    layer holds its input and two output-sized arrays at most.  Returns
-    (pruned model, keep-masks, per-layer reconstruction errors), where the
-    reconstruction error is the squared Frobenius distance between dense
-    and pruned pre-activation outputs on the captured activations.
+    The pruned model is written into out (numpy's out= convention), which
+    has model's layers: a structural copy, or model itself.  Each pruned
+    layer of out takes the weight its fine step returns once the dense
+    weight has been read for the last time, by the reconstruction GEMM
+    that follows the fine step; out's frozen layers and biases are not
+    touched, and its forward count grows by the batch's sample count.
+    With out=model each dense weight is freed as its layer is pruned, so
+    a prune holds one model's weights.  By default out is ``model.copy()``
+    with the pruned layers starting as model's own arrays: model is only
+    read and the result shares no array with it.  A pass that raises may
+    leave a pruned prefix in out.
+
+    A layer's pruned pre-activation serves both its reconstruction error
+    and, with bias and activation applied in its own buffer, the next
+    layer's input.  The error is squared in the dense pre-activation's
+    buffer, so a layer holds its input and two output-sized arrays at
+    most.  Returns (out, keep-masks, per-layer reconstruction errors),
+    where the reconstruction error is the squared Frobenius distance
+    between dense and pruned pre-activation outputs on the captured
+    activations.
     """
     if fine_method not in FINE_METHODS:
         raise InputError(f"fine_method must be one of {FINE_METHODS}")
@@ -334,7 +346,8 @@ def sequential_prune(
         raise InputError("invalid plan: " + "; ".join(violations))
 
     h, _ = batch_input_matrix(model, batch)
-    new: dict[str, np.ndarray] = {}
+    if out is None:
+        out = model.copy(weights={l.name: l.weight for l in model.prunable_layers()})
     masks: dict[str, np.ndarray] = {}
     recon: dict[str, float] = {}
     for layer in model.layers():
@@ -360,15 +373,15 @@ def sequential_prune(
                 f"layer {layer.name!r}: mask keeps {kept}, plan says {alloc.keep_count}"
             )
         masks[layer.name] = mask
-        new[layer.name] = check_finite(new_w, f"weights for {layer.name!r}")
-        out = h @ new_w.T
-        err = h @ layer.weight.T
-        err -= out
+        check_finite(new_w, f"weights for {layer.name!r}")
+        err = h @ layer.weight.T  # the dense weight's last read
+        out.layer(layer.name).weight = new_w
+        pre = h @ new_w.T
+        err -= pre
         recon[layer.name] = float(np.sum(np.square(err, out=err)))
         del err
         if layer.bias is not None:
-            out += layer.bias
-        h = _act(layer.activation, out, out=out)
-    pruned = model.copy(weights=new)
-    pruned.forward_count += batch.count
-    return pruned, masks, recon
+            pre += layer.bias
+        h = _act(layer.activation, pre, out=pre)
+    out.forward_count += batch.count
+    return out, masks, recon

@@ -13,10 +13,10 @@ pruned models are evaluated on the calibration batch after a round trip
 through the on-disk float32 format, so reported metrics match what a
 reload sees.
 
-A prune holds two models' weights only in the fine pass, which reads the
-dense model and builds the pruned one from its own arrays.  The dense
-model is dropped once the pass returns, the pruned one once it is saved;
-the pruned evaluation reads the reload alone.  Past the weights and the
+A prune holds one model's weights: the fine pass writes each pruned
+layer over its dense one, whose weight is freed once it has been read
+for the last time.  The pruned model is dropped once it is saved; the
+pruned evaluation reads the reload alone.  Past the weights and the
 batch, a loss-only forward holds one layer's input and output at a time,
 because it applies bias, activation and loss in buffers it owns (see
 :mod:`coarsefine.model`).  Zeroth-order scoring adds the scored layer's
@@ -194,8 +194,9 @@ def _load_inputs(config: RunConfig) -> tuple[ModelGraph, CalibrationSet]:
             f"calibration file holds {calib.count} samples, config asks for "
             f"{config.samples}"
         )
-    batch = CalibrationSet(calib.samples[: config.samples])
-    return model, batch
+    if calib.count == config.samples:
+        return model, calib
+    return model, CalibrationSet(calib.samples[: config.samples])
 
 
 def compute_scores(
@@ -261,19 +262,21 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         p_max=config.effective_max_sparsity(),
         granularity="layer" if config.coarse == "uniform" else config.granularity,
     )
-    pruned, masks, recon = sequential_prune(
+    before = model.forward_count
+    # pruned in place: each dense weight is freed as its layer is pruned
+    model, masks, recon = sequential_prune(
         model,
         plan,
         batch,
         config.fine,
         norm_exponent=config.norm_exponent,
         lam=config.hessian_lambda,
+        out=model,
     )
-    pruning_forwards = pruned.forward_count
-    del model  # the dense weights are not read again
+    pruning_forwards = model.forward_count - before
 
-    cfio.save_model(pruned, out / "pruned_model")
-    del pruned  # the evaluation reads the reload
+    cfio.save_model(model, out / "pruned_model")
+    del model  # the evaluation reads the reload
     cfio.save_masks(masks, out / "masks")
     reloaded = cfio.load_model(out / "pruned_model")
     eval_pruned = evaluate_on_batch(

@@ -228,24 +228,32 @@ def traced_prune_peak(config) -> int:
 
 
 class TestPeakMemory:
-    # a 256-512-512-128 GELU MLP (458,752 weights), wanda, K=64; the bound
-    # is in float64 weight bytes.  With zeroth-order scores the peak is the
-    # dense model plus the ZO cycle's two layer-sized buffers (2.42x); with
-    # uniform scores it is the fine pass, dense model plus pruned arrays
-    # (2.37x).  Keeping the dense model alive into the pruned evaluation
-    # reads 2.47x and keeping the pruned one 2.40x; keeping both, as when
-    # the dense, pruned and reloaded models were all alive at once, reads
-    # 3.40x.
-    @pytest.mark.parametrize("coarse, bound", [("zeroth", 2.5), ("uniform", 2.45)])
-    def test_prune_holds_one_extra_model_at_most(self, tmp_path, coarse, bound):
+    # bounds in float64 weight bytes.  A 256-512-512-128 GELU MLP (458,752
+    # weights), wanda, K=64: with zeroth-order scores the peak is the dense
+    # model plus the ZO cycle's two layer-sized buffers (2.42x); with
+    # uniform scores it is the fine pass, the model with the pruned layer's
+    # new weight and wanda's buffers beside it (1.91x).  A 64-128-128-32
+    # GELU MLP (28,672 weights), first-order scores, sparsegpt, K=32: the
+    # peak is the last layer's elimination (3.85x).  A fine pass that kept
+    # every dense layer until it returned read 2.36x and 4.29x; keeping
+    # the pruned model alive into the pruned evaluation reads 2.40x with
+    # uniform scores.
+    @pytest.mark.parametrize("widths, samples, coarse, fine, bound", [
+        ((256, 512, 512, 128), 64, "zeroth", "wanda", 2.5),
+        ((256, 512, 512, 128), 64, "uniform", "wanda", 2.0),
+        ((64, 128, 128, 32), 32, "first", "sparsegpt", 3.95),
+    ], ids=["zeroth-wanda", "uniform-wanda", "first-sparsegpt"])
+    def test_prune_holds_one_extra_model_at_most(self, tmp_path, widths, samples, coarse,
+                                                 fine, bound):
         rng = np.random.default_rng(41)
-        model = random_mlp(rng, [256, 512, 512, 128])
+        model = random_mlp(rng, list(widths))
         weight_bytes = 8 * model.num_prunable_weights()
         save_model(model, tmp_path / "model")
-        save_calibration(random_batch(rng, 64, 256, 128), tmp_path / "calib.json")
+        save_calibration(random_batch(rng, samples, widths[0], widths[-1]),
+                         tmp_path / "calib.json")
         del model
-        config = run_config(tmp_path, tmp_path / "out", samples=64,
-                            coarse=coarse, fine="wanda")
+        config = run_config(tmp_path, tmp_path / "out", samples=samples,
+                            coarse=coarse, fine=fine)
         peak = traced_prune_peak(config)
         assert peak < bound * weight_bytes, peak / weight_bytes
 

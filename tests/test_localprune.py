@@ -2,6 +2,7 @@
 sequential conditioning."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -605,7 +606,8 @@ def owned_case():
 
 
 class TestOwnership:
-    """sequential_prune only reads its input and returns arrays of its own."""
+    """sequential_prune only reads its input and returns arrays of its own,
+    unless it is told to prune in place with out=model."""
 
     @pytest.mark.parametrize("method", ["wanda", "sparsegpt", "magnitude"])
     def test_input_untouched_and_unshared(self, method):
@@ -643,6 +645,22 @@ class TestOwnership:
                     np.sum((h @ layer.weight.T - h @ w.T) ** 2)
                 )
             h = layer_forward(new, h)
+
+    @pytest.mark.parametrize("method", ["wanda", "sparsegpt", "magnitude"])
+    def test_in_place_frees_each_dense_weight(self, method):
+        expected, expected_masks, expected_recon = sequential_prune(*owned_case(), method)
+        model, plan, batch = owned_case()
+        dense = {name: weakref.ref(model.layer(name).weight) for name in ("L0", "L2")}
+        frozen = model.layer("L1").weight
+        pruned, masks, recon = sequential_prune(model, plan, batch, method, out=model)
+        assert pruned is model and model.forward_count == batch.count
+        assert masks.keys() == expected_masks.keys()
+        for name, mask in masks.items():
+            np.testing.assert_array_equal(mask, expected_masks[name])
+        assert recon == expected_recon
+        assert array_bytes(model) == array_bytes(expected)
+        assert [name for name, ref in dense.items() if ref() is not None] == []
+        assert model.layer("L1").weight is frozen
 
     def test_apply_mask_keeps_survivor_bits(self):
         layer = layer_of([[-0.0, 1.5, -2.0], [-3.0, -0.0, 0.25]])
