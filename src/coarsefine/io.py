@@ -176,11 +176,11 @@ def _write_f32(path, arr: np.ndarray) -> None:
     np.ascontiguousarray(arr, dtype=np.float64).astype("<f4").tofile(path)
 
 
-def _read_f32(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+def _read_f32(path: Path, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     raw = _read_raw(path, "<f4", math.prod(shape))
     if not np.all(np.isfinite(raw)):
         raise ModelFormatError(f"{path}: non-finite values on disk")
-    return raw.astype(np.float64).reshape(shape)
+    return raw.reshape(shape).astype(dtype, copy=False)  # float64: an array with no base
 
 
 # -- model directories ------------------------------------------------------
@@ -287,12 +287,13 @@ def load_calibration(json_path: str | Path) -> CalibrationSet:
     shapes = [_shape(entry, key, "calibration sample")
               for entry in _field(index, "samples", list, "calibration index")
               for key in ("input", "target")]
-    data = _read_f32(json_path.parent / data_file, (sum(map(math.prod, shapes)),))
+    data = _read_f32(json_path.parent / data_file, (sum(map(math.prod, shapes)),), np.float32)
     tensors, offset = [], 0
-    for shape in shapes:  # views into the one converted block, in file order
+    for shape in shapes:  # float32 views into the block, in file order
         size = math.prod(shape)
         tensors.append(_reshape(data[offset : offset + size], shape, "calibration sample"))
         offset += size
+    # stacking converts each sample to float64 once, into the stacked arrays
     return CalibrationSet(list(zip(tensors[::2], tensors[1::2])))
 
 

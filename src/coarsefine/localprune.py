@@ -16,7 +16,9 @@ Three local criteria fill the per-layer budgets of a SparsityPlan:
 * magnitude: plain |W| top-k within the layer.
 
 The sequential driver prunes layers in model order, feeding each layer
-the activations produced by the already-pruned prefix.
+the activations produced by the already-pruned prefix, and writes each
+pruned layer into its output model's own weight array (in place when the
+output is the input model).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .model import (
 FINE_METHODS = ("wanda", "sparsegpt", "magnitude")
 NORM_EXPONENTS = (1, 2)  # wanda's e in ||X_j||^e
 TOP_K_BLOCK = 1 << 15  # elements per block of rows in top_k_mask
+MASK_BLOCK = 1 << 13  # elements per block of rows in apply_mask
 
 
 def build_hessian(activations: np.ndarray, lam: float | None = None) -> np.ndarray:
@@ -103,7 +106,14 @@ def top_k_mask(scores: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     least), so every temporary stays within a block.
     """
     s = np.asarray(scores, dtype=np.float64)
-    rows, cols = s.shape
+    return _top_k_rows(s.shape, k, lambda rows: s[rows])
+
+
+def _top_k_rows(shape: tuple[int, int], k, block_scores) -> np.ndarray:
+    """top_k_mask of a [rows, cols] score array that block_scores(rows)
+    gives one block of rows (a slice or an index array) at a time; rows
+    whose budget is 0 or cols are never scored."""
+    rows, cols = shape
     budgets = np.broadcast_to(np.asarray(k, dtype=np.int64), (rows,))
     if budgets.size and not (0 <= budgets.min() and budgets.max() <= cols):
         raise InputError(f"top-k budgets must lie in [0, {cols}]")
@@ -118,7 +128,7 @@ def top_k_mask(scores: np.ndarray, k: int | np.ndarray) -> np.ndarray:
                 sel = group[i : i + step]
                 if sel[-1] - sel[0] == sel.size - 1:  # a run of rows: slice, no copy
                     sel = slice(sel[0], sel[-1] + 1)
-                mask[sel] = _top_k_block(s[sel], int(b))
+                mask[sel] = _top_k_block(block_scores(sel), int(b))
     return mask
 
 
@@ -169,13 +179,23 @@ def wanda_prune_layer(
     keep_count: int,
     norm_exponent: int = 1,
 ) -> np.ndarray:
-    """Keep the top |W_ij| * ||X_j||^e scores within each output row."""
+    """Keep the top |W_ij| * ||X_j||^e scores within each output row.
+
+    The scores are those of wanda_scores, formed one top_k_mask block of
+    rows at a time, so no layer-sized array but the mask is made."""
     if norm_exponent not in NORM_EXPONENTS:
         raise InputError(f"norm_exponent must be one of {NORM_EXPONENTS}, got {norm_exponent}")
     w = layer.weight
     x = _layer_input(layer, activations)
     budgets = _row_budgets(keep_count, w.shape[0], w.shape[1])
-    return top_k_mask(wanda_scores(w, x, norm_exponent), budgets)
+    norms = np.sqrt(np.sum(x * x, axis=0)) ** norm_exponent
+
+    def block_scores(rows):
+        scores = np.abs(w[rows])
+        scores *= norms
+        return scores
+
+    return _top_k_rows(w.shape, budgets, block_scores)
 
 
 def magnitude_prune_layer(layer: LayerSpec, keep_count: int) -> np.ndarray:
@@ -191,6 +211,7 @@ def sparsegpt_prune_layer(
     activations: np.ndarray,
     keep_count: int,
     lam: float | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise OBS pruning with weight compensation.
 
@@ -201,6 +222,12 @@ def sparsegpt_prune_layer(
     inverse to the surviving support.  Exact eliminations commute, so the
     final survivors equal the least-squares refit of the chosen mask.
     Returns (mask, new weights); pruned entries are exactly zero.
+
+    The new weights are written into out (numpy's out= convention: a
+    C-contiguous float64 array of the weight's shape), which is returned;
+    by default a new array.  out=layer.weight eliminates in place, so the
+    dense weight must have been read for the last time before the call.
+    A call that raises may leave out partly eliminated.
 
     Rows are eliminated in lockstep, B = max(1, 2*max(rows, cols) // T)
     at a time (at most rows), where T is the largest per-row prune count.
@@ -217,8 +244,13 @@ def sparsegpt_prune_layer(
     rows, cols = w.shape
     x = _layer_input(layer, activations)
     budgets = _row_budgets(keep_count, rows, cols)
+    _check_out(w, out)
+    if out is None:
+        out = w.copy()
+    elif out is not w:
+        np.copyto(out, w)
     if keep_count == w.size:
-        return np.ones_like(w, dtype=bool), w.copy()
+        return np.ones_like(w, dtype=bool), out
 
     hinv0 = build_hessian(x, lam)
     n_prune = cols - budgets  # non-decreasing: the first rows keep one more
@@ -226,14 +258,18 @@ def sparsegpt_prune_layer(
     block = min(rows, max(1, 2 * max(rows, cols) // steps))
     u = np.empty((block, steps, cols))
     mask = np.ones_like(w, dtype=bool)
-    new_w = w.copy()
     for b0 in range(0, rows, block):
         b1 = min(b0 + block, rows)
-        _eliminate_block(
-            new_w[b0:b1], mask[b0:b1], n_prune[b0:b1], hinv0, u, layer.name
-        )
-    new_w[~mask] = 0.0
-    return mask, new_w
+        _eliminate_block(out[b0:b1], mask[b0:b1], n_prune[b0:b1], hinv0, u, layer.name)
+    out[~mask] = 0.0
+    return mask, out
+
+
+def _check_out(w: np.ndarray, out: np.ndarray | None) -> None:
+    """out, when given, must be a C-contiguous float64 array of w's shape."""
+    if out is not None and not (out.shape == w.shape and out.dtype == np.float64
+                                and out.flags.c_contiguous):
+        raise DimensionError(f"out must be a C-contiguous float64 {w.shape} array")
 
 
 def _eliminate_block(
@@ -289,19 +325,29 @@ def _eliminate_block(
         w.put(at, np.inf)
 
 
-def apply_mask(layer: LayerSpec, mask: np.ndarray) -> np.ndarray:
-    """A new C-contiguous weight array: survivors keep their bits, pruned
-    entries are +0.0.  The mask (read as bool, of the weight's shape) is
-    negated as int64 to 0 or all ones and ANDed with the weight bits."""
+def apply_mask(layer: LayerSpec, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The weight with pruned entries set to +0.0 and survivors keeping
+    their bits, written into out (numpy's out= convention: a C-contiguous
+    float64 array of the weight's shape; out=layer.weight masks in place),
+    which is returned; by default a new array.  The mask (read as bool,
+    of the weight's shape) is negated as int64 to 0 or all ones and
+    ANDed with the weight bits, MASK_BLOCK elements at a time (one row
+    at least), so the only temporary is one block's int64 buffer."""
     w = layer.weight
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != w.shape:
         raise DimensionError(f"mask shape {mask.shape} != weight shape {w.shape}")
-    out = np.empty(w.shape)
-    bits = out.view(np.int64)  # out, not a view, is returned: it owns its buffer
-    bits[...] = mask
-    np.negative(bits, out=bits)
-    bits &= w.view(np.int64)
+    _check_out(w, out)
+    out = np.empty(w.shape) if out is None else out
+    src, dst = w.view(np.int64), out.view(np.int64)
+    step = max(1, MASK_BLOCK // w.shape[1])
+    buf = np.empty((min(step, w.shape[0]), w.shape[1]), dtype=np.int64)
+    for r0 in range(0, w.shape[0], step):
+        keep = mask[r0 : r0 + step]
+        bits = buf[: len(keep)]
+        bits[...] = keep
+        np.negative(bits, out=bits)
+        np.bitwise_and(bits, src[r0 : r0 + step], out=dst[r0 : r0 + step])
     return out
 
 
@@ -320,15 +366,15 @@ def sequential_prune(
     pruned earlier layers; frozen layers are skipped but still forwarded.
     The pruned model is written into out (numpy's out= convention), which
     has model's layers: a structural copy, or model itself.  Each pruned
-    layer of out takes the weight its fine step returns once the dense
-    weight has been read for the last time, by the reconstruction GEMM
-    that follows the fine step; out's frozen layers and biases are not
+    layer's fine step writes straight into out's own weight array, once
+    the reconstruction GEMM has read the dense weight for the last time;
+    out keeps every array it holds, its frozen layers and biases are not
     touched, and its forward count grows by the batch's sample count.
-    With out=model each dense weight is freed as its layer is pruned, so
-    a prune holds one model's weights.  By default out is ``model.copy()``
-    with the pruned layers starting as model's own arrays: model is only
-    read and the result shares no array with it.  A pass that raises may
-    leave a pruned prefix in out.
+    With out=model each layer is pruned in place, so a prune holds one
+    model's weights and no second copy of any layer.  By default out is
+    ``model.copy()``, which owns all its arrays: model is only read and
+    the result shares no array with it.  A pass that raises may leave a
+    pruned prefix in out, and out's current layer partly pruned.
 
     A layer's pruned pre-activation serves both its reconstruction error
     and, with bias and activation applied in its own buffer, the next
@@ -347,7 +393,7 @@ def sequential_prune(
 
     h, _ = batch_input_matrix(model, batch)
     if out is None:
-        out = model.copy(weights={l.name: l.weight for l in model.prunable_layers()})
+        out = model.copy()
     masks: dict[str, np.ndarray] = {}
     recon: dict[str, float] = {}
     for layer in model.layers():
@@ -355,16 +401,19 @@ def sequential_prune(
             h = layer_forward(layer, h)
             continue
         alloc = plan.per_layer[layer.name]
+        new_w = out.layer(layer.name).weight  # layer.weight itself when out is model
         try:
             if fine_method == "sparsegpt":
-                mask, new_w = sparsegpt_prune_layer(layer, h, alloc.keep_count, lam)
+                err = h @ layer.weight.T  # the dense weight's last read
+                mask, _ = sparsegpt_prune_layer(layer, h, alloc.keep_count, lam, out=new_w)
             else:
                 mask = (
                     wanda_prune_layer(layer, h, alloc.keep_count, norm_exponent)
                     if fine_method == "wanda"
                     else magnitude_prune_layer(layer, alloc.keep_count)
                 )
-                new_w = apply_mask(layer, mask)
+                err = h @ layer.weight.T  # the dense weight's last read
+                apply_mask(layer, mask, out=new_w)
         except (InputError, NumericalError) as e:
             raise type(e)(f"while pruning layer {layer.name!r}: {e}") from e
         kept = int(np.count_nonzero(mask))
@@ -374,8 +423,6 @@ def sequential_prune(
             )
         masks[layer.name] = mask
         check_finite(new_w, f"weights for {layer.name!r}")
-        err = h @ layer.weight.T  # the dense weight's last read
-        out.layer(layer.name).weight = new_w
         pre = h @ new_w.T
         err -= pre
         recon[layer.name] = float(np.sum(np.square(err, out=err)))

@@ -181,9 +181,11 @@ class CalibrationSet:
     """Small sample set (input, target) used for activations and losses.
 
     All inputs share one shape and all targets share one shape, so the
-    batch is stacked once into xs [K, *input] and ys [K, *target];
-    samples then holds row views of those arrays, not copies.  Never used
-    for training.
+    batch is held stacked as float64 xs [K, *input] and ys [K, *target];
+    samples then holds row views of those arrays, not copies.  A set
+    built from a sample list stacks it once, converting each sample
+    straight into the stacked arrays; :meth:`stacked` takes arrays that
+    are stacked already.  Never used for training.
     """
 
     samples: list[tuple[np.ndarray, np.ndarray]]
@@ -193,15 +195,31 @@ class CalibrationSet:
     def __post_init__(self):
         if len(self.samples) < 1:
             raise InputError("calibration set must contain at least one sample")
-        pairs = [(as_tensor(x), as_tensor(y)) for x, y in self.samples]
+        pairs = [(np.asarray(x), np.asarray(y)) for x, y in self.samples]
         x0, y0 = pairs[0]
         for x, y in pairs[1:]:
             if x.shape != x0.shape or y.shape != y0.shape:
                 raise DimensionError("calibration samples have inconsistent shapes")
-        self.xs = np.stack([x for x, _ in pairs])
-        self.ys = np.stack([y for _, y in pairs])
+        self._hold(np.stack([x for x, _ in pairs], dtype=np.float64),
+                   np.stack([y for _, y in pairs], dtype=np.float64))
+
+    @classmethod
+    def stacked(cls, xs, ys) -> "CalibrationSet":
+        """The set whose samples are the rows of xs and ys, held as they
+        are: C-contiguous float64 arrays are not copied."""
+        xs, ys = as_tensor(xs), as_tensor(ys)
+        if xs.ndim == 0 or ys.ndim == 0 or len(xs) != len(ys):
+            raise DimensionError("stacked inputs and targets must hold one row per sample")
+        if len(xs) < 1:
+            raise InputError("calibration set must contain at least one sample")
+        batch = cls.__new__(cls)
+        batch._hold(xs, ys)
+        return batch
+
+    def _hold(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        self.xs, self.ys = xs, ys
         # [i, ...] keeps 0-d targets (class ids) as array views
-        self.samples = [(self.xs[i, ...], self.ys[i, ...]) for i in range(len(pairs))]
+        self.samples = [(xs[i, ...], ys[i, ...]) for i in range(len(xs))]
 
     @property
     def count(self) -> int:

@@ -13,15 +13,21 @@ pruned models are evaluated on the calibration batch after a round trip
 through the on-disk float32 format, so reported metrics match what a
 reload sees.
 
-A prune holds one model's weights: the fine pass writes each pruned
-layer over its dense one, whose weight is freed once it has been read
-for the last time.  The pruned model is dropped once it is saved; the
+A prune holds one model's weights: the fine pass prunes each layer in
+its own weight array, after the reconstruction GEMM has read the dense
+weight for the last time.  Sparsegpt eliminates in that array; wanda
+scores and selects one block of rows at a time, and its mask is ANDed
+in by row block, so past the model the fine pass holds the layer's mask,
+the sparsegpt inverse Hessian and its update buffer, and block-sized
+temporaries.  The calibration batch is converted from float32 once,
+straight into its stacked arrays, and ``--samples`` takes a prefix of
+them without a copy.  The pruned model is dropped once it is saved; the
 pruned evaluation reads the reload alone.  Past the weights and the
 batch, a loss-only forward holds one layer's input and output at a time,
 because it applies bias, activation and loss in buffers it owns (see
 :mod:`coarsefine.model`).  Zeroth-order scoring adds the scored layer's
-clean input, and the fine pass one output-sized array for the
-reconstruction error.
+clean input and two layer-sized buffers, and the fine pass one
+output-sized array for the reconstruction error.
 """
 
 # no "from __future__ import annotations": RunConfig.value_type reads field types
@@ -196,7 +202,7 @@ def _load_inputs(config: RunConfig) -> tuple[ModelGraph, CalibrationSet]:
         )
     if calib.count == config.samples:
         return model, calib
-    return model, CalibrationSet(calib.samples[: config.samples])
+    return model, CalibrationSet.stacked(calib.xs[: config.samples], calib.ys[: config.samples])
 
 
 def compute_scores(
@@ -263,7 +269,7 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         granularity="layer" if config.coarse == "uniform" else config.granularity,
     )
     before = model.forward_count
-    # pruned in place: each dense weight is freed as its layer is pruned
+    # pruned in place: each layer's fine step writes into its own weight array
     model, masks, recon = sequential_prune(
         model,
         plan,

@@ -197,7 +197,7 @@ def get_split(task: TaskSpec, split: str) -> CalibrationSet:
         picked = slice(task.n_calib)
     if not len(xs[picked]):
         raise InputError(f"split {split!r} of task {task.kind} is empty")
-    return CalibrationSet(list(zip(xs[picked], ys[picked])))
+    return CalibrationSet.stacked(xs[picked], ys[picked])
 
 
 # -- architectures -------------------------------------------------------------

@@ -2,7 +2,6 @@
 sequential conditioning."""
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -269,6 +268,25 @@ class TestTopKMask:
         ours = peak_bytes(wanda_prune_layer, layer, acts, keep)
         ref = peak_bytes(wanda_row_loop, layer, acts, keep)
         assert ours <= ref
+
+    def test_wanda_past_one_block(self):
+        # 301 x 203: TOP_K_BLOCK holds 161 rows, so the 200 rows that keep
+        # 101 take a full block and a ragged one; MASK_BLOCK holds 40 rows,
+        # and 301 rows end in a ragged block of 21
+        rng = np.random.default_rng(18)
+        layer = layer_of(rng.normal(size=(301, 203)))
+        acts = rng.normal(size=(16, 203))
+        assert layer.size > localprune.TOP_K_BLOCK and 301 % (localprune.MASK_BLOCK // 203)
+        for keep in (301 * 100 + 200, 301 * 50):  # two row budgets, then one
+            for e in (1, 2):
+                mask = wanda_prune_layer(layer, acts, keep, norm_exponent=e)
+                budgets = localprune._row_budgets(keep, 301, 203)
+                whole = top_k_mask(localprune.wanda_scores(layer.weight, acts, e), budgets)
+                assert mask.tobytes() == whole.tobytes()
+                if e == 1:
+                    assert mask.tobytes() == wanda_row_loop(layer, acts, keep).tobytes()
+            masked = localprune.apply_mask(layer, mask)
+            assert masked.tobytes() == np.where(mask, layer.weight, 0.0).tobytes()
 
 
 class TestMagnitude:
@@ -647,11 +665,11 @@ class TestOwnership:
             h = layer_forward(new, h)
 
     @pytest.mark.parametrize("method", ["wanda", "sparsegpt", "magnitude"])
-    def test_in_place_frees_each_dense_weight(self, method):
+    def test_in_place_prunes_each_weight_array(self, method):
         expected, expected_masks, expected_recon = sequential_prune(*owned_case(), method)
         model, plan, batch = owned_case()
-        dense = {name: weakref.ref(model.layer(name).weight) for name in ("L0", "L2")}
-        frozen = model.layer("L1").weight
+        weights = {l.name: l.weight for l in model.layers()}
+        frozen = model.layer("L1").weight.tobytes()
         pruned, masks, recon = sequential_prune(model, plan, batch, method, out=model)
         assert pruned is model and model.forward_count == batch.count
         assert masks.keys() == expected_masks.keys()
@@ -659,8 +677,55 @@ class TestOwnership:
             np.testing.assert_array_equal(mask, expected_masks[name])
         assert recon == expected_recon
         assert array_bytes(model) == array_bytes(expected)
-        assert [name for name, ref in dense.items() if ref() is not None] == []
-        assert model.layer("L1").weight is frozen
+        assert [l.name for l in model.layers() if l.weight is not weights[l.name]] == []
+        assert model.layer("L1").weight.tobytes() == frozen
+
+    @pytest.mark.parametrize("keep", [12, 7, 0])  # keep all: the early return
+    def test_sparsegpt_in_place_equals_the_default_call(self, keep):
+        rng = np.random.default_rng(43)
+        w = rng.normal(size=(3, 4))
+        w[0, 0], w[2, 3] = -0.0, -0.0  # signed zeros: a survivor keeps its sign
+        acts = rng.normal(size=(8, 4))
+        mask, expected = sparsegpt_prune_layer(layer_of(w), acts, keep)
+        layer = layer_of(w.copy())
+        dense = layer.weight
+        got_mask, got = sparsegpt_prune_layer(layer, acts, keep, out=dense)
+        assert got is dense and layer.weight is dense
+        np.testing.assert_array_equal(got_mask, mask)
+        assert got.tobytes() == expected.tobytes()
+        other = np.full(w.shape, np.nan)
+        assert sparsegpt_prune_layer(layer_of(w), acts, keep, out=other)[1] is other
+        assert other.tobytes() == expected.tobytes()
+        if keep == w.size:
+            assert np.signbit(got[0, 0]) and np.signbit(got[2, 3])
+
+    @pytest.mark.parametrize("rows", [1, 5, 2 * 3 + 1])  # ragged last block of 3 rows
+    def test_apply_mask_into_out_equals_the_default_call(self, rows):
+        rng = np.random.default_rng(44)
+        w = rng.normal(size=(rows, 4))
+        w[:, 1] = -0.0
+        mask = rng.random(w.shape) < 0.5
+        mask[:, 1] = True  # -0.0 survivors
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localprune, "MASK_BLOCK", 12)  # three rows a block
+            expected = localprune.apply_mask(layer_of(w), mask)
+            layer = layer_of(w.copy())
+            dense = layer.weight
+            assert localprune.apply_mask(layer, mask, out=dense) is dense
+            other = np.full(w.shape, np.nan)
+            assert localprune.apply_mask(layer_of(w), mask, out=other) is other
+        assert expected.tobytes() == np.where(mask, w, 0.0).tobytes()
+        assert dense.tobytes() == expected.tobytes() and other.tobytes() == expected.tobytes()
+        assert np.signbit(dense[:, 1]).all()
+
+    @pytest.mark.parametrize("out", [np.empty((3, 2)), np.empty((2, 3), np.float32),
+                                     np.empty((3, 2)).T], ids=["shape", "dtype", "order"])
+    def test_out_of_another_layout_rejected(self, out):
+        layer = layer_of(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            localprune.apply_mask(layer, np.ones((2, 3), bool), out=out)
+        with pytest.raises(DimensionError):
+            sparsegpt_prune_layer(layer, np.ones((4, 3)), 6, out=out)
 
     def test_apply_mask_keeps_survivor_bits(self):
         layer = layer_of([[-0.0, 1.5, -2.0], [-3.0, -0.0, 0.25]])
