@@ -18,8 +18,9 @@ task = make_task("char_lm", seed=0)
 model = train_reference(task)
 calib = get_split(task, "calib")
 
-# --- seed replay: +1 draws z once and sets W0 + eps*z, -1 moves to
-# W0 - eps*z, and restore puts the original W0 back bit-exactly
+# --- seed replay: +1 draws z once into a new array that becomes
+# W0 + eps*z, -1 reflects that perturbation about W0 in the same array
+# (about W0 - eps*z), and restore puts the original W0 back bit-exactly
 layer = "body.fc1"
 before = model.layer(layer).weight.copy()
 perturb_replay(model, layer, seed=123, epsilon=1e-3, direction=1)

@@ -401,11 +401,13 @@ def sequential_prune(
             h = layer_forward(layer, h)
             continue
         alloc = plan.per_layer[layer.name]
-        new_w = out.layer(layer.name).weight  # layer.weight itself when out is model
+        out_layer = out.layer(layer.name)  # layer itself when out is model
+        new_w = out_layer.weight
         try:
             if fine_method == "sparsegpt":
                 err = h @ layer.weight.T  # the dense weight's last read
-                mask, _ = sparsegpt_prune_layer(layer, h, alloc.keep_count, lam, out=new_w)
+                # out's layer holds the dense weight too: eliminate it where it is
+                mask, _ = sparsegpt_prune_layer(out_layer, h, alloc.keep_count, lam, out=new_w)
             else:
                 mask = (
                     wanda_prune_layer(layer, h, alloc.keep_count, norm_exponent)

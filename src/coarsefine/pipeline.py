@@ -26,8 +26,9 @@ pruned evaluation reads the reload alone.  Past the weights and the
 batch, a loss-only forward holds one layer's input and output at a time,
 because it applies bias, activation and loss in buffers it owns (see
 :mod:`coarsefine.model`).  Zeroth-order scoring adds the scored layer's
-clean input and two layer-sized buffers, and the fine pass one
-output-sized array for the reconstruction error.
+clean input and one layer-sized buffer, the perturbed weight the noise
+is drawn into, and the fine pass one output-sized array for the
+reconstruction error.
 """
 
 # no "from __future__ import annotations": RunConfig.value_type reads field types

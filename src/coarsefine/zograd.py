@@ -7,10 +7,11 @@ drawn once per cycle from a counter-based seed, so any noise can be
 replayed from (seed, layer, noise index) alone.
 
 Snapshot and restore.  A cycle keeps a reference to the original weight
-array W0, holds u = eps*z, and works on a new array W0 + u; the minus leg
-subtracts 2u in place and the restore step puts W0 back.  The restore is
-bit-exact by construction and does no arithmetic.  The extra memory of an
-open cycle is one noise buffer plus one perturbed copy of the layer.
+array W0 and draws z into a new array, which it turns in place into the
+plus weight P = fl(W0 + eps*z); the minus leg reflects that perturbation
+about W0 in the same array, fl(W0 - fl(P - W0)), and the restore step
+puts W0 back.  The restore is bit-exact by construction and does no
+arithmetic.  An open cycle's extra memory is that one layer-sized array.
 
 Suffix-only forwards.  Perturbing layer i changes nothing before it, so
 the loss legs start at layer i from its clean input activation, which
@@ -56,10 +57,10 @@ class ZOConfig:
 class BufferMeter:
     """Tracks transient buffers so the memory contract can be asserted.
 
-    An open perturbation cycle holds one noise buffer (eps*z, drawn once)
-    and one perturbed copy of the layer, so it counts as one noise buffer
-    and twice the layer size in extra elements.  The original weight is
-    kept by reference and costs nothing.
+    An open perturbation cycle holds one layer-sized array: the noise is
+    drawn into it and it becomes the perturbed weight, so it counts as one
+    noise buffer and the layer size in extra elements.  The original
+    weight is kept by reference and costs nothing.
     """
 
     def __init__(self):
@@ -71,14 +72,14 @@ class BufferMeter:
 
     def open_cycle(self, n: int):
         self.current_noise_buffers += 1
-        self.current_extra_elements += 2 * n
+        self.current_extra_elements += n
         self.peak_noise_buffers = max(self.peak_noise_buffers, self.current_noise_buffers)
         self.peak_extra_elements = max(self.peak_extra_elements, self.current_extra_elements)
         self.peak_noise_elements = max(self.peak_noise_elements, n)
 
     def close_cycle(self, n: int):
         self.current_noise_buffers -= 1
-        self.current_extra_elements -= 2 * n
+        self.current_extra_elements -= n
 
 
 def noise_seed(global_seed: int, layer_index: int, noise_index: int) -> tuple:
@@ -101,10 +102,11 @@ def perturb_replay(
 ) -> ModelGraph:
     """Apply one leg of the plus / minus / restore cycle.
 
-    direction +1 draws u = eps*z from the seed, keeps the original weight
-    W0 and sets W <- W0 + u as a new array, opening a cycle; -1 follows
-    with W <- W - 2u in place, i.e. fl(fl(W0 + u) - 2u); "restore" puts
-    W0 back, bit-exact, from either leg.  The seed is read on +1 only.
+    direction +1 keeps the original weight W0 and draws z from the seed
+    into a new array, scaled and shifted in place to P = fl(W0 + eps*z),
+    opening a cycle; -1 reflects that perturbation about W0 in the same
+    array, fl(W0 - fl(P - W0)); "restore" puts W0 back, bit-exact, from
+    either leg.  The seed is read on +1 only.
     """
     if not 0 < epsilon < np.inf:  # NaN too; zero makes the estimate 0/0
         raise InputError("epsilon must be finite and positive")
@@ -125,17 +127,18 @@ def perturb_replay(
         raise InputError(f"no active perturbation cycle on layer {layer_name!r}")
 
     if direction == 1:
-        u = _regenerate(seed, layer.size).reshape(layer.weight.shape)
-        u *= epsilon
         w0 = layer.weight
-        layer.weight = w0 + u
-        layer._perturb_cycle = {"phase": 1, "w0": w0, "u": u}
+        w = _regenerate(seed, layer.size).reshape(w0.shape)
+        w *= epsilon
+        w += w0  # fl(fl(eps*z) + W0), the bits of fl(W0 + eps*z)
+        layer.weight = w
+        layer._perturb_cycle = {"phase": 1, "w0": w0}
         if meter:
             meter.open_cycle(layer.size)
     elif direction == -1:
-        u = cycle["u"]
-        u *= 2.0  # exact; u is not needed again, restore uses w0
-        layer.weight -= u
+        w0, w = cycle["w0"], layer.weight
+        w -= w0
+        np.subtract(w0, w, out=w)
         cycle["phase"] = -1
     else:
         layer.weight = cycle["w0"]

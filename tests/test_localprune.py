@@ -680,6 +680,29 @@ class TestOwnership:
         assert [l.name for l in model.layers() if l.weight is not weights[l.name]] == []
         assert model.layer("L1").weight.tobytes() == frozen
 
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_sparsegpt_copies_no_weight_into_out(self, monkeypatch, in_place):
+        # the default out is model.copy(), whose layers already hold the
+        # dense weights, so each layer is eliminated in out's own array
+        # with no second copy into it; out=model is the same path
+        model, plan, batch = owned_case()
+        in_place_of, copies = [], []
+        real_prune, real_copyto = localprune.sparsegpt_prune_layer, np.copyto
+
+        def spy_prune(layer, *args, out=None, **kwargs):
+            in_place_of.append(out is layer.weight)
+            return real_prune(layer, *args, out=out, **kwargs)
+
+        def spy_copyto(dst, src, **kwargs):
+            copies.append(dst.shape)
+            return real_copyto(dst, src, **kwargs)
+
+        monkeypatch.setattr(localprune, "sparsegpt_prune_layer", spy_prune)
+        monkeypatch.setattr(np, "copyto", spy_copyto)
+        sequential_prune(model, plan, batch, "sparsegpt", out=model if in_place else None)
+        assert in_place_of == [True, True]  # L0 kept whole, L2 pruned; L1 frozen
+        assert copies == []
+
     @pytest.mark.parametrize("keep", [12, 7, 0])  # keep all: the early return
     def test_sparsegpt_in_place_equals_the_default_call(self, keep):
         rng = np.random.default_rng(43)
