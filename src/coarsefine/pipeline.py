@@ -26,9 +26,13 @@ pruned evaluation reads the reload alone.  Past the weights and the
 batch, a loss-only forward holds one layer's input and output at a time,
 because it applies bias, activation and loss in buffers it owns (see
 :mod:`coarsefine.model`).  Zeroth-order scoring adds the scored layer's
-clean input and one layer-sized buffer, the perturbed weight the noise
-is drawn into, and the fine pass one output-sized array for the
-reconstruction error.
+clean input and, for a layer with a successor whose d_out*d_in weights
+outnumber 2*N*d_out + B (N input rows, B the noise block of at most
+32,768 elements; see :mod:`coarsefine.zograd`), those 2*N*d_out + B
+elements: its clean pre-activation, the projected noise and the block,
+with the weight never written.  For any other layer it adds one
+layer-sized buffer, the perturbed weight the noise is drawn into.  The
+fine pass adds one output-sized array for the reconstruction error.
 """
 
 # no "from __future__ import annotations": RunConfig.value_type reads field types

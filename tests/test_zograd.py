@@ -13,6 +13,7 @@ import coarsefine.zograd as zograd
 from coarsefine.errors import FrozenLayerError, InputError
 from coarsefine.model import (
     CalibrationSet,
+    LayerSpec,
     backprop_gradients,
     batch_input_matrix,
     layer_forward,
@@ -20,6 +21,7 @@ from coarsefine.model import (
 )
 from coarsefine.tasks import build_model, get_split, make_task
 from coarsefine.zograd import (
+    NOISE_BLOCK,
     BufferMeter,
     ZOConfig,
     _regenerate,
@@ -239,17 +241,23 @@ class TestAllScores:
         rho = stats.spearmanr(true_norms, est).statistic
         assert rho >= 0.8
 
-    def test_memory_meter_holds_one_noise_buffer(self):
+    @pytest.mark.parametrize("widths, k, noise, extra", [
+        # weight space: the noise is drawn into the one perturbed copy of
+        # the biggest layer
+        ([6, 12, 4], 4, 72, 72),
+        # L0 (512 x 128) in output space: one row block of noise, and in
+        # all the clean pre-activation, h z^T (both 8 x 512) and the block
+        ([128, 512, 16], 8, NOISE_BLOCK, 2 * 8 * 512 + NOISE_BLOCK),
+    ], ids=["weight-space", "output-space"])
+    def test_memory_meter_holds_one_noise_buffer(self, widths, k, noise, extra):
         rng = np.random.default_rng(13)
-        model = random_mlp(rng, [6, 12, 4])
-        batch = random_batch(rng, 4, 6, 4)
+        model = random_mlp(rng, widths)
+        batch = random_batch(rng, k, widths[0], widths[-1])
         meter = BufferMeter()
         zo_all_scores(model, batch, ZOConfig(seed=0), meter=meter)
-        biggest = max(l.size for l in model.prunable_layers())
         assert meter.peak_noise_buffers == 1
-        assert meter.peak_noise_elements == biggest
-        # the noise is drawn into the one perturbed copy
-        assert meter.peak_extra_elements == biggest
+        assert meter.peak_noise_elements == noise
+        assert meter.peak_extra_elements == extra
         assert meter.current_extra_elements == 0
 
 
@@ -338,6 +346,50 @@ ORACLE_CASES = {
 }
 
 
+def _with_biases(rng, model):
+    for layer in model.layers():
+        layer.bias = rng.normal(size=layer.d_out)
+    return model
+
+
+def _wide_bias():
+    # L0 (512 x 128) has a successor and 2*8*512 + 32,768 < 65,536
+    rng = np.random.default_rng(24)
+    return _with_biases(rng, random_mlp(rng, [128, 512, 16])), random_batch(rng, 8, 128, 16)
+
+
+def _wide_frozen():
+    # L0 in output space, its legs run through the frozen L1; L2 is last
+    rng = np.random.default_rng(25)
+    model = _with_biases(rng, random_mlp(rng, [128, 512, 512, 16]))
+    model.layer("L1").frozen = True
+    return model, random_batch(rng, 8, 128, 16)
+
+
+def _wide_deep():
+    # L0 and L1 (512 x 512, on an advanced clean input) in output space
+    rng = np.random.default_rng(26)
+    model = _with_biases(rng, random_mlp(rng, [128, 512, 512, 16], activation="relu"))
+    return model, random_batch(rng, 8, 128, 16)
+
+
+def _wide_flat():
+    # the loss sees L0 only through the tiny L1: L0's score, about 1e-13,
+    # is a loss difference of about one ulp of the losses
+    rng = np.random.default_rng(27)
+    model = _with_biases(rng, random_mlp(rng, [128, 512, 16]))
+    model.layer("L1").weight *= 1e-14
+    return model, random_batch(rng, 8, 128, 16)
+
+
+WIDE_CASES = {
+    "wide_bias": _wide_bias,
+    "wide_frozen": _wide_frozen,
+    "wide_deep": _wide_deep,
+    "wide_flat": _wide_flat,
+}
+
+
 class TestSnapshotOracle:
     """The in-place cycle and suffix forwards reproduce the out-of-place
     reference cycle and full forwards bit for bit."""
@@ -406,12 +458,97 @@ class TestSnapshotOracle:
             per_sample_losses(model, batch, start=3, layer_input=h)
 
 
+class TestOutputSpace:
+    """A layer with a successor, scored in output space, matches the
+    weight-space reference scorer within rounding.
+
+    The legs round act(pre0 +- eps*h z^T) where the reference rounds
+    act(h (W0 +- eps*z)^T + b), so the losses differ in their last bits
+    and the scores by about 1e-14 relative.  A score is judged equal when
+    |got - want| <= RTOL*|want| + ATOL*max|loss|/(2*eps): RTOL = 1e-9 is
+    far above that rounding and far below any real difference in score,
+    and the ATOL term judges a score at rounding-noise level (a loss
+    difference of a few ulps, e.g. L0 of wide_flat) by the size of the
+    losses, not by its own size."""
+
+    RTOL, ATOL = 1e-9, 1e-12
+
+    @pytest.mark.parametrize("noises", [1, 3])
+    @pytest.mark.parametrize("case", sorted(WIDE_CASES))
+    def test_scores_match_full_forward_oracle(self, case, noises, monkeypatch):
+        model, batch = WIDE_CASES[case]()
+        oracle = model.copy()
+        cfg = ZOConfig(epsilon=1e-3, noises_per_sample=noises, seed=11)
+        before = array_bytes(model)
+        cycled = []
+
+        def spy(graph, layer_name, *args, **kwargs):
+            cycled.append(layer_name)
+            return perturb_replay(graph, layer_name, *args, **kwargs)
+
+        monkeypatch.setattr(zograd, "perturb_replay", spy)
+        scores = zo_all_scores(model, batch, cfg)
+        # only the last layer cycles its weight; no weight was written
+        last = model.layers()[-1].name
+        assert set(cycled) == {last}
+        assert array_bytes(model) == before
+        loss_scale = np.abs(per_sample_losses(oracle, batch)).max()
+        oracle.forward_count = 0
+        for name, got in scores.entries.items():
+            want = full_forward_score(oracle, name, batch, cfg)
+            tol = self.RTOL * abs(want) + self.ATOL * loss_scale / (2.0 * cfg.epsilon)
+            if name == last:
+                assert got == want
+            else:
+                assert abs(got - want) <= tol, (name, got, want)
+            # standalone calls compute the same prefix input
+            assert zo_layer_score(model, name, batch, cfg) == got
+        # 2*K loss evaluations per noise and layer, as the oracle's
+        assert model.forward_count == 2 * oracle.forward_count
+        assert oracle.forward_count == 2 * batch.count * noises * len(scores.entries)
+
+    @pytest.mark.parametrize("d_out, d_in", [(512, 128), (300, 200), (3, 40_000), (7, 3)])
+    def test_row_blocks_are_the_single_draw(self, d_out, d_in):
+        layer = LayerSpec("L", "linear", np.zeros((d_out, d_in)))
+        key = noise_seed(5, 1, 2)
+        blocks = [(r, z.copy()) for r, z in zograd._noise_blocks(key, layer)]
+        rows = len(blocks[0][1])
+        assert rows * d_in <= max(NOISE_BLOCK, d_in)
+        assert [r for r, _ in blocks] == list(range(0, d_out, rows))
+        drawn = np.concatenate([z for _, z in blocks])
+        assert drawn.tobytes() == _regenerate(key, d_out * d_in).reshape(d_out, d_in).tobytes()
+
+    @pytest.mark.parametrize("widths", [[4, 6, 3], [128, 512, 16]],
+                             ids=["weight-space", "output-space"])
+    @pytest.mark.parametrize("fault", ["frozen", "epsilon"])
+    def test_refused_before_any_noise_is_drawn(self, widths, fault, monkeypatch):
+        rng = np.random.default_rng(32)
+        model = random_mlp(rng, widths)
+        batch = random_batch(rng, 8, widths[0], widths[-1])
+        cfg = ZOConfig(seed=0)
+        if fault == "frozen":
+            model.layer("L0").frozen = True
+        else:
+            cfg.epsilon = 0.0  # set after the config's own check
+        drawn = []
+        monkeypatch.setattr(zograd, "_generator", lambda key: drawn.append(key))
+        before = array_bytes(model)
+        meter = BufferMeter()
+        with pytest.raises(FrozenLayerError if fault == "frozen" else InputError):
+            zo_layer_score(model, "L0", batch, cfg, meter)
+        assert drawn == []
+        assert meter.peak_noise_buffers == 0
+        assert array_bytes(model) == before
+
+
 class TestRestoreOnEveryExit:
-    def test_failed_minus_leg_restores_and_releases(self, monkeypatch):
+    @pytest.mark.parametrize("widths, name, k", [([4, 6, 3], "L1", 3), ([128, 512, 16], "L0", 8)],
+                             ids=["weight-space", "output-space"])
+    def test_failed_minus_leg_restores_and_releases(self, widths, name, k, monkeypatch):
         rng = np.random.default_rng(31)
-        model = random_mlp(rng, [4, 6, 3])
-        batch = random_batch(rng, 3, 4, 3)
-        before = model.layer("L1").weight.tobytes()
+        model = random_mlp(rng, widths)
+        batch = random_batch(rng, k, widths[0], widths[-1])
+        before = model.layer(name).weight.tobytes()
         legs = []
 
         def failing_minus_leg(*args, **kwargs):
@@ -423,10 +560,11 @@ class TestRestoreOnEveryExit:
         monkeypatch.setattr(zograd, "per_sample_losses", failing_minus_leg)
         meter = BufferMeter()
         with pytest.raises(InputError, match="injected"):
-            zo_layer_score(model, "L1", batch, ZOConfig(seed=0), meter)
-        layer = model.layer("L1")
+            zo_layer_score(model, name, batch, ZOConfig(seed=0), meter)
+        layer = model.layer(name)
         assert layer.weight.tobytes() == before
         assert not hasattr(layer, "_perturb_cycle")
+        assert meter.peak_noise_buffers == 1
         assert meter.current_extra_elements == 0
         assert meter.current_noise_buffers == 0
 
