@@ -27,10 +27,10 @@ batch, a loss-only forward holds one layer's input and output at a time,
 because it applies bias, activation and loss in buffers it owns (see
 :mod:`coarsefine.model`).  Zeroth-order scoring adds the scored layer's
 clean input and, for a layer with a successor whose d_out*d_in weights
-outnumber 2*N*d_out + B (N input rows, B the noise block of at most
-32,768 elements; see :mod:`coarsefine.zograd`), those 2*N*d_out + B
-elements: its clean pre-activation, the projected noise and the block,
-with the weight never written.  For any other layer it adds one
+outnumber 3*N*d_out + N^2 (N input rows; see :mod:`coarsefine.zograd`),
+those elements: its clean pre-activation, the noise g, the noise L g
+drawn through the N x N factor L of h h^T, and L, with the weight never
+written.  For any other layer it adds one
 layer-sized buffer, the perturbed weight the noise is drawn into.  The
 fine pass adds one output-sized array for the reconstruction error.
 """

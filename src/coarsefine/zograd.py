@@ -8,16 +8,18 @@ replayed from (seed, layer, noise index) alone.
 
 Two paths, chosen from the layer's shape and the batch size alone.  The
 loss sees a layer's weight only through its pre-activation h W^T + b,
-so a layer with a successor whose clean input h has N rows is scored in
-output space when 2*N*d_out + B < d_out*d_in, B being the elements of
-one noise block (at most 32,768 unless one row is longer): the legs are
-act(pre0 +- eps*h z^T) with pre0 = h W0^T + b formed once per layer, and
-z is drawn in row blocks, bit for bit the stream of a single draw, each
-block adding its columns into h z^T.  The scored weight is never
-written, so there is nothing to restore, and a cycle's extra memory is
-pre0, h z^T and one noise block.  Every other layer (the last one, and
-one whose weights do not outnumber those elements) is scored in weight
-space.
+and the columns of h z^T are independent N(0, h h^T).  So a layer with
+a successor whose clean input h has N rows is scored in output space
+when 3*N*d_out + N^2 < d_out*d_in: the legs are act(pre0 +- eps*L g),
+with pre0 = h W0^T + b formed once per layer, L L^T = h h^T and g an
+[N, d_out] standard normal draw, N*d_out normals for d_out*d_in.  L's
+left-looking Cholesky (one gemv per column) has the same bits at any
+BLAS thread count, and leaves a column zero at a rounding-level pivot,
+so repeated samples factor too.  The weight is never written; a cycle
+holds pre0, L g, g (drawn into the plus leg's buffer) and L, and pre0,
+activated in place, becomes the next layer's clean input.  Every other
+layer (the last one, and one whose weights do not outnumber those
+elements) is scored in weight space.
 
 Weight space: snapshot and restore.  A cycle keeps a reference to the
 original weight array W0 and draws z into a new array, which it turns in
@@ -52,7 +54,6 @@ from .model import (
 from .scoring import ScoreMap
 
 RESTORE = "restore"
-NOISE_BLOCK = 32_768  # noise elements drawn at a time in output space
 
 
 @dataclass
@@ -64,8 +65,7 @@ class ZOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:  # NaN too
-            raise InputError("epsilon must be finite and positive")
+        _check_epsilon(self.epsilon)
         if self.noises_per_sample < 1:
             raise InputError("noises_per_sample must be >= 1")
         if self.seed < 0:
@@ -79,8 +79,8 @@ class BufferMeter:
     elements in all.  In weight space both are the layer size: the noise
     is drawn into the array that becomes the perturbed weight, and the
     original weight is kept by reference.  In output space the noise
-    buffer is one row block of B elements, and the extra elements are
-    2*N*d_out + B: the clean pre-activation, h z^T and the block.
+    buffer is g, N*d_out elements, and the extra elements are
+    3*N*d_out + N^2: the clean pre-activation, L g, g and the factor L.
     """
 
     def __init__(self):
@@ -115,27 +115,22 @@ def _regenerate(seed_key, n: int) -> np.ndarray:
     return _generator(seed_key).standard_normal(n)
 
 
-def _block_rows(layer) -> int:
-    return min(layer.d_out, max(1, NOISE_BLOCK // layer.d_in))
+def _output_space_extra(layer, n_rows: int) -> int:
+    """Extra elements of an output-space cycle: pre0, L g, g and L."""
+    return 3 * n_rows * layer.d_out + n_rows * n_rows
 
 
-def _noise_blocks(seed_key, layer):
-    """The layer's noise z, the [d_out, d_in] draw of _regenerate, as
-    (first row, block) pairs of _block_rows rows each, drawn one after the
-    other into one buffer from one generator, so the bits are the single
-    draw's."""
-    gen = _generator(seed_key)
-    z = np.empty((_block_rows(layer), layer.d_in))
-    for r in range(0, layer.d_out, len(z)):
-        block = z[:layer.d_out - r]
-        gen.standard_normal(out=block)
-        yield r, block
-
-
-def _output_space_elements(layer, n_rows: int) -> tuple[int, int]:
-    """(noise, extra) elements of an output-space cycle on n_rows inputs."""
-    noise = _block_rows(layer) * layer.d_in
-    return noise, 2 * n_rows * layer.d_out + noise
+def _cholesky(gram: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = gram, one gemv per column (the same
+    bits at any BLAS thread count); a pivot at or below
+    N*eps_mach*max(diag gram) leaves its column zero."""
+    factor = np.zeros_like(gram)
+    tiny = len(gram) * np.finfo(gram.dtype).eps * np.max(gram.diagonal(), initial=0.0)
+    for j in range(len(gram)):
+        col = gram[j:, j] - factor[j:, :j] @ factor[j, :j]
+        if col[0] > tiny:
+            factor[j:, j] = col / np.sqrt(col[0])
+    return factor
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -220,31 +215,24 @@ def _weight_space_legs(model, index, batch, h, cfg, meter):
         yield loss_plus, loss_minus
 
 
-def _noise_product(h: np.ndarray, seed_key, layer, out: np.ndarray) -> np.ndarray:
-    """out = h z^T for the layer's noise z, one row block (one column block
-    of out) at a time; the block buffer dies on return, before any leg."""
-    for r, z in _noise_blocks(seed_key, layer):
-        np.matmul(h, z.T, out=out[:, r:r + len(z)])
-    return out
-
-
-def _output_space_legs(model, index, batch, h, cfg, meter):
-    """(plus, minus) losses per noise, each leg act(pre0 +- eps*h z^T) run
-    from the next layer; the layer's weight is only read."""
+def _output_space_legs(model, index, batch, h, pre0, cfg, meter):
+    """(plus, minus) losses per noise, each leg act(pre0 +- eps*L g) run
+    from the next layer, L L^T = h h^T; the layer's weight is only read."""
     layer = model.layers()[index]
-    noise, extra = _output_space_elements(layer, len(h))
-    pre0 = layer_preact(layer, h)
-    hz = np.empty_like(pre0)
+    extra = _output_space_extra(layer, len(h))
+    factor = _cholesky(h @ h.T)
+    lg = np.empty_like(pre0)
     for j in range(cfg.noises_per_sample):
         if meter:
-            meter.open_cycle(noise, extra)
+            meter.open_cycle(lg.size, extra)
         try:
-            _noise_product(h, noise_seed(cfg.seed, index, j), layer, out=hz)
-            hz *= cfg.epsilon
-            leg = np.add(pre0, hz)
+            leg = _generator(noise_seed(cfg.seed, index, j)).standard_normal(lg.shape)
+            np.matmul(factor, leg, out=lg)
+            lg *= cfg.epsilon
+            np.add(pre0, lg, out=leg)  # g dies here
             loss_plus = per_sample_losses(model, batch, start=index + 1,
                                           layer_input=_act(layer.activation, leg, out=leg))
-            leg = np.subtract(pre0, hz, out=hz)  # the plus leg dies here
+            leg = np.subtract(pre0, lg, out=lg)  # the plus leg dies here
             loss_minus = per_sample_losses(model, batch, start=index + 1,
                                            layer_input=_act(layer.activation, leg, out=leg))
         finally:
@@ -260,6 +248,8 @@ def zo_layer_score(
     cfg: ZOConfig,
     meter: BufferMeter | None = None,
     layer_input: np.ndarray | None = None,
+    *,
+    _handoff: list | None = None,
 ) -> float:
     """Mean |central difference| / (2*eps) over samples and noises.
 
@@ -269,7 +259,8 @@ def zo_layer_score(
     (output or weight space, see the module docstring) follows from the
     layer's shape and the input's rows.  A frozen layer or a bad epsilon
     is refused before any noise is drawn, and the weight's bits are the
-    same on every exit path.
+    same on every exit path.  _handoff, a list, receives the layer's
+    clean output when the legs formed it (for :func:`zo_all_scores`).
     """
     layers = model.layers()
     index = model.layer_index(layer_name)
@@ -280,16 +271,20 @@ def zo_layer_score(
     h = layer_input
     if h is None:
         h = _advance(layers[:index], batch_input_matrix(model, batch)[0])
-    output_space = (index + 1 < len(layers)
-                    and _output_space_elements(layer, len(h))[1] < layer.size)
-    legs = (_output_space_legs if output_space else _weight_space_legs)(
-        model, index, batch, h, cfg, meter)
+    pre0 = None
+    if index + 1 < len(layers) and _output_space_extra(layer, len(h)) < layer.size:
+        pre0 = layer_preact(layer, h)
+        legs = _output_space_legs(model, index, batch, h, pre0, cfg, meter)
+    else:
+        legs = _weight_space_legs(model, index, batch, h, cfg, meter)
     per_noise = np.empty((cfg.noises_per_sample, batch.count))
     try:
         for j, (loss_plus, loss_minus) in enumerate(legs):
             per_noise[j] = np.abs((loss_plus - loss_minus) / (2.0 * cfg.epsilon))
     except NumericalError as e:
         raise NumericalError(f"layer {layer_name!r}: {e}") from e
+    if _handoff is not None and pre0 is not None:
+        _handoff.append(_act(layer.activation, pre0, out=pre0))
     # inner mean over noises, outer mean over samples
     return float(np.mean(np.mean(per_noise, axis=0)))
 
@@ -303,7 +298,8 @@ def zo_all_scores(
     """Score every prunable layer in model order; 2*L*K*noises loss evaluations.
 
     One clean activation is carried through the model (frozen layers
-    included), so each layer's legs run over the suffix only.
+    included), so each layer's legs run over the suffix only; an
+    output-space layer hands on the clean output its legs formed.
     """
     layers = model.layers()
     entries = {}
@@ -314,7 +310,11 @@ def zo_all_scores(
         if h is None:
             h, _ = batch_input_matrix(model, batch)
         h, at = _advance(layers[at:i], h), i
-        entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter, h)
+        handoff = []
+        entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter, h,
+                                             _handoff=handoff)
+        if handoff:
+            h, at = handoff.pop(), i + 1
     return ScoreMap(
         entries=entries,
         method="zeroth_order",

@@ -230,8 +230,10 @@ def traced_prune_peak(config) -> int:
 class TestPeakMemory:
     # bounds in float64 weight bytes.  A 256-512-512-128 GELU MLP (458,752
     # weights), wanda, K=64: with zeroth-order scores it is 1.48x, as the
-    # hidden layers are scored in output space, where a cycle holds two
-    # 64 x 512 pre-activations and one 32,768-element noise block (1.85x
+    # hidden layers are scored in output space, where a cycle holds three
+    # 64 x 512 buffers (the clean pre-activation, the noise g and L g) and
+    # the 64 x 64 factor L (1.48x too when it held two pre-activations and
+    # a 32,768-element block of weight-shaped noise; 1.85x
     # while every cycle held a layer-sized perturbed weight; 2.42x when it
     # also held the noise apart from that weight); with
     # uniform scores it is the fine pass, which prunes each layer in its

@@ -1,7 +1,10 @@
 """Zeroth-order estimation: seed replay, estimator fidelity, memory."""
 
 import math
+import os
 import runpy
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,11 +12,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import coarsefine.model as model_module
 import coarsefine.zograd as zograd
 from coarsefine.errors import FrozenLayerError, InputError
 from coarsefine.model import (
     CalibrationSet,
-    LayerSpec,
     backprop_gradients,
     batch_input_matrix,
     layer_forward,
@@ -21,7 +24,6 @@ from coarsefine.model import (
 )
 from coarsefine.tasks import build_model, get_split, make_task
 from coarsefine.zograd import (
-    NOISE_BLOCK,
     BufferMeter,
     ZOConfig,
     _regenerate,
@@ -245,9 +247,10 @@ class TestAllScores:
         # weight space: the noise is drawn into the one perturbed copy of
         # the biggest layer
         ([6, 12, 4], 4, 72, 72),
-        # L0 (512 x 128) in output space: one row block of noise, and in
-        # all the clean pre-activation, h z^T (both 8 x 512) and the block
-        ([128, 512, 16], 8, NOISE_BLOCK, 2 * 8 * 512 + NOISE_BLOCK),
+        # L0 (512 x 128) in output space: the noise g (8 x 512), and in
+        # all the clean pre-activation, L g, g and the 8 x 8 factor L; the
+        # largest noise buffer is now L1's perturbed weight (16 x 512)
+        ([128, 512, 16], 8, 16 * 512, 3 * 8 * 512 + 8 * 8),
     ], ids=["weight-space", "output-space"])
     def test_memory_meter_holds_one_noise_buffer(self, widths, k, noise, extra):
         rng = np.random.default_rng(13)
@@ -353,7 +356,7 @@ def _with_biases(rng, model):
 
 
 def _wide_bias():
-    # L0 (512 x 128) has a successor and 2*8*512 + 32,768 < 65,536
+    # L0 (512 x 128) has a successor and 3*8*512 + 8*8 < 65,536
     rng = np.random.default_rng(24)
     return _with_biases(rng, random_mlp(rng, [128, 512, 16])), random_batch(rng, 8, 128, 16)
 
@@ -458,13 +461,55 @@ class TestSnapshotOracle:
             per_sample_losses(model, batch, start=3, layer_input=h)
 
 
-class TestOutputSpace:
-    """A layer with a successor, scored in output space, matches the
-    weight-space reference scorer within rounding.
+def preact_shift_losses(model, batch, layer, shift):
+    """(plus, minus) per-sample losses, each from a full forward that adds
+    +shift or -shift to the layer's pre-activation."""
+    preact = model_module.layer_preact
+    pair = []
+    for sign in (1.0, -1.0):
+        def shifted(l, x, sign=sign):
+            pre = preact(l, x)
+            if l is layer:
+                pre += sign * shift
+            return pre
 
-    The legs round act(pre0 +- eps*h z^T) where the reference rounds
-    act(h (W0 +- eps*z)^T + b), so the losses differ in their last bits
-    and the scores by about 1e-14 relative.  A score is judged equal when
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "layer_preact", shifted)
+            pair.append(per_sample_losses(model, batch))
+    return pair
+
+
+def clean_input(model, batch, index):
+    h = batch_input_matrix(model, batch)[0]
+    for layer in model.layers()[:index]:
+        h = layer_forward(layer, h)
+    return h
+
+
+def preact_shift_score(model, layer_name, batch, cfg):
+    """Reference output-space score: per noise, full forwards that add
+    +-eps*(L_ref g) to the layer's pre-activation, L_ref =
+    np.linalg.cholesky(h h^T) for the layer's clean input h and g the
+    [N, d_out] draw of the noise's key."""
+    layer, index = model.layer(layer_name), model.layer_index(layer_name)
+    h = clean_input(model, batch, index)
+    factor = np.linalg.cholesky(h @ h.T)
+    per_noise = []
+    for j in range(cfg.noises_per_sample):
+        g = zograd._generator(noise_seed(cfg.seed, index, j)).standard_normal((len(h), layer.d_out))
+        lp, lm = preact_shift_losses(model, batch, layer, cfg.epsilon * (factor @ g))
+        per_noise.append(np.abs((lp - lm) / (2.0 * cfg.epsilon)))
+    return float(np.mean(np.mean(per_noise, axis=0)))
+
+
+class TestOutputSpace:
+    """A layer with a successor, scored in output space, matches a full
+    forward that adds the same noise to its pre-activation, within rounding.
+
+    The legs round act(pre0 +- eps*L g) with the package's factor L, where
+    the reference rounds act(pre0 +- eps*(L_ref g)) with LAPACK's, so the
+    losses differ in their last bits and the scores by at most 3e-14
+    relative on these cases.  A score is judged equal when
     |got - want| <= RTOL*|want| + ATOL*max|loss|/(2*eps): RTOL = 1e-9 is
     far above that rounding and far below any real difference in score,
     and the ATOL term judges a score at rounding-noise level (a loss
@@ -495,11 +540,11 @@ class TestOutputSpace:
         loss_scale = np.abs(per_sample_losses(oracle, batch)).max()
         oracle.forward_count = 0
         for name, got in scores.entries.items():
-            want = full_forward_score(oracle, name, batch, cfg)
-            tol = self.RTOL * abs(want) + self.ATOL * loss_scale / (2.0 * cfg.epsilon)
             if name == last:
-                assert got == want
+                assert got == full_forward_score(oracle, name, batch, cfg)
             else:
+                want = preact_shift_score(oracle, name, batch, cfg)
+                tol = self.RTOL * abs(want) + self.ATOL * loss_scale / (2.0 * cfg.epsilon)
                 assert abs(got - want) <= tol, (name, got, want)
             # standalone calls compute the same prefix input
             assert zo_layer_score(model, name, batch, cfg) == got
@@ -507,16 +552,26 @@ class TestOutputSpace:
         assert model.forward_count == 2 * oracle.forward_count
         assert oracle.forward_count == 2 * batch.count * noises * len(scores.entries)
 
-    @pytest.mark.parametrize("d_out, d_in", [(512, 128), (300, 200), (3, 40_000), (7, 3)])
-    def test_row_blocks_are_the_single_draw(self, d_out, d_in):
-        layer = LayerSpec("L", "linear", np.zeros((d_out, d_in)))
-        key = noise_seed(5, 1, 2)
-        blocks = [(r, z.copy()) for r, z in zograd._noise_blocks(key, layer)]
-        rows = len(blocks[0][1])
-        assert rows * d_in <= max(NOISE_BLOCK, d_in)
-        assert [r for r, _ in blocks] == list(range(0, d_out, rows))
-        drawn = np.concatenate([z for _, z in blocks])
-        assert drawn.tobytes() == _regenerate(key, d_out * d_in).reshape(d_out, d_in).tobytes()
+    def test_noise_is_one_draw_per_key(self, monkeypatch):
+        model, batch = _wide_bias()
+        cfg = ZOConfig(noises_per_sample=3, seed=4)
+        generator, drawn = zograd._generator, []
+
+        class Recording:
+            def __init__(self, key):
+                self.key, self.gen = key, generator(key)
+
+            def standard_normal(self, *args, **kwargs):
+                g = self.gen.standard_normal(*args, **kwargs)
+                drawn.append((self.key, g.copy()))
+                return g
+
+        monkeypatch.setattr(zograd, "_generator", Recording)
+        zo_layer_score(model, "L0", batch, cfg)
+        assert [key for key, _ in drawn] == [noise_seed(4, 0, j) for j in range(3)]
+        for key, g in drawn:
+            want = generator(key).standard_normal((batch.count, 512))
+            assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("widths", [[4, 6, 3], [128, 512, 16]],
                              ids=["weight-space", "output-space"])
@@ -539,6 +594,96 @@ class TestOutputSpace:
         assert drawn == []
         assert meter.peak_noise_buffers == 0
         assert array_bytes(model) == before
+
+
+class TestFactor:
+    """The output-space noise's factor: L lower-triangular, L L^T = h h^T."""
+
+    @pytest.mark.parametrize("n, d", [(16, 64), (64, 512), (40, 41)])
+    def test_matches_lapack_on_positive_definite(self, n, d):
+        h = np.random.default_rng(n).normal(size=(n, d))
+        gram = h @ h.T
+        want = np.linalg.cholesky(gram)
+        # measured 1.3e-15 to 2.7e-15 at n = 40, d = 41 (condition ~2,000),
+        # 2e-16 elsewhere
+        np.testing.assert_allclose(zograd._cholesky(gram), want,
+                                   rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 0, 3, 1, 4, 5, 2], list(range(8)) * 8],
+                             ids=["three-repeats", "each-eight-times"])
+    def test_repeated_samples_factor(self, rows):
+        h = np.random.default_rng(3).normal(size=(8, 40))[rows]
+        gram, n = h @ h.T, len(rows)
+        factor = zograd._cholesky(gram)
+        assert np.array_equal(factor, np.tril(factor))
+        # each repeated row's pivot is rounding and its column stays zero
+        assert (factor == 0).all(axis=0).sum() == n - len(set(rows))
+        # measured at most 0.09 * n * eps * |G|
+        residual = np.linalg.norm(factor @ factor.T - gram)
+        assert residual <= n * np.finfo(float).eps * np.linalg.norm(gram)
+
+    def test_zero_input_gives_zero_factor(self):
+        assert not zograd._cholesky(np.zeros((5, 5))).any()
+
+
+class TestSameLaw:
+    def test_factored_noise_scores_like_h_z(self):
+        rng = np.random.default_rng(41)
+        model = random_mlp(rng, [128, 512, 16])
+        batch = random_batch(rng, 8, 128, 16)
+        layer, h, eps = model.layer("L0"), clean_input(model, batch, 0), 1e-3
+
+        def score(noise):
+            lp, lm = preact_shift_losses(model, batch, layer, eps * noise)
+            return float(np.mean(np.abs((lp - lm) / (2.0 * eps))))
+
+        seeds = 400
+        new = [zo_layer_score(model, "L0", batch, ZOConfig(epsilon=eps, seed=s))
+               for s in range(seeds)]
+        # the reference, h z^T with z the [d_out, d_in] draw, uses keys the
+        # new scores never do
+        keys = [noise_seed(seeds + s, 0, 0) for s in range(seeds)]
+        old = [score(h @ _regenerate(k, layer.size).reshape(layer.weight.shape).T) for k in keys]
+        # measured p = 0.26 (Welch) and 0.42 (KS) over 400 seeds
+        assert stats.ttest_ind(new, old, equal_var=False).pvalue > 0.01
+        assert stats.ks_2samp(new, old).pvalue > 0.01
+        # the tests can tell a wrong law: g without its factor
+        bare = [score(zograd._generator(k).standard_normal((len(h), layer.d_out)))
+                for k in keys[:100]]
+        assert stats.ks_2samp(bare, old).pvalue < 1e-6  # measured 1e-107
+
+
+# Scores the 459k-weight MLP's shape, whose two hidden layers take output
+# space, in a fresh interpreter: BLAS reads its thread count once, at load.
+_THREAD_PROBE = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from conftest import random_batch, random_mlp
+from coarsefine.zograd import ZOConfig, zo_all_scores
+rng = np.random.default_rng(51)
+model = random_mlp(rng, [256, 512, 512, 128])
+batch = random_batch(rng, 64, 256, 128)
+scores = zo_all_scores(model, batch, ZOConfig(noises_per_sample=2, seed=3))
+print(" ".join(float.hex(v) for v in scores.entries.values()))
+"""
+
+
+def test_output_space_scores_do_not_depend_on_blas_threads():
+    src = str(Path(zograd.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    hexes = []
+    for threads in ("1", "2"):
+        blas = {var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, str(Path(__file__).parent)],
+            capture_output=True, text=True, env={**env, **blas},
+        )
+        assert proc.returncode == 0, proc.stderr
+        hexes.append(proc.stdout.split())
+    assert len(hexes[0]) == 3 and hexes[0] == hexes[1]
 
 
 class TestRestoreOnEveryExit:
