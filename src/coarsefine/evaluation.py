@@ -16,6 +16,7 @@ import numpy as np
 
 from .baselines import local_layer_scores
 from .errors import InputError
+from .io import _create
 from .model import CalibrationSet, ModelGraph, backprop_gradients, run_forward
 from .tasks import TaskSpec, get_split
 
@@ -211,13 +212,14 @@ def compare_runs(
 
 
 def write_csv(rows: list[dict], path: str | Path) -> Path:
-    """UTF-8 comma-separated table, header row, 6 significant digits."""
+    """UTF-8 comma-separated table, header row, 6 significant digits, in a
+    new file at path (an old one is unlinked first, as every writer does)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if not rows:
         raise InputError("no rows to write")
     header = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _create(path, "x", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:  # csv writes None as "" and str() of other values

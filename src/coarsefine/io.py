@@ -22,7 +22,18 @@ trailing newline, under the one ``FORMAT_VERSION`` (:func:`check_version`).
 Every JSON file it reads goes through :func:`read_json`, and the loaders
 check each field's type and every name or file they name, so a malformed
 or tampered file is a ``ModelFormatError`` and no read leaves the
-directory it was given.
+directory it was given.  Every file read is opened without blocking and
+must be a regular file (a FIFO, a device or a directory is refused), and
+a ``.bin`` file's size is checked before a byte of it is read.
+
+Every write makes a new file: the name's old entry (an earlier run's
+file, or a symlink, which is removed and never followed) is unlinked
+first, and the file is created with ``O_EXCL``.  No output is truncated
+in place or renamed over an old file, since on ext4 (``auto_da_alloc``)
+replacing a file either way forces its new data out to disk at close or
+rename, about three times the cost of writing a new file.  Inside
+:func:`removed_on_failure` the created names are recorded, so a failed
+run can remove exactly what it wrote.
 
 Every field a writer writes must be present when its file is read back;
 only a ``--config`` file may omit fields (``RunConfig.from_json`` fills in
@@ -36,11 +47,13 @@ that name no field are ignored.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import os
 import re
+import stat
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -56,36 +69,102 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
+    if not _NAME_RE.match(name) or name in (".", ".."):  # those two name a directory
         raise ModelFormatError(f"name {name!r} is not filesystem-safe")
     return name
+
+
+_created: list[Path] | None = None  # the files made inside removed_on_failure
+
+
+def _create(path: Path, mode: str = "xb", **kwargs):
+    """A new file named path, open in mode, an "x" mode of open(): the
+    name's old entry is unlinked (a symlink is not followed; a directory
+    is an OSError), and O_EXCL (0o666 under the umask) makes a name that
+    reappears in between an OSError too."""
+    path.unlink(missing_ok=True)
+    f = open(path, mode, **kwargs)
+    if _created is not None:
+        _created.append(path)
+    return f
+
+
+@contextlib.contextmanager
+def removed_on_failure(*directories: Path):
+    """Record every file created inside the block; if the block raises,
+    unlink those files, then remove each of directories, in order, that
+    is left empty.  A file the block did not create is left alone."""
+    global _created
+    outer, _created = _created, []
+    try:
+        yield
+    except BaseException:
+        for path in _created:
+            with contextlib.suppress(OSError):  # the first error is the one to report
+                path.unlink(missing_ok=True)
+        for directory in directories:
+            with contextlib.suppress(OSError):  # not empty, not a directory or absent
+                directory.rmdir()
+        raise
+    finally:
+        _created = outer
 
 
 def write_json(obj: dict, path: str | Path) -> Path:
     """Write obj as sorted-key, indent-2 JSON with a trailing newline.
 
-    The text goes to a temporary file beside path and is then renamed
-    over it, so path never holds a partly written file; a failed rename
-    removes the temporary file.
+    The text goes to a new temporary file beside path (see :func:`_create`).
+    Then path's old entry is unlinked and the temporary file renamed to
+    path, so path never holds a partly written file, and no rename
+    replaces a file (on ext4 that forces the new data out at once); a
+    failed rename removes the temporary file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with _create(tmp, "x", encoding="utf-8") as f:
+        f.write(text)
     try:
+        path.unlink(missing_ok=True)  # a directory at path fails here
         os.replace(tmp, path)
-    except OSError:  # path is a directory, say
+    except OSError:
         tmp.unlink()
         raise
+    if _created is not None:
+        _created[-1] = path  # the temporary file _create recorded now has this name
     return path
 
 
-def read_json(path: str | Path) -> dict:
-    """Parse a JSON object; a missing, unreadable or non-object file is a
-    ModelFormatError."""
+def _open_regular(path: Path, size: int | None = None):
+    """path open for unbuffered binary reads.  It must be a regular file,
+    of size bytes if size is given; anything else is a ModelFormatError.
+
+    The open uses O_NONBLOCK, so a FIFO cannot block it, and the checks
+    fstat the open descriptor, so the file read is the file checked.
+    """
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:  # missing file, a directory, no permission
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError as e:  # missing file, no permission
+        raise ModelFormatError(f"cannot read {path}: {e.strerror}") from e
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        problem = "not a regular file"
+    elif size is not None and st.st_size != size:
+        problem = f"{st.st_size} bytes on disk, expected {size}"
+    else:
+        return open(fd, "rb", buffering=0)
+    os.close(fd)
+    raise ModelFormatError(f"{path}: {problem}")
+
+
+def read_json(path: str | Path) -> dict:
+    """Parse a JSON object; a missing, unreadable or non-object file, or one
+    that is not a regular file, is a ModelFormatError."""
+    try:
+        with _open_regular(path) as f:
+            obj = json.loads(f.read().decode("utf-8"))
+    except OSError as e:  # a failed read
         raise ModelFormatError(f"cannot read {path}: {e.strerror}") from e
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise ModelFormatError(f"{path} is not valid JSON: {e}") from e
@@ -162,18 +241,17 @@ def _reshape(flat: np.ndarray, shape: tuple[int, ...], where: str) -> np.ndarray
 
 
 def _read_raw(path: Path, dtype: str, count: int) -> np.ndarray:
-    """The count elements of dtype in path, a file of exactly their size."""
-    if not path.is_file():
-        raise ModelFormatError(f"missing data file {path}")
-    raw, expected = np.fromfile(path, dtype="u1"), count * np.dtype(dtype).itemsize
-    if raw.size != expected:
-        raise ModelFormatError(f"{path}: {raw.size} bytes on disk, expected {expected}")
-    return raw.view(dtype)
+    """The count elements of dtype in path, a regular file of exactly their size."""
+    with _open_regular(path, count * np.dtype(dtype).itemsize) as f:
+        raw = np.fromfile(f, dtype=dtype, count=count)
+    if raw.size != count:  # the file shrank after its size was checked
+        raise ModelFormatError(f"{path}: shorter than its {count} elements")
+    return raw
 
 
-def _write_f32(path, arr: np.ndarray) -> None:
-    """arr as float32 to path, a Path or a file open for binary writing."""
-    np.ascontiguousarray(arr, dtype=np.float64).astype("<f4").tofile(path)
+def _write_f32(f, arr: np.ndarray) -> None:
+    """arr as float32 to f, a file open for binary writing."""
+    f.write(np.ascontiguousarray(arr, dtype=np.float64).astype("<f4"))
 
 
 def _read_f32(path: Path, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -219,7 +297,8 @@ def save_model(model: ModelGraph, directory: str | Path) -> Path:
         manifest["blocks"].append(entry)
     directory.mkdir(parents=True, exist_ok=True)
     for fname, tensor in tensors:
-        _write_f32(directory / fname, tensor)
+        with _create(directory / fname) as f:
+            _write_f32(f, tensor)
     write_json(manifest, directory / "manifest.json")
     return directory
 
@@ -272,7 +351,7 @@ def save_calibration(batch: CalibrationSet, json_path: str | Path) -> Path:
             for x, y in batch.samples
         ],
     }
-    with open(json_path.parent / data_name, "wb") as f:
+    with _create(json_path.parent / data_name) as f:
         for x, y in batch.samples:
             _write_f32(f, x)
             _write_f32(f, y)
@@ -310,7 +389,8 @@ def save_masks(masks: dict[str, np.ndarray], directory: str | Path) -> Path:
         if mask.ndim != 2:
             raise DimensionError(f"mask for {name!r} must be 2-D")
         fname = f"{name}.mask.bin"
-        np.packbits(mask.reshape(-1)).tofile(directory / fname)
+        with _create(directory / fname) as f:
+            f.write(np.packbits(mask.reshape(-1)))
         index["layers"][name] = {
             "shape": list(mask.shape),
             "file": fname,

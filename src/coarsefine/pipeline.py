@@ -8,7 +8,14 @@ sparsities, dense and pruned evaluation, forward-pass counts),
 ``timing.json`` sidecar (wall clock lives outside report.json so two
 identical runs produce byte-identical reports).  An earlier run's JSON
 files are removed first and ``report.json`` is written last, so a run
-that fails leaves no report and no stale plan or scores.  Dense and
+that fails leaves no report and no stale plan or scores.  Every output
+is a new file (see :mod:`coarsefine.io`): an earlier run's file of that
+name is unlinked, never written through, so a hard link to it or the
+target of a symlink in its place keeps its bytes.  A run that fails
+after its first write removes the files it created, then ``masks/``,
+``pruned_model/`` and an ``--out`` it made, each only if left empty; a
+file it did not create stays.  Inputs are loaded whole before the first
+write, so ``--model-dir`` may be ``OUT/pruned_model`` itself.  Dense and
 pruned models are evaluated on the calibration batch after a round trip
 through the on-disk float32 format, so reported metrics match what a
 reload sees.
@@ -252,7 +259,8 @@ def cmd_prune(config: RunConfig) -> PruneReport:
 
     Writes the pruned model, masks, plan, scores, timing and, last, the
     report into config.out_dir, after removing any stale report, timing,
-    score summary, plan or scores there.
+    score summary, plan or scores there.  A failure after the first write
+    removes what the run wrote (see the module docstring).
     """
     config.validate()
     t0 = time.perf_counter()
@@ -286,38 +294,41 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     )
     pruning_forwards = model.forward_count - before
 
-    cfio.save_model(model, out / "pruned_model")
-    del model  # the evaluation reads the reload
-    cfio.save_masks(masks, out / "masks")
-    reloaded = cfio.load_model(out / "pruned_model")
-    eval_pruned = evaluate_on_batch(
-        reloaded, batch, masks=masks, reconstruction=recon,
-        task="calibration", split="calib",
-    )
-    eval_forwards = reloaded.forward_count + dense_forwards
+    # nothing is written before this point, so an --out missing here is the run's own
+    with cfio.removed_on_failure(out / "pruned_model", out / "masks",
+                                 *(() if out.exists() else (out,))):
+        cfio.save_model(model, out / "pruned_model")
+        del model  # the evaluation reads the reload
+        cfio.save_masks(masks, out / "masks")
+        reloaded = cfio.load_model(out / "pruned_model")
+        eval_pruned = evaluate_on_batch(
+            reloaded, batch, masks=masks, reconstruction=recon,
+            task="calibration", split="calib",
+        )
+        eval_forwards = reloaded.forward_count + dense_forwards
 
-    report = PruneReport(
-        config=config,
-        score_map=scores,
-        plan=plan,
-        achieved={
-            "per_layer": eval_pruned.per_layer_sparsity,
-            "global_sparsity": eval_pruned.global_sparsity,
-        },
-        eval_dense=eval_dense,
-        eval_pruned=eval_pruned,
-        forward_passes={
-            "scoring": scoring_forwards,
-            "pruning": pruning_forwards,
-            "evaluation": eval_forwards,
-            "total": scoring_forwards + pruning_forwards + eval_forwards,
-        },
-        wall_clock_seconds=time.perf_counter() - t0,
-    )
-    scores.save(out / "scores.json")
-    plan.save(out / "plan.json")
-    cfio.write_json({"wall_clock_seconds": report.wall_clock_seconds}, out / "timing.json")
-    cfio.write_json(report.to_json(), out / "report.json")  # last: the run is complete
+        report = PruneReport(
+            config=config,
+            score_map=scores,
+            plan=plan,
+            achieved={
+                "per_layer": eval_pruned.per_layer_sparsity,
+                "global_sparsity": eval_pruned.global_sparsity,
+            },
+            eval_dense=eval_dense,
+            eval_pruned=eval_pruned,
+            forward_passes={
+                "scoring": scoring_forwards,
+                "pruning": pruning_forwards,
+                "evaluation": eval_forwards,
+                "total": scoring_forwards + pruning_forwards + eval_forwards,
+            },
+            wall_clock_seconds=time.perf_counter() - t0,
+        )
+        scores.save(out / "scores.json")
+        plan.save(out / "plan.json")
+        cfio.write_json({"wall_clock_seconds": report.wall_clock_seconds}, out / "timing.json")
+        cfio.write_json(report.to_json(), out / "report.json")  # last: the run is complete
     return report
 
 

@@ -581,6 +581,146 @@ class TestExitCodes:
         assert out["achieved_global_sparsity"] == pytest.approx(0.4, abs=0.01)
 
 
+def _prune_argv(fixture_dir, out, sparsity="0.5", model_dir=None):
+    return ["prune", "--model-dir", str(model_dir or fixture_dir / "model"),
+            "--calib", str(fixture_dir / "calib.json"), "--out", str(out),
+            "--sparsity", sparsity, "--coarse", "magnitude", "--samples", "16"]
+
+
+def _outputs(out) -> dict:
+    """Every file under out (timing.json, which holds wall clock, aside) by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "timing.json"}
+
+
+class TestFreshOutputs:
+    # every output is a new file: an earlier run's file is unlinked, not
+    # truncated or renamed over, and nothing already at the name is followed
+
+    def test_hard_links_keep_the_first_run(self, fixture_dir, tmp_path, capsys):
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        assert main(_prune_argv(fixture_dir, out, "0.5")) == 0
+        layer = sorted(load_masks(out / "masks"))[0]
+        keep.mkdir()
+        linked = {keep / "weight.bin": out / "pruned_model" / f"{layer}.bin",
+                  keep / "mask.bin": out / "masks" / f"{layer}.mask.bin"}
+        for link, name in linked.items():
+            os.link(name, link)
+        first = {link: link.read_bytes() for link in linked}
+        assert main(_prune_argv(fixture_dir, out, "0.7")) == 0
+        for link, name in linked.items():
+            assert link.read_bytes() == first[link]
+            assert name.read_bytes() != first[link]  # the second run wrote other bytes
+
+    def test_planted_symlinks_are_not_written_through(self, fixture_dir, tmp_path, capsys):
+        out, targets = tmp_path / "out", tmp_path / "targets"
+        layer = load_model(fixture_dir / "model").prunable_layers()[0].name
+        (out / "pruned_model").mkdir(parents=True)
+        targets.mkdir()
+        planted = [out / "pruned_model" / f"{layer}.bin",
+                   out / "pruned_model" / "manifest.json.tmp", out / "report.json.tmp"]
+        for i, link in enumerate(planted):
+            (targets / str(i)).write_bytes(b"kept %d" % i)
+            link.symlink_to(targets / str(i))
+        assert main(_prune_argv(fixture_dir, out)) == 0
+        assert [(targets / str(i)).read_bytes() for i in range(3)] == [b"kept 0", b"kept 1",
+                                                                         b"kept 2"]
+        assert not [p for p in out.rglob("*") if p.is_symlink() or p.suffix == ".tmp"]
+        assert load_model(out / "pruned_model").layer(layer).weight.shape
+
+    def test_rerun_equals_a_run_into_a_fresh_directory(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        # relative --out paths, so both reports echo the same out_dir
+        (tmp_path / "rerun").mkdir()
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "rerun")
+        assert main(_prune_argv(fixture_dir, "out", "0.7")) == 0
+        assert main(_prune_argv(fixture_dir, "out", "0.5")) == 0
+        monkeypatch.chdir(tmp_path / "fresh")
+        assert main(_prune_argv(fixture_dir, "out", "0.5")) == 0
+        rerun = _outputs(tmp_path / "rerun" / "out")
+        assert rerun == _outputs(tmp_path / "fresh" / "out")
+        assert "pruned_model/manifest.json" in rerun and "masks/masks.json" in rerun
+
+    def test_reprune_of_its_own_output_equals_a_run_from_a_copy(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        (tmp_path / "own").mkdir()
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "own")
+        assert main(_prune_argv(fixture_dir, "out", "0.5")) == 0
+        copy = tmp_path / "copy"
+        shutil.copytree("out/pruned_model", copy)
+        assert main(_prune_argv(fixture_dir, "out", "0.7", model_dir="out/pruned_model")) == 0
+        monkeypatch.chdir(tmp_path / "fresh")
+        assert main(_prune_argv(fixture_dir, "out", "0.7", model_dir=copy)) == 0
+        own, fresh = _outputs(tmp_path / "own" / "out"), _outputs(tmp_path / "fresh" / "out")
+        # the reports differ only in the echoed --model-dir
+        fresh["report.json"] = fresh["report.json"].replace(
+            json.dumps(str(copy)).encode(), b'"out/pruned_model"')
+        assert own == fresh
+
+
+def _inject_failure(monkeypatch, stage):
+    """prune fails after save_masks has written, or at the pruned model's reload."""
+    import coarsefine.io as cfio
+
+    save_masks, load_model = cfio.save_masks, cfio.load_model
+
+    def failing_save_masks(masks, directory):
+        save_masks(masks, directory)
+        raise ModelFormatError("injected failure")
+
+    def failing_reload(directory):
+        if Path(directory).name == "pruned_model":
+            raise ModelFormatError("injected failure")
+        return load_model(directory)
+
+    if stage == "save_masks":
+        monkeypatch.setattr(cfio, "save_masks", failing_save_masks)
+    else:
+        monkeypatch.setattr(cfio, "load_model", failing_reload)
+
+
+class TestFailedRunCleanup:
+    # a failed prune removes exactly the files it created, then masks/ and
+    # pruned_model/ (and an --out it made) if they are left empty
+
+    @pytest.mark.parametrize("stage", ["save_masks", "reload"])
+    def test_new_out_is_removed(self, fixture_dir, tmp_path, capsys, monkeypatch, stage):
+        _inject_failure(monkeypatch, stage)
+        assert main(_prune_argv(fixture_dir, tmp_path / "out")) == 2
+        assert one_error_line(capsys)["message"] == "injected failure"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", ["save_masks", "reload"])
+    def test_rerun_removes_only_its_own_files(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, stage
+    ):
+        out = tmp_path / "out"
+        assert main(_prune_argv(fixture_dir, out, "0.5")) == 0
+        (out / "pruned_model" / "NOTES.txt").write_text("mine")
+        _inject_failure(monkeypatch, stage)
+        capsys.readouterr()
+        assert main(_prune_argv(fixture_dir, out, "0.7")) == 2
+        assert one_error_line(capsys)["message"] == "injected failure"
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+            "pruned_model", "pruned_model/NOTES.txt"]
+        assert (out / "pruned_model" / "NOTES.txt").read_text() == "mine"
+
+    def test_failure_before_the_first_write_removes_nothing(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert main(_prune_argv(fixture_dir, out, "0.5")) == 0
+        kept = {name: data for name, data in _outputs(out).items() if "/" in name}
+        capsys.readouterr()
+        assert main([*_prune_argv(fixture_dir, out, "0.7"), "--samples", "999"]) == 2
+        assert "samples" in one_error_line(capsys)["message"]
+        assert _outputs(out) == kept  # the stale JSON files alone are gone
+
+
 class TestConfigFile:
     def test_flags_override_config_file(self, fixture_dir, tmp_path, capsys):
         cfg = {
@@ -861,6 +1001,67 @@ class TestMalformedFiles:
         err = one_error_line(capsys)
         assert err["error"] == "ModelFormatError" and err["exit_code"] == 2
         assert not (tmp_path / "cmp").exists()
+
+
+    # each of these opens blocked for good on a FIFO; a subprocess with a
+    # timeout fails the test instead of hanging it
+    FIFOS = {  # case: (file made a FIFO, argv after the fixture root, exit code, error)
+        "manifest": ("model/manifest.json", ["prune"], 2, "ModelFormatError"),
+        "calibration index": ("calib.json", ["prune"], 2, "ModelFormatError"),
+        "config": ("cfg.json", ["prune", "--config", "{root}/cfg.json"], 1, "UsageError"),
+        "compare report": ("report.json", ["compare", "{root}/report.json"], 2,
+                           "ModelFormatError"),
+        "mask index": ("masks/masks.json", ["load_masks", "{root}/masks"], 1,
+                       "ModelFormatError"),
+    }
+    _FIFO_PROBE = """
+import sys
+from coarsefine import cli, io
+if sys.argv[1] == "load_masks":
+    io.load_masks(sys.argv[2])  # a library error is a traceback, exit 1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.parametrize("case", sorted(FIFOS))
+    def test_fifo_is_refused_without_blocking(self, three_layer_dir, tmp_path, case):
+        name, argv, code, error = self.FIFOS[case]
+        root = tmp_path / "fx"
+        shutil.copytree(three_layer_dir, root)
+        (root / name).unlink(missing_ok=True)
+        (root / name).parent.mkdir(exist_ok=True)
+        os.mkfifo(root / name)
+        argv = [a.format(root=root) for a in argv]
+        if argv[0] == "prune":
+            argv += ["--model-dir", str(root / "model"), "--calib", str(root / "calib.json"),
+                     "--coarse", "magnitude", "--samples", "8"]
+        if argv[0] != "load_masks":
+            argv += ["--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-c", self._FIFO_PROBE, *argv],
+                              capture_output=True, text=True, env=_src_env(), timeout=30)
+        assert proc.returncode == code
+        last = proc.stderr.splitlines()[-1]
+        if argv[0] == "load_masks":
+            assert last.startswith(f"coarsefine.errors.{error}: ")
+        else:
+            assert len(proc.stderr.splitlines()) == 1
+            assert json.loads(last)["error"] == error
+        assert "not a regular file" in last and name.split("/")[-1] in last
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_tensor_file_is_refused_before_it_is_read(self, three_layer_dir,
+                                                                  tmp_path):
+        model = tmp_path / "model"
+        shutil.copytree(three_layer_dir / "model", model)
+        with open(model / "L0.bin", "r+b") as f:  # sparse: 64 MB long, no blocks written
+            f.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="67108864 bytes on disk, expected 192"):
+                load_model(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestEmptyTokenAxis:

@@ -263,17 +263,20 @@ MASKS = {name: data for name, data in RUN_FILES.items() if name.startswith("mask
 
 @contextlib.contextmanager
 def _reads():
-    """The paths passed to open, Path.read_text, Path.read_bytes and
-    np.fromfile while inside."""
+    """The paths passed to os.open, open, Path.read_text, Path.read_bytes and
+    np.fromfile while inside (a descriptor or an open file passed on was
+    recorded where it was opened)."""
     paths = []
 
     def recorded(read):
         def wrapper(path, *args, **kwargs):
-            paths.append(Path(path))
+            if isinstance(path, (str, os.PathLike)):
+                paths.append(Path(path))
             return read(path, *args, **kwargs)
         return wrapper
 
-    with mock.patch("builtins.open", recorded(open)), \
+    with mock.patch("os.open", recorded(os.open)), \
+            mock.patch("builtins.open", recorded(open)), \
             mock.patch.object(Path, "read_text", recorded(Path.read_text)), \
             mock.patch.object(Path, "read_bytes", recorded(Path.read_bytes)), \
             mock.patch.object(np, "fromfile", recorded(np.fromfile)):
@@ -285,6 +288,8 @@ def _reads():
 @example(mutations=[("set", ("masks/masks.json", ("layers", "L0", "shape", 0)), 0),
                     ("set", ("masks/masks.json", ("layers", "L0", "shape", 1)), 10**400),
                     ("set", ("masks/masks.json", ("layers", "L0", "kept")), 0)])
+# a mask file named "..", the directory above the masks
+@example(mutations=[("set", ("masks/masks.json", ("layers", "L0", "file")), "..")])
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_masks_load_or_raise_a_package_error(mutations):
     with tempfile.TemporaryDirectory() as d:
