@@ -7,9 +7,9 @@ optional bias — little-endian IEEE-754 float32, row-major, no header.
 No two tensors of a model may share a file.  In memory everything is
 float64; files quantize to float32.
 
-Calibration file: ``<name>.json`` index listing per-sample input/target
-shapes next to one ``.bin`` holding the tensors concatenated in sample
-order with the same binary convention.
+Calibration file: ``<name>.json`` index listing each sample's input and
+target shapes, the same for every sample, next to one ``.bin`` holding
+the tensors concatenated in sample order with the same convention.
 
 Masks: ``<layer>.mask.bin`` packed bits (row-major, MSB-first within a
 byte, as the index's ``bit_order`` must say, zero padding) plus a
@@ -23,8 +23,9 @@ Every JSON file it reads goes through :func:`read_json`, and the loaders
 check each field's type and every name or file they name, so a malformed
 or tampered file is a ``ModelFormatError`` and no read leaves the
 directory it was given.  Every file read is opened without blocking and
-must be a regular file (a FIFO, a device or a directory is refused), and
-a ``.bin`` file's size is checked before a byte of it is read.
+must be a regular file (not a FIFO, a device or a directory); a file an
+index names must not be a symlink (``O_NOFOLLOW``; paths the user gives
+may be), and a ``.bin`` file's size is checked before a byte is read.
 
 Every write makes a new file: the name's old entry (an earlier run's
 file, or a symlink, which is removed and never followed) is unlinked
@@ -137,15 +138,15 @@ def write_json(obj: dict, path: str | Path) -> Path:
 
 
 def _open_regular(path: Path, size: int | None = None):
-    """path open for unbuffered binary reads.  It must be a regular file,
-    of size bytes if size is given; anything else is a ModelFormatError.
+    """path open for unbuffered binary reads: a regular file, and if size is
+    given, of size bytes and no symlink; anything else is a ModelFormatError.
 
     The open uses O_NONBLOCK, so a FIFO cannot block it, and the checks
     fstat the open descriptor, so the file read is the file checked.
     """
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    except OSError as e:  # missing file, no permission
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | (0 if size is None else os.O_NOFOLLOW))
+    except OSError as e:  # missing file, no permission, a symlink (ELOOP)
         raise ModelFormatError(f"cannot read {path}: {e.strerror}") from e
     st = os.fstat(fd)
     if not stat.S_ISREG(st.st_mode):
@@ -342,17 +343,11 @@ def load_model(directory: str | Path) -> ModelGraph:
 def save_calibration(batch: CalibrationSet, json_path: str | Path) -> Path:
     json_path = Path(json_path)
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    data_name = json_path.stem + ".bin"
-    index = {
-        "format_version": FORMAT_VERSION,
-        "data_file": data_name,
-        "samples": [
-            {"input": list(x.shape), "target": list(y.shape)}
-            for x, y in batch.samples
-        ],
-    }
-    with _create(json_path.parent / data_name) as f:
-        for x, y in batch.samples:
+    sample = {"input": list(batch.xs.shape[1:]), "target": list(batch.ys.shape[1:])}
+    index = {"format_version": FORMAT_VERSION, "data_file": json_path.stem + ".bin",
+             "samples": [sample] * batch.count}
+    with _create(json_path.parent / index["data_file"]) as f:
+        for x, y in zip(batch.xs, batch.ys):
             _write_f32(f, x)
             _write_f32(f, y)
     return write_json(index, json_path)
@@ -363,17 +358,18 @@ def load_calibration(json_path: str | Path) -> CalibrationSet:
     index = read_json(json_path)
     check_version(index, "calibration index")
     data_file = _check_name(_field(index, "data_file", str, "calibration index"))
-    shapes = [_shape(entry, key, "calibration sample")
-              for entry in _field(index, "samples", list, "calibration index")
-              for key in ("input", "target")]
-    data = _read_f32(json_path.parent / data_file, (sum(map(math.prod, shapes)),), np.float32)
-    tensors, offset = [], 0
-    for shape in shapes:  # float32 views into the block, in file order
-        size = math.prod(shape)
-        tensors.append(_reshape(data[offset : offset + size], shape, "calibration sample"))
-        offset += size
-    # stacking converts each sample to float64 once, into the stacked arrays
-    return CalibrationSet(list(zip(tensors[::2], tensors[1::2])))
+    entries = _field(index, "samples", list, "calibration index")
+    shapes = {tuple(_shape(entry, key, "calibration sample") for key in ("input", "target"))
+              for entry in entries}
+    if len(shapes) > 1:
+        raise ModelFormatError("calibration index: samples differ in shape")
+    x_shape, y_shape = shapes.pop() if shapes else ((), ())  # no samples: an InputError below
+    k, x_size = len(entries), math.prod(x_shape)
+    data = _read_f32(json_path.parent / data_file, (k, x_size + math.prod(y_shape)), np.float32)
+    # each column range converts to float64 once, straight into its stacked array
+    return CalibrationSet.stacked(
+        *(_reshape(cols, (k, *shape), "calibration sample").astype(np.float64, order="C")
+          for cols, shape in ((data[:, :x_size], x_shape), (data[:, x_size:], y_shape))))
 
 
 # -- masks -------------------------------------------------------------------

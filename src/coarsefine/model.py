@@ -176,32 +176,26 @@ class ModelGraph:
                           self.head)
 
 
-@dataclass
 class CalibrationSet:
     """Small sample set (input, target) used for activations and losses.
 
-    All inputs share one shape and all targets share one shape, so the
-    batch is held stacked as float64 xs [K, *input] and ys [K, *target];
-    samples then holds row views of those arrays, not copies.  A set
-    built from a sample list stacks it once, converting each sample
-    straight into the stacked arrays; :meth:`stacked` takes arrays that
-    are stacked already.  Never used for training.
+    The batch is held only stacked, as float64 xs [K, *input] and
+    ys [K, *target] (all inputs share one shape, all targets another).  A
+    set built from a sample list converts each sample straight into the
+    stacked arrays; :meth:`stacked` takes arrays that are stacked already.
+    :attr:`samples` builds row views on demand.  Never used for training.
     """
 
-    samples: list[tuple[np.ndarray, np.ndarray]]
-    xs: np.ndarray = field(init=False, repr=False, compare=False)
-    ys: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.samples) < 1:
+    def __init__(self, samples: list[tuple[np.ndarray, np.ndarray]]):
+        if len(samples) < 1:
             raise InputError("calibration set must contain at least one sample")
-        pairs = [(np.asarray(x), np.asarray(y)) for x, y in self.samples]
+        pairs = [(np.asarray(x), np.asarray(y)) for x, y in samples]
         x0, y0 = pairs[0]
         for x, y in pairs[1:]:
             if x.shape != x0.shape or y.shape != y0.shape:
                 raise DimensionError("calibration samples have inconsistent shapes")
-        self._hold(np.stack([x for x, _ in pairs], dtype=np.float64),
-                   np.stack([y for _, y in pairs], dtype=np.float64))
+        self.xs = np.stack([x for x, _ in pairs], dtype=np.float64)
+        self.ys = np.stack([y for _, y in pairs], dtype=np.float64)
 
     @classmethod
     def stacked(cls, xs, ys) -> "CalibrationSet":
@@ -213,17 +207,17 @@ class CalibrationSet:
         if len(xs) < 1:
             raise InputError("calibration set must contain at least one sample")
         batch = cls.__new__(cls)
-        batch._hold(xs, ys)
+        batch.xs, batch.ys = xs, ys
         return batch
 
-    def _hold(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        self.xs, self.ys = xs, ys
-        # [i, ...] keeps 0-d targets (class ids) as array views
-        self.samples = [(xs[i, ...], ys[i, ...]) for i in range(len(xs))]
+    @property
+    def samples(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(input, target) row views, built per call ([i, ...]: 0-d class ids stay arrays)."""
+        return [(self.xs[i, ...], self.ys[i, ...]) for i in range(self.count)]
 
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return len(self.xs)
 
 
 # -- activations ----------------------------------------------------------

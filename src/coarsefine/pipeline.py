@@ -26,9 +26,9 @@ weight for the last time.  Sparsegpt eliminates in that array; wanda
 scores and selects one block of rows at a time, and its mask is ANDed
 in by row block, so past the model the fine pass holds the layer's mask,
 the sparsegpt inverse Hessian and its update buffer, and block-sized
-temporaries.  The calibration batch is converted from float32 once,
-straight into its stacked arrays, and ``--samples`` takes a prefix of
-them without a copy.  The pruned model is dropped once it is saved; the
+temporaries.  The calibration batch is held only stacked, converted
+from float32 once, and ``--samples`` takes a prefix of its rows without
+a copy.  The pruned model is dropped once it is saved; the
 pruned evaluation reads the reload alone.  Past the weights and the
 batch, a loss-only forward holds one layer's input and output at a time,
 because it applies bias, activation and loss in buffers it owns (see
@@ -212,8 +212,6 @@ def _load_inputs(config: RunConfig) -> tuple[ModelGraph, CalibrationSet]:
             f"calibration file holds {calib.count} samples, config asks for "
             f"{config.samples}"
         )
-    if calib.count == config.samples:
-        return model, calib
     return model, CalibrationSet.stacked(calib.xs[: config.samples], calib.ys[: config.samples])
 
 
@@ -234,8 +232,8 @@ def compute_scores(
 def cmd_score(config: RunConfig) -> dict:
     """Coarse step only: write scores.json, return a run summary.
 
-    Any stale scores or score summary in config.out_dir is removed first,
-    and the summary is written last.
+    Stale scores and score summary in config.out_dir are removed first; the
+    summary is written last, and a failed write removes what the run made.
     """
     config.validate()
     out = Path(config.out_dir)
@@ -243,14 +241,15 @@ def cmd_score(config: RunConfig) -> dict:
         (out / name).unlink(missing_ok=True)
     model, batch = _load_inputs(config)
     scores, forwards = compute_scores(config, model, batch)
-    scores.save(out / "scores.json")
     summary = {
         "score_file": str(out / "scores.json"),
         "forward_passes": forwards,
         "layers_scored": len(scores.entries),
         "method": scores.method,
     }
-    cfio.write_json(summary, out / "score_summary.json")
+    with cfio.removed_on_failure(*(() if out.exists() else (out,))):
+        scores.save(out / "scores.json")
+        cfio.write_json(summary, out / "score_summary.json")
     return summary
 
 

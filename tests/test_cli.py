@@ -16,7 +16,9 @@ import pytest
 import coarsefine
 from coarsefine.cli import _build_config, build_parser, main
 from coarsefine.errors import InputError, ModelFormatError, UsageError
-from coarsefine.io import load_calibration, load_masks, load_model, save_calibration, save_model
+from coarsefine.io import (
+    load_calibration, load_masks, load_model, save_calibration, save_masks, save_model,
+)
 from coarsefine.model import CalibrationSet
 from coarsefine.pipeline import (
     COARSE_MODES, MAX_NOISES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score,
@@ -709,6 +711,31 @@ class TestFailedRunCleanup:
             "pruned_model", "pruned_model/NOTES.txt"]
         assert (out / "pruned_model" / "NOTES.txt").read_text() == "mine"
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new out", "existing out"])
+    def test_failed_score_removes_its_scores(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, existing
+    ):
+        # the summary write fails after scores.json is written: the scores
+        # go, and so does an --out the run made
+        import coarsefine.io as cfio
+
+        write_json = cfio.write_json
+
+        def full_disk(obj, path):
+            if Path(path).name == "score_summary.json":
+                raise OSError(28, "No space left on device")
+            return write_json(obj, path)
+
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "NOTES.txt").write_text("mine")
+        monkeypatch.setattr(cfio, "write_json", full_disk)
+        assert main(["score", *_prune_argv(fixture_dir, out)[1:]]) == 2
+        assert one_error_line(capsys)["error"] == "OSError"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == (
+            ["NOTES.txt", "out"] if existing else [])
+
     def test_failure_before_the_first_write_removes_nothing(
         self, fixture_dir, tmp_path, capsys
     ):
@@ -879,6 +906,14 @@ def _edit_json(path, change):
     path.write_text(json.dumps(obj))
 
 
+def _symlinked(path, target):
+    """Move path's file to target, outside path's directory, and leave a
+    symlink to it at path."""
+    target.parent.mkdir(exist_ok=True)
+    path.rename(target)
+    path.symlink_to(target)
+
+
 def _zero_size_layers(root):
     # [0, 6] then [8, 0]: the shapes still chain, and the empty .bin files
     # hold exactly the zero floats they promise
@@ -934,6 +969,11 @@ class TestMalformedFiles:
         "calibration shape past numpy's limits": lambda root: _edit_json(
             root / "calib.json", lambda o: o["samples"].append(
                 {"input": [0, 10**400], "target": [0]})),
+        # these two were read through the symlink, with exit 0
+        "tensor symlinked outside": lambda root: _symlinked(
+            root / "model" / "L0.bin", root / "outside" / "L0.bin"),
+        "calibration data file symlinked outside": lambda root: _symlinked(
+            root / "calib.bin", root.parent / "elsewhere" / "calib.bin"),
     }
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -954,6 +994,12 @@ class TestMalformedFiles:
         err = one_error_line(capsys)
         assert err["error"] == "ModelFormatError" and err["exit_code"] == 2
         assert not (tmp_path / "out").exists()
+
+    def test_mask_file_symlinked_outside_is_refused(self, tmp_path):
+        save_masks({"a": np.ones((2, 5), dtype=bool)}, tmp_path / "masks")
+        _symlinked(tmp_path / "masks" / "a.mask.bin", tmp_path / "elsewhere" / "a.mask.bin")
+        with pytest.raises(ModelFormatError, match="a.mask.bin"):
+            load_masks(tmp_path / "masks")
 
     def test_compare_report_not_json(self, tmp_path, capsys):
         bad = tmp_path / "report.json"

@@ -151,7 +151,8 @@ def baseline_outputs(fixtures: dict) -> dict[str, str]:
     digests = {}
     for name, (samples, _) in fixtures.items():
         model = cfio.load_model(f"{name}/model")
-        batch = CalibrationSet(cfio.load_calibration(f"{name}/calib.json").samples[:samples])
+        calib = cfio.load_calibration(f"{name}/calib.json")
+        batch = CalibrationSet.stacked(calib.xs[:samples], calib.ys[:samples])
         for p in SPARSITIES:
             for label, (pruned, masks) in (
                 ("global_magnitude", global_magnitude_prune(model, float(p))),
