@@ -65,6 +65,7 @@ from .errors import DimensionError, ModelFormatError
 from .model import Block, CalibrationSet, LayerSpec, ModelGraph
 
 FORMAT_VERSION = "1"
+F32_CHUNK = 1 << 15  # elements per float32 conversion in _write_f32
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -251,8 +252,15 @@ def _read_raw(path: Path, dtype: str, count: int) -> np.ndarray:
 
 
 def _write_f32(f, arr: np.ndarray) -> None:
-    """arr as float32 to f, a file open for binary writing."""
-    f.write(np.ascontiguousarray(arr, dtype=np.float64).astype("<f4"))
+    """arr as row-major float32 to f, a file open for binary writing,
+    converted F32_CHUNK elements at a time into one chunk-sized buffer,
+    so a C-contiguous float64 arr costs one chunk of float32 past itself."""
+    flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
+    buf = np.empty(min(F32_CHUNK, flat.size), dtype="<f4")
+    for i in range(0, flat.size, F32_CHUNK):
+        chunk = buf[: flat.size - i]
+        np.copyto(chunk, flat[i : i + F32_CHUNK], casting="same_kind")
+        f.write(chunk)
 
 
 def _read_f32(path: Path, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:

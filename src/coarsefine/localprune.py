@@ -109,10 +109,14 @@ def top_k_mask(scores: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     return _top_k_rows(s.shape, k, lambda rows: s[rows])
 
 
-def _top_k_rows(shape: tuple[int, int], k, block_scores) -> np.ndarray:
+def _top_k_rows(shape: tuple[int, int], k, block_scores, owned: bool = False) -> np.ndarray:
     """top_k_mask of a [rows, cols] score array that block_scores(rows)
     gives one block of rows (a slice or an index array) at a time; rows
-    whose budget is 0 or cols are never scored."""
+    whose budget is 0 or cols are never scored.  Scores that are only
+    read (owned false) are negated into a copy for the partition.  With
+    owned, each call returns a new array the selection may write: it is
+    negated and partitioned in place, then formed again for the
+    comparisons, so one block of scores is alive at a time."""
     rows, cols = shape
     budgets = np.broadcast_to(np.asarray(k, dtype=np.int64), (rows,))
     if budgets.size and not (0 <= budgets.min() and budgets.max() <= cols):
@@ -128,15 +132,21 @@ def _top_k_rows(shape: tuple[int, int], k, block_scores) -> np.ndarray:
                 sel = group[i : i + step]
                 if sel[-1] - sel[0] == sel.size - 1:  # a run of rows: slice, no copy
                     sel = slice(sel[0], sel[-1] + 1)
-                mask[sel] = _top_k_block(block_scores(sel), int(b))
+                mask[sel] = _top_k_block(lambda: block_scores(sel), int(b), owned)
     return mask
 
 
-def _top_k_block(s: np.ndarray, b: int) -> np.ndarray:
-    """top_k_mask of a block of rows with one budget, 0 < b < cols."""
-    neg = np.negative(s)
+def _top_k_block(scores, b: int, owned: bool) -> np.ndarray:
+    """top_k_mask of the block of rows scores() forms, with one budget,
+    0 < b < cols; see _top_k_rows for owned."""
+    s = scores()
+    neg = np.negative(s, out=s if owned else None)
     neg.partition(b - 1, axis=1)
     t = -neg[:, b - 1 : b]
+    del neg
+    if owned:  # s was partitioned as neg: form it again
+        del s
+        s = scores()
     keep = s >= t
     nan_t = np.flatnonzero(np.isnan(t[:, 0]))
     if not nan_t.size and np.count_nonzero(keep) == keep.shape[0] * b:
@@ -182,7 +192,9 @@ def wanda_prune_layer(
     """Keep the top |W_ij| * ||X_j||^e scores within each output row.
 
     The scores are those of wanda_scores, formed one top_k_mask block of
-    rows at a time, so no layer-sized array but the mask is made."""
+    rows at a time and twice (see _top_k_rows's owned), so no
+    layer-sized array but the mask is made and one block of scores is
+    alive at a time."""
     if norm_exponent not in NORM_EXPONENTS:
         raise InputError(f"norm_exponent must be one of {NORM_EXPONENTS}, got {norm_exponent}")
     w = layer.weight
@@ -195,15 +207,19 @@ def wanda_prune_layer(
         scores *= norms
         return scores
 
-    return _top_k_rows(w.shape, budgets, block_scores)
+    return _top_k_rows(w.shape, budgets, block_scores, owned=True)
 
 
 def magnitude_prune_layer(layer: LayerSpec, keep_count: int) -> np.ndarray:
-    """Keep the top keep_count |W_ij| in the layer, ties to lowest index."""
+    """Keep the top keep_count |W_ij| in the layer, ties to lowest index.
+
+    The layer is one row of |W|, formed twice (see _top_k_rows's owned),
+    so one layer-sized float array is alive at a time."""
     if not 0 <= keep_count <= layer.size:
         raise InputError(f"keep_count {keep_count} out of range for {layer.name!r}")
-    scores = np.abs(layer.weight).reshape(1, -1)
-    return top_k_mask(scores, keep_count).reshape(layer.weight.shape)
+    w = layer.weight.reshape(1, -1)
+    mask = _top_k_rows(w.shape, keep_count, lambda rows: np.abs(w[rows]), owned=True)
+    return mask.reshape(layer.weight.shape)
 
 
 def sparsegpt_prune_layer(

@@ -48,6 +48,7 @@ LOSS_KINDS = ("mse", "cross_entropy", "next_token_cross_entropy")
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+GELU_BLOCK = 1 << 13  # elements per block of gelu
 
 
 def as_tensor(data) -> np.ndarray:
@@ -227,7 +228,12 @@ def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Activation name of x, written into out when given (numpy's out=
     convention; out=x works in place).  With or without out, each element
     goes through the same floating-point operations in the same order, so
-    the bits are the same.  identity without out returns x itself."""
+    the bits are the same.  identity without out returns x itself.
+
+    gelu goes over x and out in blocks of GELU_BLOCK elements (an
+    iterator that copies a block of a non-contiguous array into a
+    buffer, so no flat copy of x is made) and holds one block-sized phi:
+    past x and out, a contiguous gelu holds one block."""
     if name == "identity":
         if out is None or out is x:
             return x
@@ -237,12 +243,19 @@ def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.maximum(x, 0.0, out=out)
     from scipy.special import erf  # loaded by the first gelu evaluation
 
-    # exact gelu: x * Phi(x) = (0.5 * x) * (1.0 + erf(x * (1 / sqrt 2)))
-    phi = x * _INV_SQRT2
-    erf(phi, out=phi)
-    phi += 1.0
-    out = np.multiply(0.5, x, out=out)
-    out *= phi
+    if out is None:
+        out = np.empty_like(x)
+    phi = np.empty(min(GELU_BLOCK, x.size))
+    with np.nditer([x, out], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"], ["writeonly"]], buffersize=GELU_BLOCK) as blocks:
+        for xb, ob in blocks:
+            # exact gelu: x * Phi(x) = (0.5 * x) * (1.0 + erf(x * (1 / sqrt 2)))
+            p = phi[: xb.size]
+            np.multiply(xb, _INV_SQRT2, out=p)
+            erf(p, out=p)
+            p += 1.0
+            np.multiply(0.5, xb, out=ob)
+            ob *= p
     return out
 
 

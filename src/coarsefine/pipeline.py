@@ -23,23 +23,26 @@ reload sees.
 A prune holds one model's weights: the fine pass prunes each layer in
 its own weight array, after the reconstruction GEMM has read the dense
 weight for the last time.  Sparsegpt eliminates in that array; wanda
-scores and selects one block of rows at a time, and its mask is ANDed
-in by row block, so past the model the fine pass holds the layer's mask,
-the sparsegpt inverse Hessian and its update buffer, and block-sized
+forms one block of rows of scores at a time, partitions it in place and
+forms it again for the comparisons, and its mask is ANDed in by row
+block, so past the model the fine pass holds the layer's mask, the
+sparsegpt inverse Hessian and its update buffer, and block-sized
 temporaries.  The calibration batch is held only stacked, converted
 from float32 once, and ``--samples`` takes a prefix of its rows without
-a copy.  The pruned model is dropped once it is saved; the
-pruned evaluation reads the reload alone.  Past the weights and the
-batch, a loss-only forward holds one layer's input and output at a time,
-because it applies bias, activation and loss in buffers it owns (see
-:mod:`coarsefine.model`).  Zeroth-order scoring adds the scored layer's
-clean input and, for a layer with a successor whose d_out*d_in weights
-outnumber 3*N*d_out + N^2 (N input rows; see :mod:`coarsefine.zograd`),
-those elements: its clean pre-activation, the noise g, the noise L g
-drawn through the N x N factor L of h h^T, and L, with the weight never
-written.  For any other layer it adds one
-layer-sized buffer, the perturbed weight the noise is drawn into.  The
-fine pass adds one output-sized array for the reconstruction error.
+a copy.  The pruned model is saved one bounded float32 chunk at a time
+and dropped once saved; the pruned evaluation reads the reload alone.
+Past the weights and the batch, a loss-only forward holds one layer's
+input and output at a time, because it applies bias, activation and
+loss in buffers it owns, and gelu adds one bounded block (see
+:mod:`coarsefine.model`).  Zeroth-order scoring of a layer with a
+successor whose d_out*d_in weights outnumber 3*N*d_out + N^2 (N input
+rows; see :mod:`coarsefine.zograd`) holds those elements: its clean
+pre-activation, the noise g, the noise L g drawn through the N x N
+factor L of h h^T, and L, with the weight never written; its clean
+input h is dropped once the pre-activation and L are formed.  Any other
+layer holds its clean input and one layer-sized buffer, the perturbed
+weight the noise is drawn into.  The fine pass adds one output-sized
+array for the reconstruction error.
 """
 
 # no "from __future__ import annotations": RunConfig.value_type reads field types

@@ -17,7 +17,9 @@ left-looking Cholesky (one gemv per column) has the same bits at any
 BLAS thread count, and leaves a column zero at a rounding-level pivot,
 so repeated samples factor too.  The weight is never written; a cycle
 holds pre0, L g, g (drawn into the plus leg's buffer) and L, and pre0,
-activated in place, becomes the next layer's clean input.  Every other
+activated in place, becomes the next layer's clean input.  The clean
+input h is dropped once pre0 and L are formed: :func:`zo_all_scores`
+hands it to the layer's scoring with no other reference.  Every other
 layer (the last one, and one whose weights do not outnumber those
 elements) is scored in weight space.
 
@@ -215,12 +217,11 @@ def _weight_space_legs(model, index, batch, h, cfg, meter):
         yield loss_plus, loss_minus
 
 
-def _output_space_legs(model, index, batch, h, pre0, cfg, meter):
+def _output_space_legs(model, index, batch, pre0, factor, cfg, meter):
     """(plus, minus) losses per noise, each leg act(pre0 +- eps*L g) run
-    from the next layer, L L^T = h h^T; the layer's weight is only read."""
+    from the next layer, L = factor; the layer's weight is only read."""
     layer = model.layers()[index]
-    extra = _output_space_extra(layer, len(h))
-    factor = _cholesky(h @ h.T)
+    extra = _output_space_extra(layer, len(pre0))
     lg = np.empty_like(pre0)
     for j in range(cfg.noises_per_sample):
         if meter:
@@ -259,8 +260,15 @@ def zo_layer_score(
     (output or weight space, see the module docstring) follows from the
     layer's shape and the input's rows.  A frozen layer or a bad epsilon
     is refused before any noise is drawn, and the weight's bits are the
-    same on every exit path.  _handoff, a list, receives the layer's
-    clean output when the legs formed it (for :func:`zo_all_scores`).
+    same on every exit path.
+
+    _handoff (for :func:`zo_all_scores`), a list, holds the clean input
+    in place of layer_input; it is taken out, so in output space, where
+    only pre0 and L are read once they are formed, no reference keeps it
+    alive through the legs.  On return the list holds one pair (a clean
+    activation, the index of the layer it is the input of): the layer's
+    clean output and index + 1 when the legs formed it, else the clean
+    input and index.
     """
     layers = model.layers()
     index = model.layer_index(layer_name)
@@ -268,13 +276,14 @@ def zo_layer_score(
     if layer.frozen:
         raise FrozenLayerError(f"layer {layer_name!r} is frozen")
     _check_epsilon(cfg.epsilon)
-    h = layer_input
+    h = layer_input if _handoff is None else _handoff.pop()
     if h is None:
         h = _advance(layers[:index], batch_input_matrix(model, batch)[0])
     pre0 = None
     if index + 1 < len(layers) and _output_space_extra(layer, len(h)) < layer.size:
-        pre0 = layer_preact(layer, h)
-        legs = _output_space_legs(model, index, batch, h, pre0, cfg, meter)
+        pre0, factor = layer_preact(layer, h), _cholesky(h @ h.T)
+        del h  # the legs read pre0 and L alone
+        legs = _output_space_legs(model, index, batch, pre0, factor, cfg, meter)
     else:
         legs = _weight_space_legs(model, index, batch, h, cfg, meter)
     per_noise = np.empty((cfg.noises_per_sample, batch.count))
@@ -283,8 +292,9 @@ def zo_layer_score(
             per_noise[j] = np.abs((loss_plus - loss_minus) / (2.0 * cfg.epsilon))
     except NumericalError as e:
         raise NumericalError(f"layer {layer_name!r}: {e}") from e
-    if _handoff is not None and pre0 is not None:
-        _handoff.append(_act(layer.activation, pre0, out=pre0))
+    if _handoff is not None:
+        _handoff.append((h, index) if pre0 is None else
+                        (_act(layer.activation, pre0, out=pre0), index + 1))
     # inner mean over noises, outer mean over samples
     return float(np.mean(np.mean(per_noise, axis=0)))
 
@@ -298,7 +308,8 @@ def zo_all_scores(
     """Score every prunable layer in model order; 2*L*K*noises loss evaluations.
 
     One clean activation is carried through the model (frozen layers
-    included), so each layer's legs run over the suffix only; an
+    included), so each layer's legs run over the suffix only.  It is
+    handed to each layer's scoring with no other reference, and an
     output-space layer hands on the clean output its legs formed.
     """
     layers = model.layers()
@@ -309,12 +320,11 @@ def zo_all_scores(
             continue
         if h is None:
             h, _ = batch_input_matrix(model, batch)
-        h, at = _advance(layers[at:i], h), i
-        handoff = []
-        entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter, h,
+        handoff = [_advance(layers[at:i], h)]
+        del h
+        entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter,
                                              _handoff=handoff)
-        if handoff:
-            h, at = handoff.pop(), i + 1
+        h, at = handoff.pop()
     return ScoreMap(
         entries=entries,
         method="zeroth_order",

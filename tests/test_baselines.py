@@ -174,7 +174,9 @@ class TestGlobalBaselinesOnlyRead:
     # a 256-512-512-128 GELU MLP (458,752 weights), K=64; the bound is in
     # float64 weight bytes.  Magnitude holds the flat scores next to
     # top_k_mask's negated copy of them, or next to the result's weights
-    # (2.52x); an up-front model copy rewritten layer by layer read 4.52x.
+    # (2.25x; 2.38x while the negated copy lived on through the boolean
+    # masks; 2.52x when this bound was set); an up-front model copy
+    # rewritten layer by layer read 4.52x.
     # Iterative gradient peaks in its saliency phase (the iterate, the
     # saliency dict, the backprop record and one gradient, 2.72x); with
     # the previous iterate alive through top_k_mask's ranking it read

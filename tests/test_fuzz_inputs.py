@@ -157,6 +157,8 @@ def _width(files, boundary, width) -> None:
             d_out, d_in = entry["shape"]
             if not all(type(n) is int and 0 <= n <= 5 for n in (d_out, d_in)):
                 continue  # no tensor file for a negative or huge size
+            if type(entry["name"]) is not str:
+                continue  # nor for a name the loader refuses by type (10**400: too long a file name)
             files[f"model/{entry['name']}.bin"] = np.ones(d_out * d_in, "<f4").tobytes()
             if entry.get("has_bias"):
                 files[f"model/{entry['name']}.bias.bin"] = np.ones(d_out, "<f4").tobytes()
@@ -193,6 +195,8 @@ def mutate(mutations, base=FILES) -> dict[str, bytes]:
     fine=st.sampled_from(["wanda", "sparsegpt", "magnitude"]),
 )
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(mutations=[("set", ("model/manifest.json", ("blocks", 0, "layers", 0, "name")), 10**400),
+                    ("width", 1, 0)], coarse="zeroth", fine="wanda")  # a name no file can have
 def test_mutated_inputs_exit_with_one_error_line(mutations, coarse, fine):
     with tempfile.TemporaryDirectory() as d:
         root = Path(d)

@@ -8,6 +8,7 @@ import pytest
 
 from coarsefine.errors import ModelFormatError
 from coarsefine.io import (
+    F32_CHUNK,
     load_calibration,
     load_masks,
     load_model,
@@ -17,7 +18,7 @@ from coarsefine.io import (
 )
 from coarsefine.model import Block, CalibrationSet, LayerSpec, ModelGraph
 
-from conftest import tiny_linear_model, write_aliased_model
+from conftest import random_mlp, tiny_linear_model, write_aliased_model
 
 
 def f32_grid(arr):
@@ -103,6 +104,25 @@ class TestModelRoundTrip:
         )
         with pytest.raises(ModelFormatError):
             save_model(model, tmp_path / "m")
+
+
+    def test_save_holds_one_float32_chunk(self, tmp_path):
+        # the 256-512-512-128 MLP: each tensor is converted F32_CHUNK
+        # elements at a time (128 KB of float32); converting the largest
+        # layer whole took 1 MB
+        model = random_mlp(np.random.default_rng(41), [256, 512, 512, 128])
+        save_model(model, tmp_path / "m")  # first-call allocations are not the writer's
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(l.size for l in model.layers()) > 4 * F32_CHUNK
+        assert peak < 4 * F32_CHUNK + 32_768, peak
+        for layer in model.layers():
+            data = (tmp_path / "m" / f"{layer.name}.bin").read_bytes()
+            assert data == layer.weight.astype("<f4").tobytes()
 
 
 class TestAliasedTensorFiles:

@@ -227,12 +227,18 @@ class TestTopKMask:
         budgets = np.broadcast_to(np.asarray(k), scores.shape[:1])
         flat = scores.reshape(1, -1)  # the whole-layer case: one row
         b = int(budgets.sum()) % (flat.size + 1)
+        given = scores.copy()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(localprune, "TOP_K_BLOCK", block)  # rows over many blocks
             np.testing.assert_array_equal(
                 top_k_mask(scores, k), argsort_top_k(scores, budgets)
             )
             np.testing.assert_array_equal(top_k_mask(flat, b), argsort_top_k(flat, [b]))
+            # owned blocks, partitioned in place and formed again, select the same
+            owned = localprune._top_k_rows(scores.shape, k, lambda rows: scores[rows].copy(),
+                                           owned=True)
+            np.testing.assert_array_equal(owned, argsort_top_k(scores, budgets))
+        assert scores.tobytes() == given.tobytes()  # caller-given scores are never written
 
     def test_ties_nan_and_signed_zero(self):
         s = np.array([[1.0, np.nan, 1.0, -0.0, 0.0, np.inf, np.nan]])
@@ -268,6 +274,20 @@ class TestTopKMask:
         ours = peak_bytes(wanda_prune_layer, layer, acts, keep)
         ref = peak_bytes(wanda_row_loop, layer, acts, keep)
         assert ours <= ref
+
+    def test_wanda_holds_one_score_block(self):
+        # 512 x 512: past the bool mask, one block of scores, partitioned
+        # in place and formed again, and under half a block of boolean and
+        # numpy buffer temporaries (0.64 MB); partitioning a negated copy
+        # of the block read 0.90 MB
+        rng = np.random.default_rng(19)
+        layer = layer_of(rng.normal(size=(512, 512)))
+        acts = rng.normal(size=(64, 512))
+        keep = layer.size // 2 + 100
+        wanda_prune_layer(layer, acts, keep)  # first-call allocations are not wanda's
+        assert layer.size > 4 * localprune.TOP_K_BLOCK
+        assert peak_bytes(wanda_prune_layer, layer, acts, keep) < (
+            layer.size + 1.5 * 8 * localprune.TOP_K_BLOCK)
 
     def test_wanda_past_one_block(self):
         # 301 x 203: TOP_K_BLOCK holds 161 rows, so the 200 rows that keep
@@ -310,6 +330,25 @@ class TestMagnitude:
             expected = np.zeros(w.size, dtype=bool)
             expected[order[:keep]] = True
             np.testing.assert_array_equal(mask.reshape(-1), expected)
+
+    def test_ties_and_signed_zeros_go_by_index(self):
+        rng = np.random.default_rng(2)
+        w = rng.integers(-2, 3, size=(5, 7)).astype(np.float64)
+        w[0, :3] = [-0.0, 0.0, -0.0]
+        for keep in range(w.size + 1):
+            mask = magnitude_prune_layer(layer_of(w), keep)
+            expected = argsort_top_k(np.abs(w).reshape(1, -1), [keep])
+            np.testing.assert_array_equal(mask.reshape(1, -1), expected)
+
+    def test_holds_one_layer_sized_score(self):
+        # 512 x 512: the |W| row is negated and partitioned in place, then
+        # formed again, so one 2 MB float row lives with the bool masks
+        # (2.62 MB); a negated copy beside it read 4.72 MB
+        rng = np.random.default_rng(3)
+        layer = layer_of(rng.normal(size=(512, 512)))
+        keep = layer.size // 2 + 100
+        magnitude_prune_layer(layer, keep)  # first-call allocations are not the selection's
+        assert peak_bytes(magnitude_prune_layer, layer, keep) < 1.5 * layer.weight.nbytes
 
 
 class TestSparseGPT:

@@ -1,5 +1,7 @@
 """Core model: forward, activation capture, backprop oracle, copies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from coarsefine.model import (
     per_sample_losses,
 )
 from coarsefine.model import (
+    GELU_BLOCK,
     _act,
     _gelu_grad,
     _logsumexp,
@@ -434,6 +437,70 @@ class TestGelu:
         inplace = x.copy()
         assert _act("gelu", inplace, out=inplace) is inplace
         assert inplace.tobytes() == direct.tobytes()
+
+    @staticmethod
+    def erf_formula(x):
+        from scipy.special import erf
+
+        return 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+
+    @pytest.mark.parametrize("shape", [
+        (3, GELU_BLOCK // 3 + 5),  # one block and a ragged one
+        (64, 512),  # several whole blocks
+        (5, 7),  # less than a block
+        (2 * GELU_BLOCK + 1,),  # one element past two blocks
+        (),
+        (0, 4),
+    ], ids=["ragged", "several", "small", "1-d", "0-d", "empty"])
+    @pytest.mark.parametrize("into", ["new", "in place", "separate out"])
+    def test_blocked_bits_equal_the_erf_formula(self, shape, into):
+        x = np.random.default_rng(11).normal(scale=3.0, size=shape)
+        x.reshape(-1)[:len(SPECIALS)] = SPECIALS[:x.size]
+        direct = self.erf_formula(x)
+        out = {"new": None, "in place": x, "separate out": np.full_like(x, np.nan)}[into]
+        got = _act("gelu", x, out=out)
+        assert out is None or got is out
+        assert got.shape == x.shape and got.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a.T,  # transposed: F-contiguous
+        lambda a: a[:, ::3],  # strided rows
+        lambda a: a[::2].T,  # strided and transposed
+    ], ids=["transposed", "strided", "strided-transposed"])
+    @pytest.mark.parametrize("into", ["new", "in place", "separate out"])
+    def test_non_contiguous_input(self, view, into):
+        # a flat reshape of these views is a copy, so the blocks must
+        # follow the view itself
+        base = np.random.default_rng(12).normal(scale=3.0, size=(3 * GELU_BLOCK // 64, 96))
+        base.reshape(-1)[:len(SPECIALS)] = SPECIALS
+        untouched = base.copy()
+        x = view(base)
+        assert not x.flags.c_contiguous
+        direct = self.erf_formula(x)
+        out = {"new": None, "in place": x, "separate out": np.full(x.shape, np.nan)}[into]
+        got = _act("gelu", x, out=out)
+        assert out is None or got is out
+        assert got.tobytes() == direct.tobytes()
+        if into != "in place":
+            assert base.tobytes() == untouched.tobytes()
+        else:  # only the view's elements were written
+            rest = np.ones(base.shape, dtype=bool)
+            view(rest)[...] = False
+            assert base[rest].tobytes() == untouched[rest].tobytes()
+
+    def test_in_place_holds_one_block(self):
+        # [64, 512] in place: one GELU_BLOCK-sized phi past x (64 KB); a
+        # whole-array phi was 256 KB
+        x = np.random.default_rng(13).normal(size=(64, 512))
+        _act("gelu", x.copy(), out=None)  # scipy's import is not the activation's
+        tracemalloc.start()
+        try:
+            _act("gelu", x, out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.size > 2 * GELU_BLOCK
+        assert peak < 8 * GELU_BLOCK + 4096, peak
 
 
 class TestCopy:

@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,35 @@ class TestOutputSpace:
         for key, g in drawn:
             want = generator(key).standard_normal((batch.count, 512))
             assert g.shape == want.shape and g.tobytes() == want.tobytes()
+
+    def test_all_scores_let_go_of_the_clean_input(self, monkeypatch):
+        # 16-64-64-8, K = 8: L0 (64 x 16) is scored in weight space and L1
+        # (64 x 64) in output space.  L1's clean input, formed by
+        # zo_all_scores, is dead once L1's legs run: they read pre0 and L
+        # alone.  L0's clean input is the batch's own array, which it keeps.
+        rng = np.random.default_rng(33)
+        model = random_mlp(rng, [16, 64, 64, 8])
+        batch = random_batch(rng, 8, 16, 8)
+        cfg = ZOConfig(noises_per_sample=2, seed=5)
+        inputs, alive_in_legs = {}, []
+        preact, losses = zograd.layer_preact, zograd.per_sample_losses
+
+        def spy_preact(layer, h):
+            inputs[layer.name] = weakref.ref(h)
+            return preact(layer, h)
+
+        def spy_losses(graph, b, start=0, layer_input=None):
+            if start == 2:  # a leg of L1, then of L2 (weight space)
+                alive_in_legs.append(inputs["L1"]() is not None)
+            return losses(graph, b, start, layer_input)
+
+        monkeypatch.setattr(zograd, "layer_preact", spy_preact)
+        monkeypatch.setattr(zograd, "per_sample_losses", spy_losses)
+        scores = zo_all_scores(model, batch, cfg)
+        monkeypatch.undo()
+        assert alive_in_legs == [False] * 8  # two legs per noise and layer
+        assert set(inputs) == {"L1"}  # only L1 went to output space
+        assert scores.entries == zo_all_scores(model, batch, cfg).entries
 
     @pytest.mark.parametrize("widths", [[4, 6, 3], [128, 512, 16]],
                              ids=["weight-space", "output-space"])
