@@ -79,8 +79,13 @@ def evaluate_on_batch(
     reconstruction: dict[str, float] | None = None,
     task: str = "",
     split: str = "",
+    start: int = 0,
+    layer_input: np.ndarray | None = None,
 ) -> EvalResult:
-    losses, out, _ = run_forward(model, batch)
+    """Metrics of the model on the batch.  start/layer_input run the
+    forward on from layers[start]'s input (see :func:`run_forward`), for a
+    caller that holds it already; the result is the full forward's."""
+    losses, out, _ = run_forward(model, batch, start, layer_input)
     loss = float(np.mean(losses))
     accuracy = None
     perplexity = None

@@ -49,6 +49,7 @@ LOSS_KINDS = ("mse", "cross_entropy", "next_token_cross_entropy")
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 GELU_BLOCK = 1 << 13  # elements per block of gelu
+FINITE_BLOCK = 1 << 15  # elements per block of check_finite
 
 
 def as_tensor(data) -> np.ndarray:
@@ -57,8 +58,14 @@ def as_tensor(data) -> np.ndarray:
 
 
 def check_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"non-finite values in {context}")
+    """x, once every element is found finite, else a NumericalError.  x is
+    tested FINITE_BLOCK elements at a time (an iterator like gelu's, see
+    :func:`_act`), so the test holds one block of flags, never x's size
+    (and a strided x one block of its copy)."""
+    with np.nditer(x, ["external_loop", "buffered", "zerosize_ok"], ["readonly"],
+                   buffersize=FINITE_BLOCK) as blocks:
+        if not all(np.isfinite(xb).all() for xb in blocks):
+            raise NumericalError(f"non-finite values in {context}")
     return x
 
 
@@ -391,8 +398,10 @@ def run_forward(
 
     With layer_input, the pass starts at layers[start] from that input
     (the [K*tokens, d_in] matrix the layer sees); the losses equal the
-    full forward's.  A record dict receives (input, pre-activation) per
-    layer run; with grad the loss head also returns dL/d(output).
+    full forward's.  start == len(layers) runs no layer: layer_input is
+    the model's output, and the result is its loss.  A record dict
+    receives (input, pre-activation) per layer run; with grad the loss
+    head also returns dL/d(output).
     Returns (per-sample losses [K], final output [K, tokens, d_out],
     dL/d(output) as [K*tokens, d_out] or None).  Counts K forwards.
     """
@@ -403,7 +412,7 @@ def run_forward(
             raise InputError("a forward from a later layer needs its layer_input")
         h, tokens = batch_input_matrix(model, batch)
     else:
-        if not 0 <= start < len(layers):
+        if not 0 <= start <= len(layers):
             raise InputError(f"start {start} outside the model's {len(layers)} layers")
         h = layer_input
         tokens, rest = divmod(h.shape[0], k)

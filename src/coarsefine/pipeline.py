@@ -14,11 +14,24 @@ name is unlinked, never written through, so a hard link to it or the
 target of a symlink in its place keeps its bytes.  A run that fails
 after its first write removes the files it created, then ``masks/``,
 ``pruned_model/`` and an ``--out`` it made, each only if left empty; a
-file it did not create stays.  Inputs are loaded whole before the first
+file it did not create stays.  A symlink at ``OUT/pruned_model`` or
+``OUT/masks`` is refused before the inputs are read, so no write or
+cleanup goes through it.  Inputs are loaded whole before the first
 write, so ``--model-dir`` may be ``OUT/pruned_model`` itself.  Dense and
 pruned models are evaluated on the calibration batch after a round trip
 through the on-disk float32 format, so reported metrics match what a
 reload sees.
+
+A prune runs load, coarse scoring, dense evaluation, allocation, the
+fine pass, save, and the reload's pruned evaluation, in that order.
+Zeroth-order scoring carries the dense model's clean activation through
+every layer, so it is the run's dense forward: the dense evaluation runs
+on from the last clean activation it formed (past the last layer, the
+loss alone) and counts K forwards, as a suffix forward does.  Scoring
+holds that activation at its end anyway, and it is dropped before
+allocation.  The other scorers form none, and the dense evaluation runs
+from layer 0.  Scoring restores every weight bit for bit, so the dense
+evaluation sees the model as loaded.
 
 A prune holds one model's weights: the fine pass prunes each layer in
 its own weight array, after the reconstruction GEMM has read the dense
@@ -34,9 +47,9 @@ and dropped once saved; the pruned evaluation reads the reload alone.
 Past the weights and the batch, a loss-only forward holds one layer's
 input and output at a time, because it applies bias, activation and
 loss in buffers it owns, and gelu adds one bounded block (see
-:mod:`coarsefine.model`).  Zeroth-order scoring of a layer with a
-successor whose d_out*d_in weights outnumber 3*N*d_out + N^2 (N input
-rows; see :mod:`coarsefine.zograd`) holds those elements: its clean
+:mod:`coarsefine.model`).  Zeroth-order scoring of a layer whose
+d_out*d_in weights outnumber 3*N*d_out + N^2 (N input rows; see
+:mod:`coarsefine.zograd`) holds those elements: its clean
 pre-activation, the noise g, the noise L g drawn through the N x N
 factor L of h h^T, and L, with the weight never written; its clean
 input h is dropped once the pre-activation and L are formed.  Any other
@@ -66,20 +79,21 @@ from .scoring import (
 from .tasks import TASK_KINDS, make_task
 from .zograd import BufferMeter, ZOConfig, zo_all_scores
 
-# coarse mode -> scorer (config, model, batch) -> ScoreMap; a scorer looks its
-# callees up when it runs, so wrappers and monkeypatches of this module reach them
+# coarse mode -> scorer (config, model, batch, handoff) -> ScoreMap, handoff as
+# compute_scores' _handoff; a scorer looks its callees up when it runs, so
+# wrappers and monkeypatches of this module reach them
 _COARSE = {
-    "zeroth": lambda config, model, batch: zo_all_scores(model, batch, ZOConfig(
+    "zeroth": lambda config, model, batch, handoff: zo_all_scores(model, batch, ZOConfig(
         epsilon=config.epsilon, noises_per_sample=config.noises, seed=config.seed),
-        meter=BufferMeter()),
-    "first": lambda config, model, batch: aggregate_to_layers(
+        meter=BufferMeter(), _handoff=handoff),
+    "first": lambda config, model, batch, _: aggregate_to_layers(
         first_order_saliency(model, batch), mode=config.aggregation, method="first_order",
         seed=config.seed, sample_count=batch.count),
-    "magnitude": lambda config, model, batch: aggregate_to_layers(
+    "magnitude": lambda config, model, batch, _: aggregate_to_layers(
         magnitude_scores(model), mode=config.aggregation, method="magnitude",
         seed=config.seed),
-    "uniform": lambda config, model, batch: uniform_scores(model, seed=config.seed),
-    "local": lambda config, model, batch: local_layer_scores(
+    "uniform": lambda config, model, batch, _: uniform_scores(model, seed=config.seed),
+    "local": lambda config, model, batch, _: local_layer_scores(
         model, batch, config.fine, norm_exponent=config.norm_exponent,
         lam=config.hessian_lambda),
 }
@@ -219,16 +233,21 @@ def _load_inputs(config: RunConfig) -> tuple[ModelGraph, CalibrationSet]:
 
 
 def compute_scores(
-    config: RunConfig, model: ModelGraph, batch: CalibrationSet
+    config: RunConfig, model: ModelGraph, batch: CalibrationSet, *,
+    _handoff: list | None = None,
 ) -> tuple[ScoreMap, int]:
     """The coarse step: one global importance score per layer.
 
     Returns the ScoreMap and the number of forward passes spent.
+    _handoff (for :func:`cmd_prune`), a list, receives (the dense model's
+    clean activation, index of the layer it is the input of) from a
+    scorer that carried one through the model (zeroth order); the others
+    leave it empty.
     """
     if config.coarse not in _COARSE:
         raise InputError(f"coarse mode must be one of {COARSE_MODES}, got {config.coarse!r}")
     before = model.forward_count
-    scores = _COARSE[config.coarse](config, model, batch)
+    scores = _COARSE[config.coarse](config, model, batch, _handoff)
     return scores, model.forward_count - before
 
 
@@ -257,7 +276,8 @@ def cmd_score(config: RunConfig) -> dict:
 
 
 def cmd_prune(config: RunConfig) -> PruneReport:
-    """Coarse scoring -> allocation -> sequential fine pruning -> evaluation.
+    """Coarse scoring -> dense evaluation -> allocation -> sequential fine
+    pruning -> save -> pruned evaluation.
 
     Writes the pruned model, masks, plan, scores, timing and, last, the
     report into config.out_dir, after removing any stale report, timing,
@@ -270,12 +290,21 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     for name in ("report.json", "timing.json", "score_summary.json", "plan.json",
                  "scores.json"):  # stale
         (out / name).unlink(missing_ok=True)
+    for name in ("pruned_model", "masks"):
+        if (out / name).is_symlink():  # the writes and the cleanup would go through it
+            raise InputError(f"{out / name} is a symlink; prune writes a directory there")
     model, batch = _load_inputs(config)
 
-    eval_dense = evaluate_on_batch(model, batch, task="calibration", split="calib")
-    dense_forwards = model.forward_count
+    handoff = []
+    scores, scoring_forwards = compute_scores(config, model, batch, _handoff=handoff)
+    # the dense forward runs on from the clean activation scoring formed, if any
+    h, at = handoff.pop() if handoff else (None, 0)
+    before = model.forward_count
+    eval_dense = evaluate_on_batch(model, batch, start=at, layer_input=h,
+                                   task="calibration", split="calib")
+    dense_forwards = model.forward_count - before
+    del h
 
-    scores, scoring_forwards = compute_scores(config, model, batch)
     plan = allocate_sparsity(
         scores,
         model,

@@ -8,20 +8,21 @@ replayed from (seed, layer, noise index) alone.
 
 Two paths, chosen from the layer's shape and the batch size alone.  The
 loss sees a layer's weight only through its pre-activation h W^T + b,
-and the columns of h z^T are independent N(0, h h^T).  So a layer with
-a successor whose clean input h has N rows is scored in output space
-when 3*N*d_out + N^2 < d_out*d_in: the legs are act(pre0 +- eps*L g),
+and the columns of h z^T are independent N(0, h h^T).  So a layer whose
+clean input h has N rows is scored in output space when
+3*N*d_out + N^2 < d_out*d_in: the legs are act(pre0 +- eps*L g),
 with pre0 = h W0^T + b formed once per layer, L L^T = h h^T and g an
 [N, d_out] standard normal draw, N*d_out normals for d_out*d_in.  L's
 left-looking Cholesky (one gemv per column) has the same bits at any
 BLAS thread count, and leaves a column zero at a rounding-level pivot,
 so repeated samples factor too.  The weight is never written; a cycle
 holds pre0, L g, g (drawn into the plus leg's buffer) and L, and pre0,
-activated in place, becomes the next layer's clean input.  The clean
-input h is dropped once pre0 and L are formed: :func:`zo_all_scores`
-hands it to the layer's scoring with no other reference.  Every other
-layer (the last one, and one whose weights do not outnumber those
-elements) is scored in weight space.
+activated in place, becomes the next layer's clean input (the last
+layer's legs take the loss of act(pre0 +- eps*L g) itself, and its
+pre0 becomes the model's clean output).  The clean input h is dropped
+once pre0 and L are formed: :func:`zo_all_scores` hands it to the
+layer's scoring with no other reference.  A layer whose weights do not
+outnumber those elements is scored in weight space.
 
 Weight space: snapshot and restore.  A cycle keeps a reference to the
 original weight array W0 and draws z into a new array, which it turns in
@@ -33,8 +34,10 @@ layer-sized array.
 
 Suffix-only forwards.  Perturbing layer i changes nothing before it, so
 the loss legs start at layer i from its clean input activation (at layer
-i + 1 from the perturbed activation, in output space), which
-:func:`zo_all_scores` advances once per layer.
+i + 1 from the perturbed activation, in output space; past the last
+layer that is the loss alone), which :func:`zo_all_scores` advances once
+per layer.  That pass is the dense model's own forward, so its last
+clean activation can be handed on for the dense evaluation.
 """
 
 from __future__ import annotations
@@ -219,7 +222,8 @@ def _weight_space_legs(model, index, batch, h, cfg, meter):
 
 def _output_space_legs(model, index, batch, pre0, factor, cfg, meter):
     """(plus, minus) losses per noise, each leg act(pre0 +- eps*L g) run
-    from the next layer, L = factor; the layer's weight is only read."""
+    from the next layer (past the last one, the loss of the leg itself),
+    L = factor; the layer's weight is only read."""
     layer = model.layers()[index]
     extra = _output_space_extra(layer, len(pre0))
     lg = np.empty_like(pre0)
@@ -280,7 +284,7 @@ def zo_layer_score(
     if h is None:
         h = _advance(layers[:index], batch_input_matrix(model, batch)[0])
     pre0 = None
-    if index + 1 < len(layers) and _output_space_extra(layer, len(h)) < layer.size:
+    if _output_space_extra(layer, len(h)) < layer.size:
         pre0, factor = layer_preact(layer, h), _cholesky(h @ h.T)
         del h  # the legs read pre0 and L alone
         legs = _output_space_legs(model, index, batch, pre0, factor, cfg, meter)
@@ -304,6 +308,8 @@ def zo_all_scores(
     batch: CalibrationSet,
     cfg: ZOConfig,
     meter: BufferMeter | None = None,
+    *,
+    _handoff: list | None = None,
 ) -> ScoreMap:
     """Score every prunable layer in model order; 2*L*K*noises loss evaluations.
 
@@ -311,6 +317,11 @@ def zo_all_scores(
     included), so each layer's legs run over the suffix only.  It is
     handed to each layer's scoring with no other reference, and an
     output-space layer hands on the clean output its legs formed.
+
+    _handoff (for :func:`coarsefine.pipeline.compute_scores`), a list,
+    receives the last clean activation as one pair (activation, index of
+    the layer it is the input of; len(layers) for the model's output), so
+    a dense forward can run on from it; with no prunable layer, nothing.
     """
     layers = model.layers()
     entries = {}
@@ -325,6 +336,8 @@ def zo_all_scores(
         entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter,
                                              _handoff=handoff)
         h, at = handoff.pop()
+    if _handoff is not None and h is not None:
+        _handoff.append((h, at))
     return ScoreMap(
         entries=entries,
         method="zeroth_order",

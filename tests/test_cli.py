@@ -16,18 +16,19 @@ import pytest
 import coarsefine
 from coarsefine.cli import _build_config, build_parser, main
 from coarsefine.errors import InputError, ModelFormatError, UsageError
+from coarsefine.evaluation import evaluate_on_batch
 from coarsefine.io import (
     load_calibration, load_masks, load_model, save_calibration, save_masks, save_model,
 )
 from coarsefine.model import CalibrationSet
 from coarsefine.pipeline import (
-    COARSE_MODES, MAX_NOISES, RunConfig, cmd_compare, cmd_eval, cmd_prune, cmd_score,
-    compute_scores,
+    COARSE_MODES, MAX_NOISES, RunConfig, _load_inputs, cmd_compare, cmd_eval, cmd_prune,
+    cmd_score, compute_scores,
 )
 from coarsefine.scoring import ScoreMap
 from coarsefine.tasks import build_model, get_split, make_task, train_reference
 
-from conftest import random_batch, random_mlp, write_aliased_model
+from conftest import random_batch, random_mlp, tiny_linear_model, write_aliased_model
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +174,6 @@ class TestCmdPrune:
         reloaded = load_model(Path(config.out_dir) / "pruned_model")
         calib = load_calibration(fixture_dir / "calib.json")
         batch = CalibrationSet(calib.samples[:16])
-        from coarsefine.evaluation import evaluate_on_batch
-
         again = evaluate_on_batch(reloaded, batch)
         assert again.loss == report.eval_pruned.loss
 
@@ -188,6 +187,74 @@ class TestCmdPrune:
         echoed = json.loads(before)["config"]
         cmd_prune(RunConfig.from_json(echoed))
         assert report_path.read_bytes() == before
+
+
+def _biased_mlp(root, frozen):
+    """[32, 64, 64, 8] with biases and one frozen layer, K = 8: every
+    prunable layer, the last one too, is scored in output space."""
+    rng = np.random.default_rng(7)
+    model = random_mlp(rng, [32, 64, 64, 8])
+    for layer in model.layers():
+        layer.bias = rng.normal(size=layer.d_out)
+    if frozen:
+        model.layer(frozen).frozen = True
+    save_model(model, root / "model")
+    save_calibration(random_batch(rng, 8, 32, 8), root / "calib.json")
+    return root
+
+
+class TestDenseEvaluation:
+    """Zeroth-order scoring is the run's dense forward: the dense evaluation
+    runs on from the clean activation it formed, and reports what a fresh
+    dense evaluation of the input model does."""
+
+    @pytest.fixture(scope="class", params=["frozen middle", "frozen last", "char_lm"])
+    def dense_case(self, request, tmp_path_factory):
+        root = tmp_path_factory.mktemp("dense")
+        if request.param == "char_lm":  # every layer in weight space: N = 8 * 16 rows
+            task = make_task("char_lm", seed=0)
+            save_model(build_model(task), root / "model")
+            save_calibration(get_split(task, "calib"), root / "calib.json")
+            return root
+        return _biased_mlp(root, {"frozen middle": "L1", "frozen last": "L2"}[request.param])
+
+    @pytest.mark.parametrize("coarse", COARSE_MODES)
+    def test_equals_a_fresh_dense_evaluation(self, dense_case, tmp_path, coarse):
+        config = run_config(dense_case, tmp_path, coarse=coarse, samples=8)
+        report = cmd_prune(config)
+        model, batch = _load_inputs(config)
+        fresh = evaluate_on_batch(model, batch, task="calibration", split="calib")
+        assert report.eval_dense == fresh
+        saved = json.loads((tmp_path / "report.json").read_text())
+        assert saved["eval_dense"] == json.loads(json.dumps(fresh.to_json()))
+        dense_forwards = model.forward_count
+        scores, scoring_forwards = compute_scores(config, model, batch)
+        assert scores.entries == report.score_map.entries
+        passes = report.forward_passes
+        assert passes["scoring"] == scoring_forwards
+        assert passes["evaluation"] == 2 * dense_forwards == 2 * batch.count
+        assert passes["total"] == passes["scoring"] + passes["pruning"] + passes["evaluation"]
+
+    def test_zeroth_prune_runs_one_forward_from_layer_0(self, tmp_path, monkeypatch):
+        # no layer is scored in weight space, so no leg starts at layer 0:
+        # the legs start past their layer, the dense evaluation past the
+        # last one, and only the pruned evaluation at layer 0
+        import coarsefine.evaluation as evaluation_module
+        import coarsefine.model as model_module
+
+        root = _biased_mlp(tmp_path, frozen=None)
+        run_forward, starts = model_module.run_forward, []
+
+        def spy(graph, batch, start=0, *args, **kwargs):
+            starts.append(start)
+            return run_forward(graph, batch, start, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "run_forward", spy)
+        monkeypatch.setattr(evaluation_module, "run_forward", spy)
+        report = cmd_prune(run_config(root, tmp_path / "out", coarse="zeroth", samples=8))
+        assert starts == [1, 1, 2, 2, 3, 3, 3, 0]
+        assert report.forward_passes == {"scoring": 48, "pruning": 8, "evaluation": 16,
+                                         "total": 72}
 
 
 class TestLibraryRequiredPaths:
@@ -574,6 +641,27 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["exit_code"] == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_dense_overflow_fails_in_the_first_leg(self, tmp_path, capsys):
+        # ten identity layers of weights near 1e37 on inputs of 1e37: the
+        # dense output overflows.  Scoring runs before the dense
+        # evaluation, so L0's first leg finds it and names the layer.
+        rng = np.random.default_rng(8)
+        weights = [rng.uniform(1.0, 2.0, size=(4, 4)) * 1e37 for _ in range(10)]
+        save_model(tiny_linear_model(weights), tmp_path / "model")
+        save_calibration(CalibrationSet.stacked(np.full((4, 4), 1e37), np.zeros((4, 4))),
+                         tmp_path / "calib.json")
+        code = main([
+            "prune", "--model-dir", str(tmp_path / "model"),
+            "--calib", str(tmp_path / "calib.json"), "--out", str(tmp_path / "out"),
+            "--coarse", "zeroth", "--samples", "4",
+        ])
+        assert code == 3
+        err = one_error_line(capsys)
+        assert err["exit_code"] == 3 and err["error"] == "NumericalError"
+        assert err["message"] == "layer 'L0': non-finite values in model output"
+        assert not (tmp_path / "out").exists()
+
     def test_success_is_exit_0(self, fixture_dir, tmp_path, capsys):
         code = main([
             "prune", "--model-dir", str(fixture_dir / "model"),
@@ -632,6 +720,25 @@ class TestFreshOutputs:
                                                                          b"kept 2"]
         assert not [p for p in out.rglob("*") if p.is_symlink() or p.suffix == ".tmp"]
         assert load_model(out / "pruned_model").layer(layer).weight.shape
+
+    @pytest.mark.parametrize("name", ["pruned_model", "masks"])
+    def test_symlinked_output_directory_is_refused(self, fixture_dir, tmp_path, capsys, name):
+        # the link would carry the writes, and a failed run's cleanup, into
+        # its target: the run is refused and the target left as it was
+        out, target = tmp_path / "out", tmp_path / "target"
+        assert main(_prune_argv(fixture_dir, out)) == 0
+        shutil.copytree(out / name, target)
+        (target / "NOTES.txt").write_text("mine")
+        kept = _outputs(target)
+        shutil.rmtree(out / name)
+        (out / name).symlink_to(target, target_is_directory=True)
+        capsys.readouterr()
+        assert main(_prune_argv(fixture_dir, out, "0.7")) == 2
+        err = one_error_line(capsys)
+        assert err["error"] == "InputError" and f"{name} is a symlink" in err["message"]
+        assert _outputs(target) == kept
+        assert (out / name).is_symlink() and (out / name).resolve() == target.resolve()
+        assert "report.json" not in {p.name for p in out.iterdir()}
 
     def test_rerun_equals_a_run_into_a_fresh_directory(
         self, fixture_dir, tmp_path, capsys, monkeypatch

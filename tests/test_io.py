@@ -9,9 +9,11 @@ import pytest
 from coarsefine.errors import ModelFormatError
 from coarsefine.io import (
     F32_CHUNK,
+    _create,
     load_calibration,
     load_masks,
     load_model,
+    removed_on_failure,
     save_calibration,
     save_masks,
     save_model,
@@ -340,3 +342,26 @@ class TestPlanAndScoreFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
             cls.load(path)
+
+
+class TestRemovedOnFailure:
+    def test_symlinked_directory_is_not_removed_through(self, tmp_path):
+        # rmdir does not follow a symlink: the link and its target stay, and
+        # only the file the block created is unlinked
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.mkdir()
+        (target / "kept.bin").write_bytes(b"kept")
+        link.symlink_to(target, target_is_directory=True)
+        empty_target, empty_link = tmp_path / "empty", tmp_path / "empty_link"
+        empty_target.mkdir()
+        empty_link.symlink_to(empty_target, target_is_directory=True)
+        with pytest.raises(OSError, match="injected"):
+            with removed_on_failure(link, empty_link, tmp_path / "made"):
+                (tmp_path / "made").mkdir()
+                with _create(tmp_path / "made" / "new.bin") as f:
+                    f.write(b"new")
+                raise OSError("injected")
+        assert link.is_symlink() and empty_link.is_symlink()
+        assert [(p.name, p.read_bytes()) for p in target.iterdir()] == [("kept.bin", b"kept")]
+        assert empty_target.is_dir() and list(empty_target.iterdir()) == []
+        assert not (tmp_path / "made").exists()

@@ -9,6 +9,7 @@ from coarsefine.allocation import uniform_plan
 from coarsefine.errors import (
     DimensionError,
     InputError,
+    NumericalError,
 )
 from coarsefine.model import (
     Block,
@@ -22,12 +23,14 @@ from coarsefine.model import (
     per_sample_losses,
 )
 from coarsefine.model import (
+    FINITE_BLOCK,
     GELU_BLOCK,
     _act,
     _gelu_grad,
     _logsumexp,
     backprop_layers,
     batch_input_matrix,
+    check_finite,
     layer_forward,
     run_forward,
 )
@@ -501,6 +504,39 @@ class TestGelu:
             tracemalloc.stop()
         assert x.size > 2 * GELU_BLOCK
         assert peak < 8 * GELU_BLOCK + 4096, peak
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("shape", [(512, 512), (3, FINITE_BLOCK // 3 + 5), (7,), (), (0, 4)],
+                             ids=["layer", "ragged", "small", "0-d", "empty"])
+    @pytest.mark.parametrize("view", [lambda a: a, lambda a: a.T],
+                             ids=["contiguous", "transposed"])
+    def test_finds_each_non_finite_element(self, shape, view):
+        base = np.random.default_rng(14).normal(size=shape)
+        x = view(base)
+        assert check_finite(x, "x") is x
+        for position in sorted({0, x.size // 2, x.size - 1}) if x.size else []:
+            for special in (np.nan, np.inf, -np.inf):
+                bad = view(base.copy())
+                bad[np.unravel_index(position, bad.shape)] = special
+                with pytest.raises(NumericalError, match="non-finite values in x"):
+                    check_finite(bad, "x")
+
+    @pytest.mark.parametrize("view", [lambda a: a, lambda a: a.T],
+                             ids=["contiguous", "transposed"])
+    def test_holds_one_block_of_flags(self, view):
+        # 512 x 512 in memory order: one block of FINITE_BLOCK flags
+        # (32 KB), where np.isfinite(x) was x-sized (256 KB)
+        x = view(np.random.default_rng(15).normal(size=(512, 512)))
+        check_finite(x)  # a first call's one-off allocations are not the check's
+        tracemalloc.start()
+        try:
+            check_finite(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.size > 4 * FINITE_BLOCK
+        assert peak < FINITE_BLOCK + 4096, peak
 
 
 class TestCopy:

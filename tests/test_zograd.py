@@ -248,10 +248,10 @@ class TestAllScores:
         # weight space: the noise is drawn into the one perturbed copy of
         # the biggest layer
         ([6, 12, 4], 4, 72, 72),
-        # L0 (512 x 128) in output space: the noise g (8 x 512), and in
-        # all the clean pre-activation, L g, g and the 8 x 8 factor L; the
-        # largest noise buffer is now L1's perturbed weight (16 x 512)
-        ([128, 512, 16], 8, 16 * 512, 3 * 8 * 512 + 8 * 8),
+        # both layers in output space, the last one (16 x 512) too: the
+        # largest noise is L0's g (8 x 512), and in all L0 holds the clean
+        # pre-activation, L g, g and the 8 x 8 factor L
+        ([128, 512, 16], 8, 8 * 512, 3 * 8 * 512 + 8 * 8),
     ], ids=["weight-space", "output-space"])
     def test_memory_meter_holds_one_noise_buffer(self, widths, k, noise, extra):
         rng = np.random.default_rng(13)
@@ -452,6 +452,8 @@ class TestSnapshotOracle:
             suffix = per_sample_losses(model, batch, start=i, layer_input=h)
             assert suffix.tobytes() == full.tobytes(), i
             h = layer_forward(layer, h)
+        loss_only = per_sample_losses(model, batch, start=len(model.layers()), layer_input=h)
+        assert loss_only.tobytes() == full.tobytes()
 
     def test_suffix_forward_arguments_checked(self):
         model, batch = _gelu_mlp()
@@ -459,7 +461,15 @@ class TestSnapshotOracle:
         with pytest.raises(InputError):
             per_sample_losses(model, batch, start=1)
         with pytest.raises(InputError):
-            per_sample_losses(model, batch, start=3, layer_input=h)
+            per_sample_losses(model, batch, start=4, layer_input=h)
+        with pytest.raises(InputError):
+            per_sample_losses(model, batch, start=-1, layer_input=h)
+        # start == len(layers) runs no layer: the loss of the given output
+        out = clean_input(model, batch, 3)
+        held = out.copy()
+        loss = per_sample_losses(model, batch, start=3, layer_input=out)
+        assert loss.tobytes() == per_sample_losses(model, batch).tobytes()
+        assert out.tobytes() == held.tobytes()
 
 
 def preact_shift_losses(model, batch, layer, shift):
@@ -504,7 +514,7 @@ def preact_shift_score(model, layer_name, batch, cfg):
 
 
 class TestOutputSpace:
-    """A layer with a successor, scored in output space, matches a full
+    """A layer scored in output space, the last one included, matches a full
     forward that adds the same noise to its pre-activation, within rounding.
 
     The legs round act(pre0 +- eps*L g) with the package's factor L, where
@@ -534,19 +544,16 @@ class TestOutputSpace:
 
         monkeypatch.setattr(zograd, "perturb_replay", spy)
         scores = zo_all_scores(model, batch, cfg)
-        # only the last layer cycles its weight; no weight was written
-        last = model.layers()[-1].name
-        assert set(cycled) == {last}
+        # every layer, the last one too, is scored in output space: no weight
+        # is cycled or written
+        assert cycled == []
         assert array_bytes(model) == before
         loss_scale = np.abs(per_sample_losses(oracle, batch)).max()
         oracle.forward_count = 0
         for name, got in scores.entries.items():
-            if name == last:
-                assert got == full_forward_score(oracle, name, batch, cfg)
-            else:
-                want = preact_shift_score(oracle, name, batch, cfg)
-                tol = self.RTOL * abs(want) + self.ATOL * loss_scale / (2.0 * cfg.epsilon)
-                assert abs(got - want) <= tol, (name, got, want)
+            want = preact_shift_score(oracle, name, batch, cfg)
+            tol = self.RTOL * abs(want) + self.ATOL * loss_scale / (2.0 * cfg.epsilon)
+            assert abs(got - want) <= tol, (name, got, want)
             # standalone calls compute the same prefix input
             assert zo_layer_score(model, name, batch, cfg) == got
         # 2*K loss evaluations per noise and layer, as the oracle's
@@ -575,10 +582,11 @@ class TestOutputSpace:
             assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
     def test_all_scores_let_go_of_the_clean_input(self, monkeypatch):
-        # 16-64-64-8, K = 8: L0 (64 x 16) is scored in weight space and L1
-        # (64 x 64) in output space.  L1's clean input, formed by
-        # zo_all_scores, is dead once L1's legs run: they read pre0 and L
-        # alone.  L0's clean input is the batch's own array, which it keeps.
+        # 16-64-64-8, K = 8: L0 (64 x 16) is scored in weight space, L1
+        # (64 x 64) and the last layer L2 (8 x 64) in output space.  The
+        # clean inputs of L1 and L2, formed by zo_all_scores, are dead once
+        # their legs run: they read pre0 and L alone.  L0's clean input is
+        # the batch's own array, which it keeps.
         rng = np.random.default_rng(33)
         model = random_mlp(rng, [16, 64, 64, 8])
         batch = random_batch(rng, 8, 16, 8)
@@ -591,17 +599,24 @@ class TestOutputSpace:
             return preact(layer, h)
 
         def spy_losses(graph, b, start=0, layer_input=None):
-            if start == 2:  # a leg of L1, then of L2 (weight space)
-                alive_in_legs.append(inputs["L1"]() is not None)
+            if start:  # a leg of L1 (from L2), then of L2 (the loss alone)
+                scored = model.layers()[start - 1].name
+                alive_in_legs.append((scored, inputs[scored]() is not None))
             return losses(graph, b, start, layer_input)
 
         monkeypatch.setattr(zograd, "layer_preact", spy_preact)
         monkeypatch.setattr(zograd, "per_sample_losses", spy_losses)
-        scores = zo_all_scores(model, batch, cfg)
+        handoff = []
+        scores = zo_all_scores(model, batch, cfg, _handoff=handoff)
         monkeypatch.undo()
-        assert alive_in_legs == [False] * 8  # two legs per noise and layer
-        assert set(inputs) == {"L1"}  # only L1 went to output space
+        # two legs per noise and layer
+        assert alive_in_legs == [("L1", False)] * 4 + [("L2", False)] * 4
+        assert set(inputs) == {"L1", "L2"}  # L0 stayed in weight space
         assert scores.entries == zo_all_scores(model, batch, cfg).entries
+        # the pass hands over the model's clean output, past the last layer
+        (out, at), = handoff
+        assert at == 3
+        assert out.tobytes() == clean_input(model, batch, 3).tobytes()
 
     @pytest.mark.parametrize("widths", [[4, 6, 3], [128, 512, 16]],
                              ids=["weight-space", "output-space"])
@@ -683,19 +698,25 @@ class TestSameLaw:
         assert stats.ks_2samp(bare, old).pvalue < 1e-6  # measured 1e-107
 
 
-# Scores the 459k-weight MLP's shape, whose two hidden layers take output
-# space, in a fresh interpreter: BLAS reads its thread count once, at load.
-_THREAD_PROBE = """
+# Scores the 459k-weight MLP's shape, whose three layers, the last one
+# included, take output space, in a fresh interpreter: BLAS reads its thread
+# count once, at load.  The result is one marked line, so anything else on
+# stdout (say, a print from conftest) is skipped; it also holds the largest
+# noise, 64 x 512, which a weight-space layer (its d_out*d_in) would exceed.
+_THREAD_MARK = "zo-scores:"
+_THREAD_PROBE = f"""
 import sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from conftest import random_batch, random_mlp
-from coarsefine.zograd import ZOConfig, zo_all_scores
+from coarsefine.zograd import BufferMeter, ZOConfig, zo_all_scores
 rng = np.random.default_rng(51)
 model = random_mlp(rng, [256, 512, 512, 128])
 batch = random_batch(rng, 64, 256, 128)
-scores = zo_all_scores(model, batch, ZOConfig(noises_per_sample=2, seed=3))
-print(" ".join(float.hex(v) for v in scores.entries.values()))
+meter = BufferMeter()
+scores = zo_all_scores(model, batch, ZOConfig(noises_per_sample=2, seed=3), meter=meter)
+print({_THREAD_MARK!r}, meter.peak_noise_elements,
+      " ".join(float.hex(v) for v in scores.entries.values()))
 """
 
 
@@ -712,8 +733,12 @@ def test_output_space_scores_do_not_depend_on_blas_threads():
             capture_output=True, text=True, env={**env, **blas},
         )
         assert proc.returncode == 0, proc.stderr
-        hexes.append(proc.stdout.split())
-    assert len(hexes[0]) == 3 and hexes[0] == hexes[1]
+        marked = [line.split()[1:] for line in proc.stdout.splitlines()
+                  if line.startswith(_THREAD_MARK)]
+        assert len(marked) == 1, proc.stdout
+        hexes.append(marked[0])
+    assert hexes[0][0] == str(64 * 512)  # no layer went to weight space
+    assert len(hexes[0]) == 4 and hexes[0] == hexes[1]
 
 
 class TestRestoreOnEveryExit:
