@@ -61,8 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ModelFormatError
-from .model import Block, CalibrationSet, LayerSpec, ModelGraph
+from .errors import DimensionError, ModelFormatError, NumericalError
+from .model import Block, CalibrationSet, LayerSpec, ModelGraph, check_finite
 
 FORMAT_VERSION = "1"
 F32_CHUNK = 1 << 15  # elements per float32 conversion in _write_f32
@@ -264,9 +264,13 @@ def _write_f32(f, arr: np.ndarray) -> None:
 
 
 def _read_f32(path: Path, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The float32 tensor in path as dtype, once every value is found
+    finite by the blocked :func:`coarsefine.model.check_finite`."""
     raw = _read_raw(path, "<f4", math.prod(shape))
-    if not np.all(np.isfinite(raw)):
-        raise ModelFormatError(f"{path}: non-finite values on disk")
+    try:
+        check_finite(raw)
+    except NumericalError:
+        raise ModelFormatError(f"{path}: non-finite values on disk") from None
     return raw.reshape(shape).astype(dtype, copy=False)  # float64: an array with no base
 
 

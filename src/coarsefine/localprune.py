@@ -375,6 +375,7 @@ def sequential_prune(
     norm_exponent: int = 1,
     lam: float | None = None,
     out: ModelGraph | None = None,
+    _handoff: list | None = None,
 ) -> tuple[ModelGraph, dict[str, np.ndarray], dict[str, float]]:
     """Prune layers in model order, conditioning on the pruned prefix.
 
@@ -400,6 +401,11 @@ def sequential_prune(
     where the reconstruction error is the squared Frobenius distance
     between dense and pruned pre-activation outputs on the captured
     activations.
+
+    The pass ends holding the pruned model's output on the batch, so
+    _handoff (for :func:`coarsefine.pipeline.cmd_prune`), a list,
+    receives (that output, len(layers)), the input of no layer: a
+    forward of out from there is the loss alone.
     """
     if fine_method not in FINE_METHODS:
         raise InputError(f"fine_method must be one of {FINE_METHODS}")
@@ -449,4 +455,6 @@ def sequential_prune(
             pre += layer.bias
         h = _act(layer.activation, pre, out=pre)
     out.forward_count += batch.count
+    if _handoff is not None:
+        _handoff.append((h, len(model.layers())))
     return out, masks, recon

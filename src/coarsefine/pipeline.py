@@ -18,12 +18,11 @@ file it did not create stays.  A symlink at ``OUT/pruned_model`` or
 ``OUT/masks`` is refused before the inputs are read, so no write or
 cleanup goes through it.  Inputs are loaded whole before the first
 write, so ``--model-dir`` may be ``OUT/pruned_model`` itself.  Dense and
-pruned models are evaluated on the calibration batch after a round trip
-through the on-disk float32 format, so reported metrics match what a
-reload sees.
+pruned models are evaluated on the calibration batch as the on-disk
+float32 format holds them, so reported metrics match what a reload sees.
 
 A prune runs load, coarse scoring, dense evaluation, allocation, the
-fine pass, save, and the reload's pruned evaluation, in that order.
+fine pass, save, and the pruned evaluation, in that order.
 Zeroth-order scoring carries the dense model's clean activation through
 every layer, so it is the run's dense forward: the dense evaluation runs
 on from the last clean activation it formed (past the last layer, the
@@ -31,7 +30,13 @@ loss alone) and counts K forwards, as a suffix forward does.  Scoring
 holds that activation at its end anyway, and it is dropped before
 allocation.  The other scorers form none, and the dense evaluation runs
 from layer 0.  Scoring restores every weight bit for bit, so the dense
-evaluation sees the model as loaded.
+evaluation sees the model as loaded.  Likewise the fine pass carries the
+pruned model's activation through every layer, and under wanda and
+magnitude the pruned evaluation runs on from its output: those methods
+only zero weights of a model read from float32, so the model in memory
+is its reload bit for bit.  Sparsegpt's refit weights round on save, so
+its pruned evaluation reads the reload, with the pruned model dropped
+first.
 
 A prune holds one model's weights: the fine pass prunes each layer in
 its own weight array, after the reconstruction GEMM has read the dense
@@ -42,8 +47,8 @@ block, so past the model the fine pass holds the layer's mask, the
 sparsegpt inverse Hessian and its update buffer, and block-sized
 temporaries.  The calibration batch is held only stacked, converted
 from float32 once, and ``--samples`` takes a prefix of its rows without
-a copy.  The pruned model is saved one bounded float32 chunk at a time
-and dropped once saved; the pruned evaluation reads the reload alone.
+a copy.  The pruned model is saved one bounded float32 chunk at a time,
+and the pruned evaluation holds it or, under sparsegpt, its reload alone.
 Past the weights and the batch, a loss-only forward holds one layer's
 input and output at a time, because it applies bias, activation and
 loss in buffers it owns, and gelu adds one bounded block (see
@@ -277,7 +282,8 @@ def cmd_score(config: RunConfig) -> dict:
 
 def cmd_prune(config: RunConfig) -> PruneReport:
     """Coarse scoring -> dense evaluation -> allocation -> sequential fine
-    pruning -> save -> pruned evaluation.
+    pruning -> save -> pruned evaluation; each evaluation runs on from the
+    pass before it where the module docstring says it may.
 
     Writes the pruned model, masks, plan, scores, timing and, last, the
     report into config.out_dir, after removing any stale report, timing,
@@ -312,6 +318,9 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         p_max=config.effective_max_sparsity(),
         granularity="layer" if config.coarse == "uniform" else config.granularity,
     )
+    # the pruned evaluation runs on from the fine pass's output unless the
+    # saved weights round, as sparsegpt's refit ones do (see the module docstring)
+    handoff = None if config.fine == "sparsegpt" else []
     before = model.forward_count
     # pruned in place: each layer's fine step writes into its own weight array
     model, masks, recon = sequential_prune(
@@ -322,6 +331,7 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         norm_exponent=config.norm_exponent,
         lam=config.hessian_lambda,
         out=model,
+        _handoff=handoff,
     )
     pruning_forwards = model.forward_count - before
 
@@ -329,14 +339,18 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     with cfio.removed_on_failure(out / "pruned_model", out / "masks",
                                  *(() if out.exists() else (out,))):
         cfio.save_model(model, out / "pruned_model")
-        del model  # the evaluation reads the reload
         cfio.save_masks(masks, out / "masks")
-        reloaded = cfio.load_model(out / "pruned_model")
+        if handoff:
+            h, at = handoff.pop()
+        else:
+            del model  # not held while its reload is
+            model, h, at = cfio.load_model(out / "pruned_model"), None, 0
+        before = model.forward_count
         eval_pruned = evaluate_on_batch(
-            reloaded, batch, masks=masks, reconstruction=recon,
+            model, batch, masks=masks, reconstruction=recon, start=at, layer_input=h,
             task="calibration", split="calib",
         )
-        eval_forwards = reloaded.forward_count + dense_forwards
+        eval_forwards = model.forward_count - before + dense_forwards
 
         report = PruneReport(
             config=config,

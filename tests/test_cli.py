@@ -20,6 +20,7 @@ from coarsefine.evaluation import evaluate_on_batch
 from coarsefine.io import (
     load_calibration, load_masks, load_model, save_calibration, save_masks, save_model,
 )
+from coarsefine.localprune import FINE_METHODS
 from coarsefine.model import CalibrationSet
 from coarsefine.pipeline import (
     COARSE_MODES, MAX_NOISES, RunConfig, _load_inputs, cmd_compare, cmd_eval, cmd_prune,
@@ -168,7 +169,7 @@ class TestCmdPrune:
         )
 
     def test_eval_matches_disk_model(self, fixture_dir, tmp_path):
-        # metrics in the report come from the reloaded float32 model
+        # metrics in the report are those of the reloaded float32 model
         config = run_config(fixture_dir, tmp_path)
         report = cmd_prune(config)
         reloaded = load_model(Path(config.out_dir) / "pruned_model")
@@ -203,24 +204,26 @@ def _biased_mlp(root, frozen):
     return root
 
 
+@pytest.fixture(scope="module", params=["frozen middle", "frozen last", "char_lm"])
+def eval_case(request, tmp_path_factory):
+    """The biased MLP with its middle or last layer frozen, or char_lm (8 samples)."""
+    root = tmp_path_factory.mktemp("eval")
+    if request.param == "char_lm":  # every layer in weight space: N = 8 * 16 rows
+        task = make_task("char_lm", seed=0)
+        save_model(build_model(task), root / "model")
+        save_calibration(get_split(task, "calib"), root / "calib.json")
+        return root
+    return _biased_mlp(root, {"frozen middle": "L1", "frozen last": "L2"}[request.param])
+
+
 class TestDenseEvaluation:
     """Zeroth-order scoring is the run's dense forward: the dense evaluation
     runs on from the clean activation it formed, and reports what a fresh
     dense evaluation of the input model does."""
 
-    @pytest.fixture(scope="class", params=["frozen middle", "frozen last", "char_lm"])
-    def dense_case(self, request, tmp_path_factory):
-        root = tmp_path_factory.mktemp("dense")
-        if request.param == "char_lm":  # every layer in weight space: N = 8 * 16 rows
-            task = make_task("char_lm", seed=0)
-            save_model(build_model(task), root / "model")
-            save_calibration(get_split(task, "calib"), root / "calib.json")
-            return root
-        return _biased_mlp(root, {"frozen middle": "L1", "frozen last": "L2"}[request.param])
-
     @pytest.mark.parametrize("coarse", COARSE_MODES)
-    def test_equals_a_fresh_dense_evaluation(self, dense_case, tmp_path, coarse):
-        config = run_config(dense_case, tmp_path, coarse=coarse, samples=8)
+    def test_equals_a_fresh_dense_evaluation(self, eval_case, tmp_path, coarse):
+        config = run_config(eval_case, tmp_path, coarse=coarse, samples=8)
         report = cmd_prune(config)
         model, batch = _load_inputs(config)
         fresh = evaluate_on_batch(model, batch, task="calibration", split="calib")
@@ -235,10 +238,11 @@ class TestDenseEvaluation:
         assert passes["evaluation"] == 2 * dense_forwards == 2 * batch.count
         assert passes["total"] == passes["scoring"] + passes["pruning"] + passes["evaluation"]
 
-    def test_zeroth_prune_runs_one_forward_from_layer_0(self, tmp_path, monkeypatch):
+    def test_zeroth_wanda_prune_runs_no_forward_from_layer_0(self, tmp_path, monkeypatch):
         # no layer is scored in weight space, so no leg starts at layer 0:
-        # the legs start past their layer, the dense evaluation past the
-        # last one, and only the pruned evaluation at layer 0
+        # the legs start past their layer, and the dense and the pruned
+        # evaluation past the last one, from the output of the zeroth-order
+        # pass and of the fine pass
         import coarsefine.evaluation as evaluation_module
         import coarsefine.model as model_module
 
@@ -252,9 +256,49 @@ class TestDenseEvaluation:
         monkeypatch.setattr(model_module, "run_forward", spy)
         monkeypatch.setattr(evaluation_module, "run_forward", spy)
         report = cmd_prune(run_config(root, tmp_path / "out", coarse="zeroth", samples=8))
-        assert starts == [1, 1, 2, 2, 3, 3, 3, 0]
+        assert starts == [1, 1, 2, 2, 3, 3, 3, 3]
         assert report.forward_passes == {"scoring": 48, "pruning": 8, "evaluation": 16,
                                          "total": 72}
+
+
+class TestPrunedEvaluation:
+    """Wanda and magnitude hand the fine pass's output to the pruned
+    evaluation; sparsegpt's evaluation reads the reload.  Either way the
+    report holds what a fresh evaluation of the saved model and masks does."""
+
+    @pytest.mark.parametrize("fine", FINE_METHODS)
+    def test_equals_a_fresh_evaluation_of_the_saved_model(self, eval_case, tmp_path, fine):
+        config = run_config(eval_case, tmp_path, coarse="magnitude", fine=fine, samples=8)
+        report = cmd_prune(config)
+        _, batch = _load_inputs(config)
+        saved = load_model(tmp_path / "pruned_model")
+        fresh = evaluate_on_batch(saved, batch, masks=load_masks(tmp_path / "masks"),
+                                  reconstruction=report.eval_pruned.reconstruction,
+                                  task="calibration", split="calib")
+        assert report.eval_pruned == fresh
+        on_disk = json.loads((tmp_path / "report.json").read_text())
+        assert on_disk["eval_pruned"] == json.loads(json.dumps(fresh.to_json()))
+        passes = report.forward_passes
+        assert passes["pruning"] == saved.forward_count == batch.count
+        assert passes["evaluation"] == 2 * batch.count  # the dense and the pruned evaluation
+        assert passes["total"] == passes["scoring"] + passes["pruning"] + passes["evaluation"]
+
+    @pytest.mark.parametrize("fine, reloads", [("wanda", 0), ("magnitude", 0),
+                                               ("sparsegpt", 1)])
+    def test_only_sparsegpt_reloads_the_pruned_model(self, tmp_path, monkeypatch, fine,
+                                                     reloads):
+        import coarsefine.io as cfio
+
+        root = _biased_mlp(tmp_path, frozen="L1")
+        load_model, loaded = cfio.load_model, []
+
+        def spy(directory):
+            loaded.append(Path(directory).name)
+            return load_model(directory)
+
+        monkeypatch.setattr(cfio, "load_model", spy)
+        cmd_prune(run_config(root, tmp_path / "out", fine=fine, samples=8))
+        assert loaded == ["model"] + ["pruned_model"] * reloads
 
 
 class TestLibraryRequiredPaths:
@@ -299,12 +343,15 @@ def traced_prune_peak(config) -> int:
 class TestPeakMemory:
     # bounds in float64 weight bytes.  A 256-512-512-128 GELU MLP (458,752
     # weights), wanda, K=64: with zeroth-order scores it is 1.38x, the
-    # fine pass's finite check on body.fc2's new weight, now that gelu,
-    # the float32 writes and wanda's top-k hold one bounded block and an
-    # output-space layer drops its clean input (1.48x before, when the
-    # save's float32 copy of the largest layer was the peak; 1.48x too
-    # while the hidden layers' output-space cycles held two
-    # pre-activations and a 32,768-element block of weight-shaped noise;
+    # fine pass's reconstruction GEMM on body.fc2, which holds the layer's
+    # input, its error and its pruned pre-activation.  The finite check on
+    # body.fc2's new weight peaked at the same 1.38x until it went
+    # blockwise, once gelu, the float32 writes and wanda's top-k held one
+    # bounded block and an output-space layer dropped its clean input
+    # (1.48x before, when the save's float32 copy of the largest layer
+    # was the peak; 1.48x too while the hidden layers' output-space cycles
+    # held two pre-activations and a 32,768-element block of weight-shaped
+    # noise;
     # 1.85x while every cycle held a layer-sized perturbed weight; 2.42x
     # when it also held the noise apart from that weight); with uniform
     # scores it is the fine pass, which prunes each layer in its own array
@@ -581,14 +628,15 @@ class TestExitCodes:
 
     def test_failed_rerun_leaves_no_report(self, fixture_dir, tmp_path, capsys, monkeypatch):
         # a second prune into the same directory fails while reloading the
-        # pruned model: the first run's report must not survive as its record
+        # pruned model (sparsegpt's evaluation reads the reload): the first
+        # run's report must not survive as its record
         import coarsefine.io as cfio
 
         def argv(sparsity):
             return ["prune", "--model-dir", str(fixture_dir / "model"),
                     "--calib", str(fixture_dir / "calib.json"),
                     "--out", str(tmp_path / "out"), "--sparsity", sparsity,
-                    "--coarse", "magnitude", "--samples", "16"]
+                    "--coarse", "magnitude", "--fine", "sparsegpt", "--samples", "16"]
 
         assert main(argv("0.5")) == 0
         assert main(["score", *argv("0.5")[1:]]) == 0
@@ -774,11 +822,18 @@ class TestFreshOutputs:
         assert own == fresh
 
 
-def _inject_failure(monkeypatch, stage):
-    """prune fails after save_masks has written, or at the pruned model's reload."""
+_STAGES = ["save_masks", "reload", "pruned evaluation"]
+
+
+def _inject_failure(monkeypatch, stage) -> list[str]:
+    """prune fails after save_masks has written, at the pruned model's
+    reload, or in the pruned evaluation of the fine pass's hand-over;
+    returns the flags that make the run reach that stage."""
     import coarsefine.io as cfio
+    import coarsefine.pipeline as pipeline
 
     save_masks, load_model = cfio.save_masks, cfio.load_model
+    evaluate_on_batch = pipeline.evaluate_on_batch
 
     def failing_save_masks(masks, directory):
         save_masks(masks, directory)
@@ -789,33 +844,43 @@ def _inject_failure(monkeypatch, stage):
             raise ModelFormatError("injected failure")
         return load_model(directory)
 
+    def failing_pruned_evaluation(model, batch, masks=None, **kwargs):
+        if masks is not None:
+            assert kwargs["layer_input"] is not None  # the hand-over, not a reload
+            raise ModelFormatError("injected failure")
+        return evaluate_on_batch(model, batch, masks, **kwargs)
+
     if stage == "save_masks":
         monkeypatch.setattr(cfio, "save_masks", failing_save_masks)
-    else:
+    elif stage == "reload":  # only sparsegpt's pruned evaluation reads the reload
         monkeypatch.setattr(cfio, "load_model", failing_reload)
+        return ["--fine", "sparsegpt"]
+    else:
+        monkeypatch.setattr(pipeline, "evaluate_on_batch", failing_pruned_evaluation)
+    return []
 
 
 class TestFailedRunCleanup:
     # a failed prune removes exactly the files it created, then masks/ and
     # pruned_model/ (and an --out it made) if they are left empty
 
-    @pytest.mark.parametrize("stage", ["save_masks", "reload"])
+    @pytest.mark.parametrize("stage", _STAGES)
     def test_new_out_is_removed(self, fixture_dir, tmp_path, capsys, monkeypatch, stage):
-        _inject_failure(monkeypatch, stage)
-        assert main(_prune_argv(fixture_dir, tmp_path / "out")) == 2
+        flags = _inject_failure(monkeypatch, stage)
+        assert main([*_prune_argv(fixture_dir, tmp_path / "out"), *flags]) == 2
         assert one_error_line(capsys)["message"] == "injected failure"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("stage", ["save_masks", "reload"])
+    @pytest.mark.parametrize("stage", _STAGES)
     def test_rerun_removes_only_its_own_files(
         self, fixture_dir, tmp_path, capsys, monkeypatch, stage
     ):
         out = tmp_path / "out"
         assert main(_prune_argv(fixture_dir, out, "0.5")) == 0
         (out / "pruned_model" / "NOTES.txt").write_text("mine")
-        _inject_failure(monkeypatch, stage)
+        flags = _inject_failure(monkeypatch, stage)
         capsys.readouterr()
-        assert main(_prune_argv(fixture_dir, out, "0.7")) == 2
+        assert main([*_prune_argv(fixture_dir, out, "0.7"), *flags]) == 2
         assert one_error_line(capsys)["message"] == "injected failure"
         assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
             "pruned_model", "pruned_model/NOTES.txt"]

@@ -6,11 +6,14 @@ makes both the digests and the file, so there is one definition of "the
 same bits"; its docstring gives the command that regenerates the file.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -34,3 +37,35 @@ def test_prune_outputs_match_the_golden_digests(tmp_path):
         f"first {moved[:3]}; it was made with {golden['versions']}, "
         f"this run used {now['versions']}"
     )
+
+
+@pytest.fixture(scope="module")
+def matrix_tool():
+    """tools/output_matrix.py as a module; the BLAS thread variables it sets
+    on import are taken back, so later subprocesses see the environment
+    they saw before."""
+    environ, path = dict(os.environ), list(sys.path)
+    spec = importlib.util.spec_from_file_location("output_matrix",
+                                                  ROOT / "tools" / "output_matrix.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+    return module
+
+
+@pytest.mark.parametrize("shape", ["flat", "golden"])
+def test_against_names_every_moved_path(matrix_tool, shape):
+    def record(digests):
+        return {"versions": {"numpy": "x"}, "digests": digests} if shape == "golden" else digests
+
+    parent = record({"runs/a/report.json": "1", "runs/a/plan.json": "2", "runs/b/<stdout>": "3"})
+    same = record({"runs/b/<stdout>": "3", "runs/a/plan.json": "2", "runs/a/report.json": "1"})
+    change = record({"runs/a/report.json": "1", "runs/a/plan.json": "9", "runs/c/<stdout>": "3"})
+    assert matrix_tool.moved_paths(same, parent) == []
+    assert matrix_tool.moved_paths(change, parent) == [
+        "runs/a/plan.json", "runs/b/<stdout>", "runs/c/<stdout>"]
+    assert matrix_tool.moved_paths(parent, change) == matrix_tool.moved_paths(change, parent)

@@ -10,6 +10,7 @@ from coarsefine.errors import ModelFormatError
 from coarsefine.io import (
     F32_CHUNK,
     _create,
+    _read_f32,
     load_calibration,
     load_masks,
     load_model,
@@ -18,7 +19,7 @@ from coarsefine.io import (
     save_masks,
     save_model,
 )
-from coarsefine.model import Block, CalibrationSet, LayerSpec, ModelGraph
+from coarsefine.model import FINITE_BLOCK, Block, CalibrationSet, LayerSpec, ModelGraph
 
 from conftest import random_mlp, tiny_linear_model, write_aliased_model
 
@@ -107,6 +108,31 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError):
             save_model(model, tmp_path / "m")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 512 * 256, 512 * 512 - 1],
+                             ids=["first", "middle", "last"])
+    def test_non_finite_value_on_disk_rejected(self, tmp_path, at, value):
+        save_model(tiny_linear_model([np.ones((512, 512))]), tmp_path / "m")
+        data = np.fromfile(tmp_path / "m" / "L0.bin", dtype="<f4")
+        data[at] = value
+        data.tofile(tmp_path / "m" / "L0.bin")
+        with pytest.raises(ModelFormatError, match="non-finite values on disk"):
+            load_model(tmp_path / "m")
+
+    def test_finite_check_holds_one_block(self, tmp_path):
+        # a 512x512 float32 tensor is checked FINITE_BLOCK elements at a
+        # time; np.isfinite of the whole tensor held a 262 KB bool array
+        path = tmp_path / "w.bin"
+        np.ones((512, 512), dtype="<f4").tofile(path)
+        _read_f32(path, (512, 512), np.float32)  # first-call allocations are not the reader's
+        tracemalloc.start()
+        try:
+            raw = _read_f32(path, (512, 512), np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.dtype == np.float32 and np.all(raw == 1.0)
+        assert peak < raw.nbytes + FINITE_BLOCK + 16_384, peak - raw.nbytes
 
     def test_save_holds_one_float32_chunk(self, tmp_path):
         # the 256-512-512-128 MLP: each tensor is converted F32_CHUNK

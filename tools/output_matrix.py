@@ -22,6 +22,14 @@ byte-identical outputs::
 
     python tools/output_matrix.py --work /tmp/matrix --digest digest.json
 
+With ``--against DIGEST`` the tool compares its digest file, once
+written, with DIGEST (a digest file of either shape, ``--golden``'s
+included): it prints the paths whose digest moved, or that only one file
+holds, and exits 1 if any did or any run failed::
+
+    python tools/output_matrix.py --work /tmp/matrix2 --digest new.json \
+        --against digest.json
+
 With ``--golden`` it runs only the 30 runs at sparsity 0.5 of three
 fixtures (``GOLDEN``: the 29k-weight MLP, ``char_lm`` and
 ``two_tower_fusion``), and the digest file also records the numpy, scipy
@@ -194,14 +202,25 @@ def versions() -> dict[str, str]:
             "blas": f"{blas['name']} {blas['version']}"}
 
 
+def moved_paths(record: dict, against: dict) -> list[str]:
+    """The sorted paths whose digest differs between two digest records,
+    a path only one of them holds included.  A record is the flat
+    path -> sha256 map or ``--golden``'s {"versions", "digests"}."""
+    a, b = (r["digests"] if "versions" in r else r for r in (record, against))
+    return sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
+
+
 def main_matrix(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", required=True, help="empty work directory to create")
     parser.add_argument("--digest", required=True, help="digest JSON to write")
     parser.add_argument("--golden", action="store_true",
                         help="only the GOLDEN runs, with the library versions")
+    parser.add_argument("--against", metavar="DIGEST",
+                        help="digest file to compare with; exit 1 if a digest moved")
     args = parser.parse_args(argv)
     digest_path = Path(args.digest).resolve()
+    against = json.loads(Path(args.against).read_text()) if args.against else None
     work = Path(args.work)
     work.mkdir(parents=True, exist_ok=False)
     os.chdir(work)
@@ -218,8 +237,11 @@ def main_matrix(argv: list[str] | None = None) -> int:
         record = digests
     digest_path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     runs = sum(1 for k in digests if k.endswith("<stdout>"))
-    print(json.dumps({"runs": runs, "failed": failed, "entries": len(digests)}))
-    return 1 if failed else 0
+    summary = {"runs": runs, "failed": failed, "entries": len(digests)}
+    if against is not None:
+        summary["moved"] = moved_paths(record, against)
+    print(json.dumps(summary))
+    return 1 if failed or summary.get("moved") else 0
 
 
 if __name__ == "__main__":
