@@ -286,6 +286,11 @@ def _claim(claimed: set[str], fname: str) -> str:
     return fname
 
 
+def tensor_files(name: str, has_bias: bool) -> list[str]:
+    """The files of a model directory's layer: its weight's, then its bias's."""
+    return [name + ".bin", name + ".bias.bin"][: 1 + has_bias]
+
+
 def save_model(model: ModelGraph, directory: str | Path) -> Path:
     directory = Path(directory)
     manifest = {"format_version": FORMAT_VERSION, "head": model.head, "blocks": []}
@@ -294,9 +299,8 @@ def save_model(model: ModelGraph, directory: str | Path) -> Path:
     for block in model.blocks:
         entry = {"name": _check_name(block.name), "layers": []}
         for layer in block.layers:
-            tensors.append((_claim(claimed, _check_name(layer.name) + ".bin"), layer.weight))
-            if layer.bias is not None:
-                tensors.append((_claim(claimed, f"{layer.name}.bias.bin"), layer.bias))
+            files = tensor_files(_check_name(layer.name), layer.bias is not None)
+            tensors += zip((_claim(claimed, f) for f in files), (layer.weight, layer.bias))
             entry["layers"].append(
                 {
                     "name": layer.name,
@@ -387,6 +391,11 @@ def load_calibration(json_path: str | Path) -> CalibrationSet:
 # -- masks -------------------------------------------------------------------
 
 
+def mask_file(name: str) -> str:
+    """The file of a mask directory's layer."""
+    return f"{name}.mask.bin"
+
+
 def save_masks(masks: dict[str, np.ndarray], directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -396,7 +405,7 @@ def save_masks(masks: dict[str, np.ndarray], directory: str | Path) -> Path:
         mask = np.ascontiguousarray(masks[name], dtype=bool)
         if mask.ndim != 2:
             raise DimensionError(f"mask for {name!r} must be 2-D")
-        fname = f"{name}.mask.bin"
+        fname = mask_file(name)
         with _create(directory / fname) as f:
             f.write(np.packbits(mask.reshape(-1)))
         index["layers"][name] = {
@@ -428,3 +437,41 @@ def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
             raise ModelFormatError(f"mask for {name!r} disagrees with its index")
         masks[name] = mask
     return masks
+
+
+# -- stale outputs -----------------------------------------------------------
+
+
+def remove_stale(directory: Path, index: str, written: set[str]) -> None:
+    """Unlink each file of directory that its index (a model's
+    ``manifest.json`` or a ``masks.json``) names and written does not
+    hold: what an earlier run over another model left there.  The index
+    is read only when the directory holds such a file, so a rerun of the
+    same model lists the directory and no more.  A directory that is a
+    symlink, or whose index is missing, a symlink, or not one of the
+    package's well-formed indexes naming filesystem-safe files, is left
+    as it is; an unlink never follows a symlink."""
+    try:
+        extra = set(os.listdir(directory)) - written - {index}
+    except OSError:  # absent, or not a directory
+        return
+    path = directory / index
+    if not extra or directory.is_symlink() or path.is_symlink():
+        return
+    try:
+        obj = read_json(path)
+        check_version(obj, index)
+        if index == "masks.json":
+            named = [_field(e, "file", str, index)
+                     for e in _field(obj, "layers", dict, index).values()]
+        else:
+            named = [f for b in _field(obj, "blocks", list, index)
+                     for e in _field(b, "layers", list, index)
+                     for f in tensor_files(_field(e, "name", str, index),
+                                           _field(e, "has_bias", bool, index))]
+        stale = extra.intersection(_check_name(name) for name in named)
+    except ModelFormatError:
+        return
+    for name in stale:
+        with contextlib.suppress(OSError):  # gone already, or a directory
+            (directory / name).unlink()

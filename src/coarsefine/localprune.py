@@ -11,8 +11,14 @@ Three local criteria fill the per-layer budgets of a SparsityPlan:
   after every elimination (so survivors equal the least-squares refit of
   the chosen mask).  Blocks of rows eliminate in lockstep, each row's
   inverse held in Woodbury form H^-1 - U U^T, so one greedy step is a
-  handful of numpy calls for the whole block; the block's U buffer is
-  bounded by twice the larger of the weight and the inverse Hessian;
+  dozen or so numpy calls for the whole block, into buffers the layer
+  allocates once; the step count, not the arithmetic, sets the cost at
+  desk sizes.  Called alone, a block's U buffer is bounded by twice the
+  larger of the weight and the inverse Hessian; in the sequential pass a
+  layer takes larger blocks as long as its elimination, beside the
+  pass's arrays of that layer, holds no more than the pass's largest
+  one would under the standalone rule, so the pass's peak does not
+  rise;
 * magnitude: plain |W| top-k within the layer.
 
 The sequential driver prunes layers in model order, feeding each layer
@@ -41,6 +47,7 @@ FINE_METHODS = ("wanda", "sparsegpt", "magnitude")
 NORM_EXPONENTS = (1, 2)  # wanda's e in ||X_j||^e
 TOP_K_BLOCK = 1 << 15  # elements per block of rows in top_k_mask
 MASK_BLOCK = 1 << 13  # elements per block of rows in apply_mask
+BLOCK_ARRAYS = 4  # [block, cols] arrays a sparsegpt step holds: d, col, tmp, the scores
 
 
 def build_hessian(activations: np.ndarray, lam: float | None = None) -> np.ndarray:
@@ -65,11 +72,12 @@ def build_hessian(activations: np.ndarray, lam: float | None = None) -> np.ndarr
         raise NumericalError(
             f"activation Gram matrix is singular (lambda={lam}); increase damping"
         ) from e
-    if not np.all(np.isfinite(hinv)):
+    try:
+        return check_finite(hinv)  # blockwise: no d_in x d_in flags
+    except NumericalError:
         raise NumericalError(
             f"inverse Hessian has non-finite entries (lambda={lam}); increase damping"
-        )
-    return hinv
+        ) from None
 
 
 def sparsegpt_layer_score(
@@ -228,6 +236,7 @@ def sparsegpt_prune_layer(
     keep_count: int,
     lam: float | None = None,
     out: np.ndarray | None = None,
+    _budget: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise OBS pruning with weight compensation.
 
@@ -245,16 +254,23 @@ def sparsegpt_prune_layer(
     dense weight must have been read for the last time before the call.
     A call that raises may leave out partly eliminated.
 
-    Rows are eliminated in lockstep, B = max(1, 2*max(rows, cols) // T)
-    at a time (at most rows), where T is the largest per-row prune count.
-    After t steps row r's inverse is H^-1_0 - U_r U_r^T with U_r of shape
-    [cols, t]: the pivot column is H^-1_0[:, q] - U_r U_r[q]^T and its
-    diagonal is tracked as d_r.  The block's U buffer (B x T x cols) is
-    thus at most twice the larger of the weight (rows x cols) and the
-    dense inverse (cols x cols), and a tall layer takes fewer, larger
-    blocks than a square one.  Only H^-1_0 is kept, not H.  How many rows
-    share a block changes no bit of the result: each row goes through
-    the same operations in the same order.
+    Rows are eliminated in lockstep, B at a time.  After t steps row r's
+    inverse is H^-1_0 - U_r U_r^T with U_r of shape [cols, t]: the pivot
+    column is H^-1_0[:, q] - U_r U_r[q]^T and its diagonal is tracked as
+    d_r.  Only H^-1_0 is kept (transposed), not H.  Called alone, the
+    standalone rule sets B = max(1, 2*max(rows, cols) // T), at most
+    rows, where T is the largest per-row prune count: the block's U
+    buffer (B x T x cols) is thus at most twice the larger of the weight
+    (rows x cols) and the dense inverse (cols x cols), and a tall layer
+    takes fewer, larger blocks than a square one.  sequential_prune
+    passes a private _budget instead, the bytes the elimination may hold
+    (_elimination_bytes: U, H^-1_0 and a step's BLOCK_ARRAYS [B, cols]
+    arrays); B is then the most rows that fit, spread evenly over the
+    blocks, and no layer's elimination, with the pass's arrays beside
+    it, holds more than the pass's largest one under the standalone
+    rule (see _elimination_budgets).  How many rows share a block
+    changes no bit of the result: each row goes through the same
+    operations in the same order.
     """
     w = layer.weight
     rows, cols = w.shape
@@ -268,17 +284,37 @@ def sparsegpt_prune_layer(
     if keep_count == w.size:
         return np.ones_like(w, dtype=bool), out
 
-    hinv0 = build_hessian(x, lam)
+    hinv_t = np.ascontiguousarray(build_hessian(x, lam).T)  # H^-1_0's columns as rows
     n_prune = cols - budgets  # non-decreasing: the first rows keep one more
     steps = int(n_prune[-1])
-    block = min(rows, max(1, 2 * max(rows, cols) // steps))
+    block = _block_rows(rows, cols, steps, _budget)
     u = np.empty((block, steps, cols))
+    work = np.empty((BLOCK_ARRAYS - 1, block, cols))  # d, col, tmp
     mask = np.ones_like(w, dtype=bool)
     for b0 in range(0, rows, block):
         b1 = min(b0 + block, rows)
-        _eliminate_block(out[b0:b1], mask[b0:b1], n_prune[b0:b1], hinv0, u, layer.name)
+        _eliminate_block(out[b0:b1], mask[b0:b1], n_prune[b0:b1], hinv_t, u, work, layer.name)
+    del hinv_t, u, work
     out[~mask] = 0.0
     return mask, out
+
+
+def _block_rows(rows: int, cols: int, steps: int, budget: int | None = None) -> int:
+    """Rows a sparsegpt block eliminates in lockstep.  With no budget, the
+    standalone rule min(rows, max(1, 2*max(rows, cols) // steps)); with
+    one, as many as fit _elimination_bytes into it (one at least), spread
+    evenly over the blocks that takes."""
+    if budget is None:
+        return min(rows, max(1, 2 * max(rows, cols) // steps))
+    fit = max(1, (budget // 8 - cols * cols) // (cols * (steps + BLOCK_ARRAYS)))
+    return -(-rows // -(-rows // fit))
+
+
+def _elimination_bytes(cols: int, steps: int, block: int) -> int:
+    """Bytes a sparsegpt elimination of `block` rows a block holds: U
+    (block x steps x cols), H^-1_0 (cols x cols) and the BLOCK_ARRAYS
+    [block, cols] arrays of a step."""
+    return 8 * cols * (cols + block * (steps + BLOCK_ARRAYS))
 
 
 def _check_out(w: np.ndarray, out: np.ndarray | None) -> None:
@@ -292,30 +328,37 @@ def _eliminate_block(
     w: np.ndarray,
     active: np.ndarray,
     n_prune: np.ndarray,
-    hinv0: np.ndarray,
+    hinv_t: np.ndarray,
     u: np.ndarray,
+    work: np.ndarray,
     name: str,
 ) -> None:
     """Greedy OBS elimination of a block of rows in lockstep, in place.
 
     Row r's downdated inverse is H^-1_0 - U_r U_r^T, where column t of U_r
     is the scaled pivot column of its t-th elimination; only its diagonal
-    d_r is kept explicitly.  n_prune is non-decreasing, so the rows still
-    eliminating at step t are a suffix of the block.  An eliminated entry
-    of w is set to +inf; finite updates leave it there, so its score is
-    inf / 1.0 = inf and argmin (ties to the lowest index) never prefers
-    it to an active entry.  The caller zeroes those
-    entries; active, not w, is the mask, so a weight that overflows to
-    inf stays in the result for the finite check to catch.
+    d_r is kept explicitly.  hinv_t is H^-1_0 transposed (C-contiguous),
+    so a pivot column is a row gather; u and work (d, col and tmp) are
+    the layer's buffers, of at least the block's rows.  n_prune is
+    non-decreasing, so the rows still eliminating at step t are a suffix
+    of the block.  An eliminated entry of w is set to +inf; finite
+    updates leave it there, so its score is inf / 1.0 = inf and argmin
+    (ties to the lowest index) never prefers it to an active entry.  The
+    caller zeroes those entries; active, not w, is the mask, so a weight
+    that overflows to inf stays in the result for the finite check to
+    catch.
     """
-    u = u[: w.shape[0]]
-    d = np.repeat(np.diag(hinv0)[None, :], w.shape[0], axis=0)
-    r = np.arange(w.shape[0])
+    n = w.shape[0]
+    u = u[:n]
+    d, col, tmp = work[:, :n]
+    d[...] = hinv_t.diagonal()
+    r = np.arange(n)
     row_start = r * w.shape[1]  # [r, q] is flat (C-order) index row_start[r] + q
     for t in range(int(n_prune[-1])):
         if t == n_prune[0]:  # the rows with one prune fewer are done
             k = int(np.searchsorted(n_prune, t, side="right"))
-            w, active, n_prune, u, d = w[k:], active[k:], n_prune[k:], u[k:], d[k:]
+            w, active, n_prune, u = w[k:], active[k:], n_prune[k:], u[k:]
+            d, col, tmp = d[k:], col[k:], tmp[k:]
             r, row_start = r[: r.size - k], row_start[: r.size - k]
         diag = np.where(active, d, 1.0)
         # any active d <= 0; fmin skips NaN, which compares false anyway
@@ -324,19 +367,20 @@ def _eliminate_block(
                 f"layer {name!r}: inverse Hessian lost positivity "
                 "during elimination; increase damping"
             )
-        score = np.square(w)
-        score /= diag
-        q = score.argmin(axis=1)
+        q = np.divide(np.square(w, out=tmp), diag, out=diag).argmin(axis=1)  # the scores
+        del diag
         at = row_start + q
         dq = d.take(at)
-        # column q of each row's current inverse, by one batched matmul
-        col = hinv0.T[q]
+        # column q of each row's current inverse, by one batched matmul; q is
+        # in range, and take's default mode="raise" would buffer col
+        hinv_t.take(q, axis=0, out=col, mode="clip")
         if t:
-            col -= np.matmul(u[r, :t, q][:, None, :], u[:, :t])[:, 0]
-        w -= (w.take(at) / dq)[:, None] * col
-        ut = u[:, t]
-        np.divide(col, np.sqrt(dq)[:, None], out=ut)
-        d -= np.square(ut)
+            col -= np.matmul(u[r, :t, q][:, None, :], u[:, :t], out=tmp[:, None, :])[:, 0]
+        w -= np.multiply((w.take(at) / dq)[:, None], col, out=tmp)
+        # U's new column, formed in tmp: a ufunc on the strided u[:, t] buffers it
+        np.divide(col, np.sqrt(dq)[:, None], out=tmp)
+        u[:, t] = tmp
+        d -= np.square(tmp, out=tmp)
         active.put(at, False)
         w.put(at, np.inf)
 
@@ -365,6 +409,34 @@ def apply_mask(layer: LayerSpec, mask: np.ndarray, out: np.ndarray | None = None
         np.negative(bits, out=bits)
         np.bitwise_and(bits, src[r0 : r0 + step], out=dst[r0 : r0 + step])
     return out
+
+
+def _elimination_budgets(
+    model: ModelGraph, plan: SparsityPlan, h: np.ndarray, h_borrowed: bool
+) -> dict[str, int]:
+    """Each sparsegpt-pruned layer's block budget in sequential_prune.
+
+    A layer's elimination (_elimination_bytes) is alive beside the pass's
+    arrays that change from layer to layer: its input (h, the first
+    layer's, is the batch's own array when h_borrowed), its dense output
+    and the masks so far, its own included.  The budget lets each layer
+    hold as much as the largest such total under the standalone block
+    rule, so no layer's elimination peaks above the pass's largest one.
+    """
+    held, peak, masks = {}, 0, 0
+    for i, layer in enumerate(model.layers()):
+        if layer.frozen:
+            continue
+        rows, cols = layer.weight.shape
+        keep = plan.per_layer[layer.name].keep_count
+        masks += rows * cols
+        if keep == rows * cols:
+            continue
+        steps = cols - keep // rows
+        held[layer.name] = masks + 8 * h.shape[0] * (rows + (cols if i or not h_borrowed else 0))
+        peak = max(peak, held[layer.name]
+                   + _elimination_bytes(cols, steps, _block_rows(rows, cols, steps)))
+    return {name: peak - own for name, own in held.items()}
 
 
 def sequential_prune(
@@ -414,6 +486,8 @@ def sequential_prune(
         raise InputError("invalid plan: " + "; ".join(violations))
 
     h, _ = batch_input_matrix(model, batch)
+    budgets = (_elimination_budgets(model, plan, h, np.may_share_memory(h, batch.xs))
+               if fine_method == "sparsegpt" else {})
     if out is None:
         out = model.copy()
     masks: dict[str, np.ndarray] = {}
@@ -429,7 +503,8 @@ def sequential_prune(
             if fine_method == "sparsegpt":
                 err = h @ layer.weight.T  # the dense weight's last read
                 # out's layer holds the dense weight too: eliminate it where it is
-                mask, _ = sparsegpt_prune_layer(out_layer, h, alloc.keep_count, lam, out=new_w)
+                mask, _ = sparsegpt_prune_layer(out_layer, h, alloc.keep_count, lam, out=new_w,
+                                                _budget=budgets.get(layer.name))
             else:
                 mask = (
                     wanda_prune_layer(layer, h, alloc.keep_count, norm_exponent)
@@ -454,6 +529,7 @@ def sequential_prune(
         if layer.bias is not None:
             pre += layer.bias
         h = _act(layer.activation, pre, out=pre)
+        del pre  # h alone holds it: a frozen layer's forward lets it go
     out.forward_count += batch.count
     if _handoff is not None:
         _handoff.append((h, len(model.layers())))

@@ -8,10 +8,14 @@ sparsities, dense and pruned evaluation, forward-pass counts),
 ``timing.json`` sidecar (wall clock lives outside report.json so two
 identical runs produce byte-identical reports).  An earlier run's JSON
 files are removed first and ``report.json`` is written last, so a run
-that fails leaves no report and no stale plan or scores.  Every output
-is a new file (see :mod:`coarsefine.io`): an earlier run's file of that
-name is unlinked, never written through, so a hard link to it or the
-target of a symlink in its place keeps its bytes.  A run that fails
+that fails leaves no report and no stale plan or scores.  Once the
+inputs are loaded, the layer files that an earlier run's
+``pruned_model/manifest.json`` or ``masks/masks.json`` names and this
+run does not write (another model's layers) are removed too; a
+directory without that index is left alone (:func:`io.remove_stale`).
+Every output is a new file (see :mod:`coarsefine.io`): an earlier run's
+file of that name is unlinked, never written through, so a hard link to
+it or the target of a symlink in its place keeps its bytes.  A run that fails
 after its first write removes the files it created, then ``masks/``,
 ``pruned_model/`` and an ``--out`` it made, each only if left empty; a
 file it did not create stays.  A symlink at ``OUT/pruned_model`` or
@@ -300,6 +304,12 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         if (out / name).is_symlink():  # the writes and the cleanup would go through it
             raise InputError(f"{out / name} is a symlink; prune writes a directory there")
     model, batch = _load_inputs(config)
+    # another model's run may have left layer files this one does not write
+    layers = model.layers()
+    cfio.remove_stale(out / "pruned_model", "manifest.json",
+                      {f for l in layers for f in cfio.tensor_files(l.name, l.bias is not None)})
+    cfio.remove_stale(out / "masks", "masks.json",
+                      {cfio.mask_file(l.name) for l in layers if not l.frozen})
 
     handoff = []
     scores, scoring_forwards = compute_scores(config, model, batch, _handoff=handoff)

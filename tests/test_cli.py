@@ -822,6 +822,65 @@ class TestFreshOutputs:
         assert own == fresh
 
 
+    def test_rerun_over_another_models_run_leaves_no_stale_layer(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        # another model's layers (L0-L2, biased, L1 frozen) were written
+        # first; the rerun removes the files their indexes name, and an
+        # unrelated pruned_model/ and masks/ with no index keep theirs
+        other = _other_fixture(tmp_path / "other")
+        for name in ("rerun", "fresh", "unrelated"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "rerun")
+        assert main(_prune_argv(other, "out")) == 0
+        assert "pruned_model/L1.bias.bin" in _outputs(Path("out"))
+        assert main(_prune_argv(fixture_dir, "out")) == 0
+        monkeypatch.chdir(tmp_path / "fresh")
+        assert main(_prune_argv(fixture_dir, "out")) == 0
+        fresh = _outputs(tmp_path / "fresh" / "out")
+        assert _outputs(tmp_path / "rerun" / "out") == fresh
+        monkeypatch.chdir(tmp_path / "unrelated")
+        mine = {"pruned_model/L0.bin": b"mine", "pruned_model/NOTES.txt": b"notes",
+                "masks/L0.mask.bin": b"mine too"}
+        for name, data in mine.items():
+            Path("out", name).parent.mkdir(parents=True, exist_ok=True)
+            Path("out", name).write_bytes(data)
+        assert main(_prune_argv(fixture_dir, "out")) == 0
+        assert _outputs(Path("out")) == {**fresh, **mine}
+
+    def test_stale_removal_follows_no_symlink(self, fixture_dir, tmp_path, capsys):
+        # a stale name that is a symlink loses the link, not its target, and
+        # an index that is a symlink is not read: its directory is not touched
+        out, targets = tmp_path / "out", tmp_path / "targets"
+        assert main(_prune_argv(_other_fixture(tmp_path / "other"), out)) == 0
+        targets.mkdir()
+        (targets / "w").write_bytes(b"target")
+        (out / "pruned_model" / "L0.bin").unlink()
+        (out / "pruned_model" / "L0.bin").symlink_to(targets / "w")
+        shutil.move(out / "masks" / "masks.json", targets / "masks.json")
+        (out / "masks" / "masks.json").symlink_to(targets / "masks.json")
+        kept_masks = sorted(p.name for p in (out / "masks").iterdir())
+        assert main(_prune_argv(fixture_dir, out)) == 0
+        assert (targets / "w").read_bytes() == b"target"
+        assert not os.path.lexists(out / "pruned_model" / "L0.bin")
+        # the run's own masks.json replaced the link; the old mask files stay
+        assert set(kept_masks) <= {p.name for p in (out / "masks").iterdir()}
+        assert (targets / "masks.json").is_file()
+
+
+def _other_fixture(root):
+    """A model whose layer names (L0-L2, with biases, L1 frozen) differ
+    from fixture_dir's, with a 16-sample calibration file."""
+    rng = np.random.default_rng(9)
+    model = random_mlp(rng, [5, 7, 6, 3])
+    for layer in model.layers():
+        layer.bias = rng.normal(size=layer.d_out)
+    model.layer("L1").frozen = True
+    save_model(model, root / "model")
+    save_calibration(random_batch(rng, 16, 5, 3), root / "calib.json")
+    return root
+
+
 _STAGES = ["save_masks", "reload", "pruned evaluation"]
 
 

@@ -1,6 +1,7 @@
 """Local pruning criteria: hand-scored examples, brute-force oracles,
 sequential conditioning."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from coarsefine.localprune import (
     wanda_prune_layer,
 )
 from coarsefine.model import LayerSpec, batch_input_matrix, layer_forward
-from coarsefine.scoring import ScoreMap
+from coarsefine.scoring import ScoreMap, aggregate_to_layers, first_order_saliency
 
 from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
 
@@ -435,6 +436,30 @@ class TestSparseGPT:
             h = gram + expect_lam * np.eye(128)
             assert np.array_equal(build_hessian(acts, lam), np.linalg.inv(h))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 200 * 200 // 2, 200 * 200 - 1])  # 40,000: two blocks
+    def test_non_finite_inverse_raises(self, monkeypatch, value, at):
+        real_inv = np.linalg.inv
+
+        def inv(h):
+            hinv = real_inv(h)
+            hinv.flat[at] = value
+            return hinv
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        acts = np.random.default_rng(21).normal(size=(210, 200))
+        with pytest.raises(NumericalError) as info:
+            build_hessian(acts, lam=0.5)
+        assert str(info.value) == (
+            "inverse Hessian has non-finite entries (lambda=0.5); increase damping"
+        )
+
+    def test_finite_check_holds_no_matrix_of_flags(self):
+        # H and its inverse are 2 MiB each; the d_in x d_in bool array of
+        # an np.isfinite check put 262,144 bytes on top of them
+        acts = np.random.default_rng(22).normal(size=(64, 512))
+        assert peak_bytes(build_hessian, acts) < 2 * 512 * 512 * 8 + 512 * 512 // 4
+
     def test_beats_magnitude_reconstruction(self):
         # compensation should beat plain magnitude masking on the same
         # budget in nearly every random trial
@@ -566,6 +591,146 @@ class TestSparseGPTLockstep:
         ours = peak_bytes(sparsegpt_prune_layer, layer, acts, keep)
         ref = peak_bytes(sparsegpt_row_loop, layer, acts, keep)
         assert ours <= ref
+
+
+    def test_block_height_changes_no_bit(self, monkeypatch):
+        # one row a block, the standalone rule, and all rows in one block
+        # (private budgets 0, None and one too large to matter)
+        heights = []
+        real = localprune._eliminate_block
+
+        def spy(w, *args):
+            heights.append(w.shape[0])
+            return real(w, *args)
+
+        monkeypatch.setattr(localprune, "_eliminate_block", spy)
+        rng = np.random.default_rng(23)
+        seen = dict.fromkeys(["zeros", "lam0", "uneven", "error", "between"], 0)
+        for i in range(150):
+            rows, cols = int(rng.integers(1, 40)), int(rng.integers(2, 30))
+            w = rng.normal(size=(rows, cols))
+            if i % 3 == 0:  # exact zeros: equal scores, ties to the lowest index
+                w[rng.random(w.shape) < 0.3] = 0.0
+            acts = rng.normal(size=(int(rng.integers(cols // 2 + 1, cols + 9)), cols))
+            keep = int(rng.integers(0, rows * cols))  # below the layer: an elimination runs
+            lam = (None, 0.0)[i % 2]  # 0.0 with fewer rows than columns: H singular
+            results, heights_of = [], []
+            for budget in (0, None, 1 << 62):
+                heights.clear()
+                try:
+                    mask, new_w = sparsegpt_prune_layer(layer_of(w), acts, keep, lam,
+                                                        _budget=budget)
+                    results.append((mask.tobytes(), new_w.tobytes()))
+                except NumericalError as e:
+                    results.append(str(e))
+                heights_of.append(list(heights))
+            assert results[0] == results[1] == results[2]
+            assert set(heights_of[0]) <= {1} and heights_of[2] in ([], [rows])
+            seen["error"] += isinstance(results[0], str)
+            seen["lam0"] += lam == 0.0 and not isinstance(results[0], str)
+            seen["zeros"] += i % 3 == 0
+            seen["uneven"] += keep % rows != 0
+            seen["between"] += 1 < max(heights_of[1], default=1) < rows
+        assert min(seen.values()) > 10, seen
+
+    def test_block_height_keeps_the_lost_positivity_error(self, monkeypatch):
+        hinv = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
+        monkeypatch.setattr(localprune, "build_hessian", lambda x, lam=None: hinv.copy())
+        layer = layer_of([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        for keep, raises in ((0, True), (2, False)):
+            results = []
+            for budget in (0, None, 1 << 62):
+                try:
+                    mask, new_w = sparsegpt_prune_layer(layer, np.eye(3), keep, _budget=budget)
+                    results.append((mask.tobytes(), new_w.tobytes()))
+                except NumericalError as e:
+                    results.append(str(e))
+            assert results[0] == results[1] == results[2]
+            assert isinstance(results[0], str) == raises
+            assert not raises or "lost positivity" in results[0]
+
+
+# taken before any test patches them, so a patch never wraps another's spy
+ELIMINATE_BLOCK, BLOCK_ROWS = localprune._eliminate_block, localprune._block_rows
+
+
+def sparsegpt_footprint(monkeypatch, model, plan, batch, pass_wide):
+    """(tracemalloc peak, blocks per layer, pruned weights) of a sparsegpt
+    pass, with the pass-wide block budget or each layer's standalone rule.
+    The first passes of a process fill caches (scipy's import for gelu
+    among them), so the caller runs each kind once before comparing; out
+    is copied untraced, so two peaks differ by the elimination alone."""
+    blocks = {}
+
+    def spy(*args):
+        blocks[args[-1]] = blocks.get(args[-1], 0) + 1
+        return ELIMINATE_BLOCK(*args)
+
+    monkeypatch.setattr(localprune, "_eliminate_block", spy)
+    monkeypatch.setattr(localprune, "_block_rows", BLOCK_ROWS if pass_wide else
+                        lambda rows, cols, steps, budget=None: BLOCK_ROWS(rows, cols, steps))
+    out = model.copy()
+    gc.collect()
+    gc.disable()  # a collection inside the pass would move its peak by a few objects
+    tracemalloc.start()
+    try:
+        sequential_prune(model, plan, batch, "sparsegpt", out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return peak, blocks, [l.weight.tobytes() for l in out.layers()]
+
+
+def keep_plan(model, keeps, p_max=0.9):
+    """A plan with these keep counts, whose total is an exact global sparsity."""
+    sizes = {l.name: l.size for l in model.prunable_layers()}
+    target = 1.0 - sum(keeps.values()) / sum(sizes.values())
+    plan = SparsityPlan(target, p_max, "layer", {
+        name: LayerAllocation(1.0 - keeps[name] / size, keeps[name], size)
+        for name, size in sizes.items()}, sum(keeps.values()))
+    assert not localprune.validate_plan(plan, model)
+    return plan
+
+
+def footprint_case(case):
+    """(model, plan, batch) of a footprint case."""
+    rng = np.random.default_rng(24)
+    if case == "64-128-128-32 first-order":  # the sparsegpt benchmark workload's shape
+        model, batch = random_mlp(rng, [64, 128, 128, 32]), random_batch(rng, 32, 64, 32)
+        scores = aggregate_to_layers(first_order_saliency(model, batch), "sum", "first_order")
+        return model, allocate_sparsity(scores, model, 0.5, 0.6), batch
+    widths = [16, 32, 32, 1 if case == "one-row layer" else 16]
+    model = random_mlp(rng, widths)
+    if case == "frozen layer":
+        model.layer("L1").frozen = True
+    keeps = {l.name: l.size // 2 for l in model.prunable_layers()}
+    if case == "full keep":
+        keeps["L1"] = model.layer("L1").size
+    return model, keep_plan(model, keeps), random_batch(rng, 8, widths[0], widths[-1])
+
+
+class TestPassWideBlockBudget:
+    """sequential_prune hands each sparsegpt layer a private block budget:
+    larger blocks where the layer sits below the pass's largest
+    elimination, and no higher peak than the standalone rule."""
+
+    @pytest.mark.parametrize("case", ["64-128-128-32 first-order", "frozen layer",
+                                      "full keep", "one-row layer"])
+    def test_peak_not_above_the_standalone_rule(self, monkeypatch, case):
+        model, plan, batch = footprint_case(case)
+        for pass_wide in (True, False):  # the first passes fill caches: see sparsegpt_footprint
+            sparsegpt_footprint(monkeypatch, model, plan, batch, pass_wide)
+        peak, blocks, weights = sparsegpt_footprint(monkeypatch, model, plan, batch, True)
+        ref_peak, ref_blocks, ref_weights = sparsegpt_footprint(
+            monkeypatch, model, plan, batch, False)
+        assert weights == ref_weights
+        assert peak <= ref_peak
+        assert blocks["L0"] < ref_blocks["L0"]  # the first layer sits below the peak
+        skipped = {"frozen layer": {"L1"}, "full keep": {"L1"}}.get(case, set())
+        assert blocks.keys() == ref_blocks.keys() == {"L0", "L1", "L2"} - skipped
+        if case == "one-row layer":
+            assert blocks["L2"] == ref_blocks["L2"] == 1
 
 
 class TestSequentialPrune:
