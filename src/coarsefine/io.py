@@ -34,7 +34,10 @@ in place or renamed over an old file, since on ext4 (``auto_da_alloc``)
 replacing a file either way forces its new data out to disk at close or
 rename, about three times the cost of writing a new file.  Inside
 :func:`removed_on_failure` the created names are recorded, so a failed
-run can remove exactly what it wrote.
+run can remove exactly what it wrote.  :func:`save_model` and
+:func:`save_masks` replace an earlier model or mask set: just before
+their first write they remove the files its index names and they do not
+write (another model's layers; see :func:`_remove_stale`).
 
 Every field a writer writes must be present when its file is read back;
 only a ``--config`` file may omit fields (``RunConfig.from_json`` fills in
@@ -286,7 +289,7 @@ def _claim(claimed: set[str], fname: str) -> str:
     return fname
 
 
-def tensor_files(name: str, has_bias: bool) -> list[str]:
+def _tensor_files(name: str, has_bias: bool) -> list[str]:
     """The files of a model directory's layer: its weight's, then its bias's."""
     return [name + ".bin", name + ".bias.bin"][: 1 + has_bias]
 
@@ -299,7 +302,7 @@ def save_model(model: ModelGraph, directory: str | Path) -> Path:
     for block in model.blocks:
         entry = {"name": _check_name(block.name), "layers": []}
         for layer in block.layers:
-            files = tensor_files(_check_name(layer.name), layer.bias is not None)
+            files = _tensor_files(_check_name(layer.name), layer.bias is not None)
             tensors += zip((_claim(claimed, f) for f in files), (layer.weight, layer.bias))
             entry["layers"].append(
                 {
@@ -313,6 +316,7 @@ def save_model(model: ModelGraph, directory: str | Path) -> Path:
             )
         manifest["blocks"].append(entry)
     directory.mkdir(parents=True, exist_ok=True)
+    _remove_stale(directory, "manifest.json", {fname for fname, _ in tensors})
     for fname, tensor in tensors:
         with _create(directory / fname) as f:
             _write_f32(f, tensor)
@@ -358,11 +362,12 @@ def load_model(directory: str | Path) -> ModelGraph:
 
 def save_calibration(batch: CalibrationSet, json_path: str | Path) -> Path:
     json_path = Path(json_path)
+    data_file = _check_name(json_path.stem + ".bin")  # what load_calibration accepts
     json_path.parent.mkdir(parents=True, exist_ok=True)
     sample = {"input": list(batch.xs.shape[1:]), "target": list(batch.ys.shape[1:])}
-    index = {"format_version": FORMAT_VERSION, "data_file": json_path.stem + ".bin",
+    index = {"format_version": FORMAT_VERSION, "data_file": data_file,
              "samples": [sample] * batch.count}
-    with _create(json_path.parent / index["data_file"]) as f:
+    with _create(json_path.parent / data_file) as f:
         for x, y in zip(batch.xs, batch.ys):
             _write_f32(f, x)
             _write_f32(f, y)
@@ -391,7 +396,7 @@ def load_calibration(json_path: str | Path) -> CalibrationSet:
 # -- masks -------------------------------------------------------------------
 
 
-def mask_file(name: str) -> str:
+def _mask_file(name: str) -> str:
     """The file of a mask directory's layer."""
     return f"{name}.mask.bin"
 
@@ -399,13 +404,14 @@ def mask_file(name: str) -> str:
 def save_masks(masks: dict[str, np.ndarray], directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    _remove_stale(directory, "masks.json", {_mask_file(name) for name in masks})
     index = {"format_version": FORMAT_VERSION, "bit_order": "msb_first", "layers": {}}
     for name in sorted(masks):
         _check_name(name)
         mask = np.ascontiguousarray(masks[name], dtype=bool)
         if mask.ndim != 2:
             raise DimensionError(f"mask for {name!r} must be 2-D")
-        fname = mask_file(name)
+        fname = _mask_file(name)
         with _create(directory / fname) as f:
             f.write(np.packbits(mask.reshape(-1)))
         index["layers"][name] = {
@@ -442,10 +448,10 @@ def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
 # -- stale outputs -----------------------------------------------------------
 
 
-def remove_stale(directory: Path, index: str, written: set[str]) -> None:
+def _remove_stale(directory: Path, index: str, written: set[str]) -> None:
     """Unlink each file of directory that its index (a model's
     ``manifest.json`` or a ``masks.json``) names and written does not
-    hold: what an earlier run over another model left there.  The index
+    hold: what an earlier save of another model left there.  The index
     is read only when the directory holds such a file, so a rerun of the
     same model lists the directory and no more.  A directory that is a
     symlink, or whose index is missing, a symlink, or not one of the
@@ -467,8 +473,8 @@ def remove_stale(directory: Path, index: str, written: set[str]) -> None:
         else:
             named = [f for b in _field(obj, "blocks", list, index)
                      for e in _field(b, "layers", list, index)
-                     for f in tensor_files(_field(e, "name", str, index),
-                                           _field(e, "has_bias", bool, index))]
+                     for f in _tensor_files(_field(e, "name", str, index),
+                                            _field(e, "has_bias", bool, index))]
         stale = extra.intersection(_check_name(name) for name in named)
     except ModelFormatError:
         return

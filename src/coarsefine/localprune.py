@@ -54,15 +54,18 @@ def build_hessian(activations: np.ndarray, lam: float | None = None) -> np.ndarr
     """H^-1 for the damped Gram matrix H = X^T X + lam*I over stacked
     activations X of shape [rows, d_in].
 
-    lam defaults to 0.01 * mean(diag(X^T X)).  Raises a numerical error
-    when H is singular (advice: add damping).
+    lam defaults to 0.01 * mean(diag(X^T X)), or 1 when that is 0 (an
+    all-zero X, as behind a fully pruned layer without bias): with
+    H = lam*I any lam > 0 prunes each row's smallest |W| and leaves the
+    survivors as they are.  Raises a numerical error when H is singular
+    (advice: add damping).
     """
     x = np.asarray(activations, dtype=np.float64)
     if x.ndim != 2:
         raise InputError("activations must be a [rows, d_in] matrix")
     h = x.T @ x
     if lam is None:
-        lam = 0.01 * float(np.mean(np.diag(h)))
+        lam = 0.01 * float(np.mean(np.diag(h))) or 1.0
     if lam < 0:
         raise InputError("damping lambda must be nonnegative")
     h[np.diag_indices_from(h)] += lam
@@ -114,17 +117,16 @@ def top_k_mask(scores: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     least), so every temporary stays within a block.
     """
     s = np.asarray(scores, dtype=np.float64)
-    return _top_k_rows(s.shape, k, lambda rows: s[rows])
+    return _top_k_rows(s.shape, k, lambda rows: np.array(s[rows]))
 
 
-def _top_k_rows(shape: tuple[int, int], k, block_scores, owned: bool = False) -> np.ndarray:
+def _top_k_rows(shape: tuple[int, int], k, block_scores) -> np.ndarray:
     """top_k_mask of a [rows, cols] score array that block_scores(rows)
-    gives one block of rows (a slice or an index array) at a time; rows
-    whose budget is 0 or cols are never scored.  Scores that are only
-    read (owned false) are negated into a copy for the partition.  With
-    owned, each call returns a new array the selection may write: it is
-    negated and partitioned in place, then formed again for the
-    comparisons, so one block of scores is alive at a time."""
+    gives one block of rows (a slice or an index array) at a time, as a
+    new array the selection may write; rows whose budget is 0 or cols are
+    never scored.  A block is negated and partitioned in place, then
+    formed again for the comparisons, so one block of scores is alive at
+    a time."""
     rows, cols = shape
     budgets = np.broadcast_to(np.asarray(k, dtype=np.int64), (rows,))
     if budgets.size and not (0 <= budgets.min() and budgets.max() <= cols):
@@ -140,21 +142,19 @@ def _top_k_rows(shape: tuple[int, int], k, block_scores, owned: bool = False) ->
                 sel = group[i : i + step]
                 if sel[-1] - sel[0] == sel.size - 1:  # a run of rows: slice, no copy
                     sel = slice(sel[0], sel[-1] + 1)
-                mask[sel] = _top_k_block(lambda: block_scores(sel), int(b), owned)
+                mask[sel] = _top_k_block(lambda: block_scores(sel), int(b))
     return mask
 
 
-def _top_k_block(scores, b: int, owned: bool) -> np.ndarray:
+def _top_k_block(scores, b: int) -> np.ndarray:
     """top_k_mask of the block of rows scores() forms, with one budget,
-    0 < b < cols; see _top_k_rows for owned."""
-    s = scores()
-    neg = np.negative(s, out=s if owned else None)
+    0 < b < cols; see _top_k_rows."""
+    neg = scores()
+    np.negative(neg, out=neg)
     neg.partition(b - 1, axis=1)
     t = -neg[:, b - 1 : b]
     del neg
-    if owned:  # s was partitioned as neg: form it again
-        del s
-        s = scores()
+    s = scores()  # the partition reordered the first block: form it again
     keep = s >= t
     nan_t = np.flatnonzero(np.isnan(t[:, 0]))
     if not nan_t.size and np.count_nonzero(keep) == keep.shape[0] * b:
@@ -200,7 +200,7 @@ def wanda_prune_layer(
     """Keep the top |W_ij| * ||X_j||^e scores within each output row.
 
     The scores are those of wanda_scores, formed one top_k_mask block of
-    rows at a time and twice (see _top_k_rows's owned), so no
+    rows at a time and twice (see _top_k_rows), so no
     layer-sized array but the mask is made and one block of scores is
     alive at a time."""
     if norm_exponent not in NORM_EXPONENTS:
@@ -215,18 +215,18 @@ def wanda_prune_layer(
         scores *= norms
         return scores
 
-    return _top_k_rows(w.shape, budgets, block_scores, owned=True)
+    return _top_k_rows(w.shape, budgets, block_scores)
 
 
 def magnitude_prune_layer(layer: LayerSpec, keep_count: int) -> np.ndarray:
     """Keep the top keep_count |W_ij| in the layer, ties to lowest index.
 
-    The layer is one row of |W|, formed twice (see _top_k_rows's owned),
+    The layer is one row of |W|, formed twice (see _top_k_rows),
     so one layer-sized float array is alive at a time."""
     if not 0 <= keep_count <= layer.size:
         raise InputError(f"keep_count {keep_count} out of range for {layer.name!r}")
     w = layer.weight.reshape(1, -1)
-    mask = _top_k_rows(w.shape, keep_count, lambda rows: np.abs(w[rows]), owned=True)
+    mask = _top_k_rows(w.shape, keep_count, lambda rows: np.abs(w[rows]))
     return mask.reshape(layer.weight.shape)
 
 

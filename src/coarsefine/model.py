@@ -191,7 +191,7 @@ class CalibrationSet:
     ys [K, *target] (all inputs share one shape, all targets another).  A
     set built from a sample list converts each sample straight into the
     stacked arrays; :meth:`stacked` takes arrays that are stacked already.
-    :attr:`samples` builds row views on demand.  Never used for training.
+    Never used for training.
     """
 
     def __init__(self, samples: list[tuple[np.ndarray, np.ndarray]]):
@@ -217,11 +217,6 @@ class CalibrationSet:
         batch = cls.__new__(cls)
         batch.xs, batch.ys = xs, ys
         return batch
-
-    @property
-    def samples(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(input, target) row views, built per call ([i, ...]: 0-d class ids stay arrays)."""
-        return [(self.xs[i, ...], self.ys[i, ...]) for i in range(self.count)]
 
     @property
     def count(self) -> int:

@@ -8,22 +8,21 @@ sparsities, dense and pruned evaluation, forward-pass counts),
 ``timing.json`` sidecar (wall clock lives outside report.json so two
 identical runs produce byte-identical reports).  An earlier run's JSON
 files are removed first and ``report.json`` is written last, so a run
-that fails leaves no report and no stale plan or scores.  Once the
-inputs are loaded, the layer files that an earlier run's
-``pruned_model/manifest.json`` or ``masks/masks.json`` names and this
-run does not write (another model's layers) are removed too; a
-directory without that index is left alone (:func:`io.remove_stale`).
-Every output is a new file (see :mod:`coarsefine.io`): an earlier run's
-file of that name is unlinked, never written through, so a hard link to
-it or the target of a symlink in its place keeps its bytes.  A run that fails
-after its first write removes the files it created, then ``masks/``,
-``pruned_model/`` and an ``--out`` it made, each only if left empty; a
-file it did not create stays.  A symlink at ``OUT/pruned_model`` or
-``OUT/masks`` is refused before the inputs are read, so no write or
-cleanup goes through it.  Inputs are loaded whole before the first
-write, so ``--model-dir`` may be ``OUT/pruned_model`` itself.  Dense and
-pruned models are evaluated on the calibration batch as the on-disk
-float32 format holds them, so reported metrics match what a reload sees.
+that fails leaves no report and no stale plan or scores.  Saving the
+pruned model and the masks replaces an earlier run's model and mask set,
+another model's layer files included (see :mod:`coarsefine.io`), so a
+run that fails before its first write leaves both directories as they
+were.  Every output is a new file: an earlier run's file of that name is
+unlinked, never written through, so a hard link to it or the target of a
+symlink in its place keeps its bytes.  A run that fails after its first
+write removes the files it created, then ``masks/``, ``pruned_model/``
+and an ``--out`` it made, each only if left empty; a file it did not
+create stays.  A symlink at ``OUT/pruned_model`` or ``OUT/masks`` is
+refused before the inputs are read, so no write or cleanup goes through
+it.  Inputs are loaded whole before the first write, so ``--model-dir``
+may be ``OUT/pruned_model`` itself.  Dense and pruned models are
+evaluated on the calibration batch as the on-disk float32 format holds
+them, so reported metrics match what a reload sees.
 
 A prune runs load, coarse scoring, dense evaluation, allocation, the
 fine pass, save, and the pruned evaluation, in that order.
@@ -142,7 +141,8 @@ class RunConfig:
     noises: int = _option(1, f"noises per sample, at most {MAX_NOISES} (default 1)")
     epsilon: float = _option(1e-3, "perturbation scale (default 1e-3)")
     hessian_lambda: float | None = _option(
-        None, "Hessian damping (default 0.01 * mean diag)", flag="--lambda", json="lambda")
+        None, "Hessian damping (default 0.01 * mean diag, or 1 when that is 0)",
+        flag="--lambda", json="lambda")
     seed: int = _option(0, "random seed (default 0)")
     aggregation: str = _option("sum", "element-to-layer score aggregation",
                                choices=ELEMENT_AGGREGATIONS)
@@ -304,12 +304,6 @@ def cmd_prune(config: RunConfig) -> PruneReport:
         if (out / name).is_symlink():  # the writes and the cleanup would go through it
             raise InputError(f"{out / name} is a symlink; prune writes a directory there")
     model, batch = _load_inputs(config)
-    # another model's run may have left layer files this one does not write
-    layers = model.layers()
-    cfio.remove_stale(out / "pruned_model", "manifest.json",
-                      {f for l in layers for f in cfio.tensor_files(l.name, l.bias is not None)})
-    cfio.remove_stale(out / "masks", "masks.json",
-                      {cfio.mask_file(l.name) for l in layers if not l.frozen})
 
     handoff = []
     scores, scoring_forwards = compute_scores(config, model, batch, _handoff=handoff)

@@ -269,10 +269,9 @@ def zo_layer_score(
     _handoff (for :func:`zo_all_scores`), a list, holds the clean input
     in place of layer_input; it is taken out, so in output space, where
     only pre0 and L are read once they are formed, no reference keeps it
-    alive through the legs.  On return the list holds one pair (a clean
-    activation, the index of the layer it is the input of): the layer's
-    clean output and index + 1 when the legs formed it, else the clean
-    input and index.
+    alive through the legs.  On return the list holds the layer's clean
+    output: pre0 activated in place in output space, else the restored
+    layer's forward on the clean input.
     """
     layers = model.layers()
     index = model.layer_index(layer_name)
@@ -297,8 +296,8 @@ def zo_layer_score(
     except NumericalError as e:
         raise NumericalError(f"layer {layer_name!r}: {e}") from e
     if _handoff is not None:
-        _handoff.append((h, index) if pre0 is None else
-                        (_act(layer.activation, pre0, out=pre0), index + 1))
+        _handoff.append(layer_forward(layer, h) if pre0 is None else
+                        _act(layer.activation, pre0, out=pre0))
     # inner mean over noises, outer mean over samples
     return float(np.mean(np.mean(per_noise, axis=0)))
 
@@ -315,8 +314,8 @@ def zo_all_scores(
 
     One clean activation is carried through the model (frozen layers
     included), so each layer's legs run over the suffix only.  It is
-    handed to each layer's scoring with no other reference, and an
-    output-space layer hands on the clean output its legs formed.
+    handed to each layer's scoring with no other reference, and each
+    layer's scoring hands its clean output on.
 
     _handoff (for :func:`coarsefine.pipeline.compute_scores`), a list,
     receives the last clean activation as one pair (activation, index of
@@ -335,7 +334,7 @@ def zo_all_scores(
         del h
         entries[layer.name] = zo_layer_score(model, layer.name, batch, cfg, meter,
                                              _handoff=handoff)
-        h, at = handoff.pop()
+        h, at = handoff.pop(), i + 1
     if _handoff is not None and h is not None:
         _handoff.append((h, at))
     return ScoreMap(

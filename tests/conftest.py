@@ -1,6 +1,7 @@
 """Shared fixtures: tiny hand-built models and cached trained references."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,17 @@ def random_batch(rng, k, d_in, d_out):
     return CalibrationSet(
         [(rng.normal(size=d_in), rng.normal(size=d_out)) for _ in range(k)]
     )
+
+
+def traced(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), (current, peak)): tracemalloc's traced bytes
+    when the call returns and their peak during it, tracing that call alone."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def write_aliased_model(directory):

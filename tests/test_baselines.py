@@ -1,8 +1,6 @@
 """Baselines: global magnitude, iterative gradient, uniform, local-score
 ratios."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,9 @@ from coarsefine.errors import InputError
 from coarsefine.localprune import sequential_prune, wanda_prune_layer
 from coarsefine.model import CalibrationSet, batch_input_matrix
 
-from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
+from conftest import (
+    array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model, traced,
+)
 
 
 class TestGlobalMagnitude:
@@ -193,15 +193,10 @@ class TestGlobalBaselinesOnlyRead:
         # gelu loads scipy on its first call; that import is not the
         # baseline's memory, so it happens before tracing starts
         import scipy.special  # noqa: F401
-        tracemalloc.start()
-        try:
-            if method == "global_magnitude":
-                global_magnitude_prune(model, 0.5)
-            else:
-                iterative_gradient_prune(model, batch, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if method == "global_magnitude":
+            _, (_, peak) = traced(global_magnitude_prune, model, 0.5)
+        else:
+            _, (_, peak) = traced(iterative_gradient_prune, model, batch, 0.5)
         assert peak < bound * weight_bytes, peak / weight_bytes
 
 

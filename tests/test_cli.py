@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 
 import coarsefine
 from coarsefine.cli import _build_config, build_parser, main
-from coarsefine.errors import InputError, ModelFormatError, UsageError
+from coarsefine.errors import InputError, ModelFormatError, NumericalError, UsageError
 from coarsefine.evaluation import evaluate_on_batch
 from coarsefine.io import (
     load_calibration, load_masks, load_model, save_calibration, save_masks, save_model,
@@ -29,7 +28,7 @@ from coarsefine.pipeline import (
 from coarsefine.scoring import ScoreMap
 from coarsefine.tasks import build_model, get_split, make_task, train_reference
 
-from conftest import random_batch, random_mlp, tiny_linear_model, write_aliased_model
+from conftest import random_batch, random_mlp, tiny_linear_model, traced, write_aliased_model
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +85,7 @@ class TestCmdScore:
         saved = ScoreMap.load(Path(config.out_dir) / "scores.json")
         model = load_model(config.model_dir)
         calib = load_calibration(config.calib_path)
-        batch = CalibrationSet(calib.samples[: config.samples])
+        batch = CalibrationSet.stacked(calib.xs[: config.samples], calib.ys[: config.samples])
         expected = aggregate_to_layers(
             first_order_saliency(model, batch), "sum", "first_order"
         )
@@ -124,7 +123,7 @@ class TestCmdPrune:
         masks = load_masks(Path(config.out_dir) / "masks")
         model = load_model(fixture_dir / "model")
         calib = load_calibration(fixture_dir / "calib.json")
-        batch = CalibrationSet(calib.samples[:16])
+        batch = CalibrationSet.stacked(calib.xs[:16], calib.ys[:16])
         _, expected, _ = uniform_layerwise_prune(model, batch, 0.5, "wanda")
         for name in expected:
             np.testing.assert_array_equal(masks[name], expected[name])
@@ -174,7 +173,7 @@ class TestCmdPrune:
         report = cmd_prune(config)
         reloaded = load_model(Path(config.out_dir) / "pruned_model")
         calib = load_calibration(fixture_dir / "calib.json")
-        batch = CalibrationSet(calib.samples[:16])
+        batch = CalibrationSet.stacked(calib.xs[:16], calib.ys[:16])
         again = evaluate_on_batch(reloaded, batch)
         assert again.loss == report.eval_pruned.loss
 
@@ -332,12 +331,7 @@ def traced_prune_peak(config) -> int:
     before tracing starts."""
     import scipy.special  # noqa: F401
 
-    tracemalloc.start()
-    try:
-        cmd_prune(config)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced(cmd_prune, config)[1][1]
 
 
 class TestPeakMemory:
@@ -689,6 +683,24 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["exit_code"] == 3
 
+    def test_sparsegpt_behind_a_fully_pruned_layer(self, tmp_path, capsys):
+        # under --max-sparsity 1 a bias-free layer can lose every weight,
+        # and the next layer's input is all zero: the default damping is
+        # then 1 and the run completes, while an explicit 0 stays singular
+        rng = np.random.default_rng(2)
+        save_model(random_mlp(rng, [6, 8, 8, 3]), tmp_path / "model")
+        save_calibration(random_batch(rng, 8, 6, 3), tmp_path / "calib.json")
+        argv = ["prune", "--model-dir", str(tmp_path / "model"),
+                "--calib", str(tmp_path / "calib.json"), "--out", str(tmp_path / "out"),
+                "--coarse", "magnitude", "--fine", "sparsegpt", "--samples", "8",
+                "--sparsity", "0.999", "--max-sparsity", "1.0"]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert 1.0 in [entry["sparsity"] for entry in report["sparsity_plan"]["per_layer"].values()]
+        capsys.readouterr()
+        assert main([*argv, "--lambda", "0"]) == 3
+        assert "singular (lambda=0.0)" in one_error_line(capsys)["message"]
+
     @pytest.mark.filterwarnings("error")
     def test_dense_overflow_fails_in_the_first_leg(self, tmp_path, capsys):
         # ten identity layers of weights near 1e37 on inputs of 1e37: the
@@ -866,6 +878,33 @@ class TestFreshOutputs:
         # the run's own masks.json replaced the link; the old mask files stay
         assert set(kept_masks) <= {p.name for p in (out / "masks").iterdir()}
         assert (targets / "masks.json").is_file()
+
+    @pytest.mark.parametrize("stage", ["scoring", "allocation", "fine pass"])
+    def test_failed_rerun_over_another_models_run_keeps_it(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, stage
+    ):
+        # the rerun fails after its inputs load and before its first write,
+        # so the other model's pruned_model/ and masks/ are left whole
+        import coarsefine.pipeline as pipeline
+
+        out = tmp_path / "out"
+        assert main(_prune_argv(_other_fixture(tmp_path / "other"), out)) == 0
+        first = {name: data for name, data in _outputs(out).items() if "/" in name}
+        flags = []
+        if stage == "scoring":  # the legs' losses overflow
+            flags = ["--coarse", "zeroth", "--epsilon", "1e300"]
+        else:
+            def injected(*args, **kwargs):
+                raise NumericalError("injected failure")
+
+            monkeypatch.setattr(pipeline, "allocate_sparsity" if stage == "allocation"
+                                else "sequential_prune", injected)
+        capsys.readouterr()
+        assert main([*_prune_argv(fixture_dir, out), *flags]) == 3
+        assert one_error_line(capsys)["error"] == "NumericalError"
+        assert {name: data for name, data in _outputs(out).items() if "/" in name} == first
+        assert load_model(out / "pruned_model").layer("L1").frozen
+        assert sorted(load_masks(out / "masks")) == ["L0", "L2"]
 
 
 def _other_fixture(root):
@@ -1334,13 +1373,12 @@ sys.exit(cli.main(sys.argv[1:]))
         shutil.copytree(three_layer_dir / "model", model)
         with open(model / "L0.bin", "r+b") as f:  # sparse: 64 MB long, no blocks written
             f.truncate(64 << 20)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ModelFormatError, match="67108864 bytes on disk, expected 192"):
                 load_model(model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, (_, peak) = traced(refused)
         assert peak < 1 << 20
 
 
@@ -1512,10 +1550,7 @@ class TestSharedParser:
         assert main(argv) == 0  # warm-up
         peaks = []
         for _ in range(5):
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            code, (_, peak) = traced(main, argv)
+            assert code == 0
+            peaks.append(peak)
         assert max(peaks) <= 1.01 * min(peaks), peaks

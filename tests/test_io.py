@@ -1,7 +1,6 @@
 """On-disk formats: model directories, calibration files, mask bitmaps."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from coarsefine.io import (
 )
 from coarsefine.model import FINITE_BLOCK, Block, CalibrationSet, LayerSpec, ModelGraph
 
-from conftest import random_mlp, tiny_linear_model, write_aliased_model
+from conftest import random_mlp, tiny_linear_model, traced, write_aliased_model
 
 
 def f32_grid(arr):
@@ -125,12 +124,7 @@ class TestModelRoundTrip:
         path = tmp_path / "w.bin"
         np.ones((512, 512), dtype="<f4").tofile(path)
         _read_f32(path, (512, 512), np.float32)  # first-call allocations are not the reader's
-        tracemalloc.start()
-        try:
-            raw = _read_f32(path, (512, 512), np.float32)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        raw, (_, peak) = traced(_read_f32, path, (512, 512), np.float32)
         assert raw.dtype == np.float32 and np.all(raw == 1.0)
         assert peak < raw.nbytes + FINITE_BLOCK + 16_384, peak - raw.nbytes
 
@@ -140,12 +134,7 @@ class TestModelRoundTrip:
         # layer whole took 1 MB
         model = random_mlp(np.random.default_rng(41), [256, 512, 512, 128])
         save_model(model, tmp_path / "m")  # first-call allocations are not the writer's
-        tracemalloc.start()
-        try:
-            save_model(model, tmp_path / "m")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, (_, peak) = traced(save_model, model, tmp_path / "m")
         assert max(l.size for l in model.layers()) > 4 * F32_CHUNK
         assert peak < 4 * F32_CHUNK + 32_768, peak
         for layer in model.layers():
@@ -182,15 +171,21 @@ class TestCalibrationRoundTrip:
         path = save_calibration(batch, tmp_path / "calib.json")
         again = load_calibration(path)
         assert again.count == 5
-        for (x0, y0), (x1, y1) in zip(batch.samples, again.samples):
-            np.testing.assert_array_equal(x1, f32_grid(x0))
-            np.testing.assert_array_equal(y1, f32_grid(y0))
+        np.testing.assert_array_equal(again.xs, f32_grid(batch.xs))
+        np.testing.assert_array_equal(again.ys, f32_grid(batch.ys))
+
+    def test_unsafe_stem_is_refused_before_a_write(self, tmp_path):
+        # "my calib.bin" is a data file load_calibration refuses to read
+        batch = CalibrationSet.stacked(np.ones((2, 3)), np.zeros((2, 1)))
+        with pytest.raises(ModelFormatError, match="'my calib.bin' is not filesystem-safe"):
+            save_calibration(batch, tmp_path / "my calib.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sequence_samples(self, tmp_path):
         ids = np.arange(6, dtype=np.float64)
         batch = CalibrationSet([(ids, ids[::-1].copy())])
         again = load_calibration(save_calibration(batch, tmp_path / "c.json"))
-        np.testing.assert_array_equal(again.samples[0][0], ids)
+        np.testing.assert_array_equal(again.xs[0], ids)
 
     @pytest.mark.parametrize("xs_shape,ys_shape", [((5, 7), (5, 7)), ((5, 4), (5,)),
                                                    ((5, 3, 2), (5, 2))],
@@ -205,11 +200,7 @@ class TestCalibrationRoundTrip:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert again.xs.shape == xs_shape and again.ys.shape == ys_shape
         assert again.xs.flags.c_contiguous and again.ys.dtype == np.float64
-        # samples are row views of the stacked arrays; a 0-d class id stays an array
-        for i, (x, y) in enumerate(again.samples):
-            assert x.base is again.xs and y.base is again.ys
-            assert x.shape == xs_shape[1:] and y.shape == ys_shape[1:]
-            np.testing.assert_array_equal(y, f32_grid(batch.ys[i]))
+        np.testing.assert_array_equal(again.ys, f32_grid(batch.ys))
 
     @pytest.mark.parametrize("samples,data,match", [
         ([{"input": [4], "target": [2]}, {"input": [2, 2], "target": [2]}],  # same size
@@ -241,12 +232,7 @@ class TestCalibrationRoundTrip:
             tmp_path / "c.json")
         load_calibration(path)  # first-call allocations are not the loader's
         arrays = 8 * k * (d_in + d_out)
-        tracemalloc.start()
-        try:
-            batch = load_calibration(path)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        batch, (held, peak) = traced(load_calibration, path)
         assert batch.count == k
         assert peak - arrays // 2 - arrays < 160_000, peak
         assert held - arrays < 60_000, held

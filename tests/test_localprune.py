@@ -2,7 +2,6 @@
 sequential conditioning."""
 
 import gc
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,9 @@ from coarsefine.localprune import (
 from coarsefine.model import LayerSpec, batch_input_matrix, layer_forward
 from coarsefine.scoring import ScoreMap, aggregate_to_layers, first_order_saliency
 
-from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
+from conftest import (
+    array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model, traced,
+)
 
 
 def layer_of(w):
@@ -146,15 +147,6 @@ def wanda_row_loop(layer, activations, keep_count):
     return argsort_top_k(scores, budgets)
 
 
-def peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestWanda:
     def test_hand_scored_row(self):
         # scores |w| * norm: [3, 2, 3] -> the middle weight goes
@@ -235,10 +227,9 @@ class TestTopKMask:
                 top_k_mask(scores, k), argsort_top_k(scores, budgets)
             )
             np.testing.assert_array_equal(top_k_mask(flat, b), argsort_top_k(flat, [b]))
-            # owned blocks, partitioned in place and formed again, select the same
-            owned = localprune._top_k_rows(scores.shape, k, lambda rows: scores[rows].copy(),
-                                           owned=True)
-            np.testing.assert_array_equal(owned, argsort_top_k(scores, budgets))
+            # blocks the caller forms, partitioned in place and formed again, select the same
+            formed = localprune._top_k_rows(scores.shape, k, lambda rows: scores[rows].copy())
+            np.testing.assert_array_equal(formed, argsort_top_k(scores, budgets))
         assert scores.tobytes() == given.tobytes()  # caller-given scores are never written
 
     def test_ties_nan_and_signed_zero(self):
@@ -272,8 +263,8 @@ class TestTopKMask:
         keep = layer.size // 2 + 100  # two row budgets
         mask = wanda_prune_layer(layer, acts, keep)
         np.testing.assert_array_equal(mask, wanda_row_loop(layer, acts, keep))
-        ours = peak_bytes(wanda_prune_layer, layer, acts, keep)
-        ref = peak_bytes(wanda_row_loop, layer, acts, keep)
+        ours = traced(wanda_prune_layer, layer, acts, keep)[1][1]
+        ref = traced(wanda_row_loop, layer, acts, keep)[1][1]
         assert ours <= ref
 
     def test_wanda_holds_one_score_block(self):
@@ -287,7 +278,7 @@ class TestTopKMask:
         keep = layer.size // 2 + 100
         wanda_prune_layer(layer, acts, keep)  # first-call allocations are not wanda's
         assert layer.size > 4 * localprune.TOP_K_BLOCK
-        assert peak_bytes(wanda_prune_layer, layer, acts, keep) < (
+        assert traced(wanda_prune_layer, layer, acts, keep)[1][1] < (
             layer.size + 1.5 * 8 * localprune.TOP_K_BLOCK)
 
     def test_wanda_past_one_block(self):
@@ -349,7 +340,7 @@ class TestMagnitude:
         layer = layer_of(rng.normal(size=(512, 512)))
         keep = layer.size // 2 + 100
         magnitude_prune_layer(layer, keep)  # first-call allocations are not the selection's
-        assert peak_bytes(magnitude_prune_layer, layer, keep) < 1.5 * layer.weight.nbytes
+        assert traced(magnitude_prune_layer, layer, keep)[1][1] < 1.5 * layer.weight.nbytes
 
 
 class TestSparseGPT:
@@ -420,6 +411,19 @@ class TestSparseGPT:
         with pytest.raises(NumericalError):
             sparsegpt_prune_layer(layer_of(np.ones((1, 4))), acts, 2, lam=0.0)
 
+    def test_all_zero_input_damps_with_one(self):
+        # behind a fully pruned bias-free layer the input is all zero and
+        # 0.01 * mean diag is 0: the default damping is 1, and H = I keeps
+        # each row's largest |W| with its survivors as they were
+        w = np.random.default_rng(22).normal(size=(3, 8))
+        acts = np.zeros((5, 8))
+        np.testing.assert_array_equal(build_hessian(acts), np.eye(8))
+        mask, new_w = sparsegpt_prune_layer(layer_of(w), acts, 12)
+        np.testing.assert_array_equal(mask, top_k_mask(np.abs(w), 4))
+        assert new_w.tobytes() == np.where(mask, w, 0.0).tobytes()
+        with pytest.raises(NumericalError, match=r"singular \(lambda=0.0\)"):
+            build_hessian(acts, lam=0.0)
+
     def test_hessian_inverse_invariant(self):
         rng = np.random.default_rng(5)
         acts = rng.normal(size=(30, 10))
@@ -458,7 +462,7 @@ class TestSparseGPT:
         # H and its inverse are 2 MiB each; the d_in x d_in bool array of
         # an np.isfinite check put 262,144 bytes on top of them
         acts = np.random.default_rng(22).normal(size=(64, 512))
-        assert peak_bytes(build_hessian, acts) < 2 * 512 * 512 * 8 + 512 * 512 // 4
+        assert traced(build_hessian, acts)[1][1] < 2 * 512 * 512 * 8 + 512 * 512 // 4
 
     def test_beats_magnitude_reconstruction(self):
         # compensation should beat plain magnitude masking on the same
@@ -579,7 +583,7 @@ class TestSparseGPTLockstep:
         rng = np.random.default_rng(18)
         layer = layer_of(rng.normal(size=(512, 64)))
         acts = rng.normal(size=(128, 64))
-        assert peak_bytes(sparsegpt_prune_layer, layer, acts, layer.size // 2) <= (
+        assert traced(sparsegpt_prune_layer, layer, acts, layer.size // 2)[1][1] <= (
             4 * layer.weight.nbytes
         )
 
@@ -588,8 +592,8 @@ class TestSparseGPTLockstep:
         layer = layer_of(rng.normal(size=(128, 128)))
         acts = rng.normal(size=(256, 128))
         keep = layer.size // 2
-        ours = peak_bytes(sparsegpt_prune_layer, layer, acts, keep)
-        ref = peak_bytes(sparsegpt_row_loop, layer, acts, keep)
+        ours = traced(sparsegpt_prune_layer, layer, acts, keep)[1][1]
+        ref = traced(sparsegpt_row_loop, layer, acts, keep)[1][1]
         assert ours <= ref
 
 
@@ -672,12 +676,9 @@ def sparsegpt_footprint(monkeypatch, model, plan, batch, pass_wide):
     out = model.copy()
     gc.collect()
     gc.disable()  # a collection inside the pass would move its peak by a few objects
-    tracemalloc.start()
     try:
-        sequential_prune(model, plan, batch, "sparsegpt", out=out)
-        peak = tracemalloc.get_traced_memory()[1]
+        _, (_, peak) = traced(sequential_prune, model, plan, batch, "sparsegpt", out=out)
     finally:
-        tracemalloc.stop()
         gc.enable()
     return peak, blocks, [l.weight.tobytes() for l in out.layers()]
 

@@ -1,6 +1,5 @@
 """Core model: forward, activation capture, backprop oracle, copies."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +36,9 @@ from coarsefine.model import (
 from coarsefine.localprune import sequential_prune
 from coarsefine.zograd import ZOConfig, zo_layer_score
 
-from conftest import array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model
+from conftest import (
+    array_bytes, random_batch, random_mlp, shared_arrays, tiny_linear_model, traced,
+)
 
 
 class TestForward:
@@ -496,12 +497,7 @@ class TestGelu:
         # whole-array phi was 256 KB
         x = np.random.default_rng(13).normal(size=(64, 512))
         _act("gelu", x.copy(), out=None)  # scipy's import is not the activation's
-        tracemalloc.start()
-        try:
-            _act("gelu", x, out=x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, (_, peak) = traced(_act, "gelu", x, out=x)
         assert x.size > 2 * GELU_BLOCK
         assert peak < 8 * GELU_BLOCK + 4096, peak
 
@@ -529,12 +525,7 @@ class TestCheckFinite:
         # (32 KB), where np.isfinite(x) was x-sized (256 KB)
         x = view(np.random.default_rng(15).normal(size=(512, 512)))
         check_finite(x)  # a first call's one-off allocations are not the check's
-        tracemalloc.start()
-        try:
-            check_finite(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, (_, peak) = traced(check_finite, x)
         assert x.size > 4 * FINITE_BLOCK
         assert peak < FINITE_BLOCK + 4096, peak
 

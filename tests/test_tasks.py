@@ -23,16 +23,15 @@ class TestSplits:
         train = get_split(task, "train")
         calib = get_split(task, "calib")
         assert calib.count == task.n_calib
-        for (xc, yc), (xt, yt) in zip(calib.samples, train.samples):
-            np.testing.assert_array_equal(xc, xt)
-            np.testing.assert_array_equal(yc, yt)
+        np.testing.assert_array_equal(calib.xs, train.xs[: calib.count])
+        np.testing.assert_array_equal(calib.ys, train.ys[: calib.count])
 
     def test_train_and_val_disjoint(self):
         task = make_task("synthetic_regression", seed=3)
         train = get_split(task, "train")
         val = get_split(task, "val")
-        train_bytes = {x.tobytes() for x, _ in train.samples}
-        assert not any(x.tobytes() in train_bytes for x, _ in val.samples)
+        train_bytes = {x.tobytes() for x in train.xs}
+        assert not any(x.tobytes() in train_bytes for x in val.xs)
 
     def test_empty_split_rejected(self):
         task = make_task("synthetic_regression", seed=0, n_val=0)

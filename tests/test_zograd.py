@@ -5,7 +5,6 @@ import os
 import runpy
 import subprocess
 import sys
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from coarsefine.zograd import (
     zo_layer_score,
 )
 
-from conftest import array_bytes, random_batch, random_mlp, tiny_linear_model
+from conftest import array_bytes, random_batch, random_mlp, tiny_linear_model, traced
 
 
 class TestPerturbReplay:
@@ -111,14 +110,11 @@ class TestPerturbReplay:
         rng = np.random.default_rng(4)
         model = tiny_linear_model([rng.normal(size=(256, 512))])
         layer_bytes = model.layer("L0").weight.nbytes
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        def cycle():
             for direction in (1, -1, "restore"):
                 perturb_replay(model, "L0", (4, 0, 0), 1e-3, direction)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+
+        _, (_, peak) = traced(cycle)
         assert layer_bytes <= peak <= layer_bytes + 64 * 1024, peak / layer_bytes
 
     def test_restore_directly_from_plus(self):
@@ -339,7 +335,8 @@ def _frozen_middle():
 
 def _char_lm():
     task = make_task("char_lm", seed=0)
-    return build_model(task), CalibrationSet(get_split(task, "calib").samples[:8])
+    calib = get_split(task, "calib")
+    return build_model(task), CalibrationSet.stacked(calib.xs[:8], calib.ys[:8])
 
 
 ORACLE_CASES = {
