@@ -255,15 +255,14 @@ def _read_raw(path: Path, dtype: str, count: int) -> np.ndarray:
 
 
 def _write_f32(f, arr: np.ndarray) -> None:
-    """arr as row-major float32 to f, a file open for binary writing,
-    converted F32_CHUNK elements at a time into one chunk-sized buffer,
-    so a C-contiguous float64 arr costs one chunk of float32 past itself."""
-    flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
-    buf = np.empty(min(F32_CHUNK, flat.size), dtype="<f4")
-    for i in range(0, flat.size, F32_CHUNK):
-        chunk = buf[: flat.size - i]
-        np.copyto(chunk, flat[i : i + F32_CHUNK], casting="same_kind")
-        f.write(chunk)
+    """arr as row-major float32 to f, a file open for binary writing.
+    numpy's buffered iterator converts F32_CHUNK elements at a time, so
+    the write holds one chunk of float32 past arr."""
+    with np.nditer(arr, ["external_loop", "buffered", "zerosize_ok"],
+                   ["readonly", "contig"], op_dtypes=["<f4"], casting="same_kind",
+                   buffersize=F32_CHUNK, order="C") as chunks:
+        for chunk in chunks:
+            f.write(chunk)
 
 
 def _read_f32(path: Path, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -438,7 +437,7 @@ def load_masks(directory: str | Path) -> dict[str, np.ndarray]:
         bits = np.unpackbits(_read_raw(path, "u1", -(-n // 8)))  # ceil(n / 8) bytes
         if bits[n:].any():
             raise ModelFormatError(f"mask file for {name!r} has nonzero padding bits")
-        mask = _reshape(bits[:n].astype(bool), shape, where)
+        mask = _reshape(bits[:n].view(bool), shape, where)  # unpackbits gives 0 or 1
         if int(np.count_nonzero(mask)) != _field(entry, "kept", int, where):
             raise ModelFormatError(f"mask for {name!r} disagrees with its index")
         masks[name] = mask

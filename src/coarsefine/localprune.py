@@ -46,7 +46,6 @@ from .model import (
 FINE_METHODS = ("wanda", "sparsegpt", "magnitude")
 NORM_EXPONENTS = (1, 2)  # wanda's e in ||X_j||^e
 TOP_K_BLOCK = 1 << 15  # elements per block of rows in top_k_mask
-MASK_BLOCK = 1 << 13  # elements per block of rows in apply_mask
 BLOCK_ARRAYS = 4  # [block, cols] arrays a sparsegpt step holds: d, col, tmp, the scores
 
 
@@ -389,25 +388,18 @@ def apply_mask(layer: LayerSpec, mask: np.ndarray, out: np.ndarray | None = None
     """The weight with pruned entries set to +0.0 and survivors keeping
     their bits, written into out (numpy's out= convention: a C-contiguous
     float64 array of the weight's shape; out=layer.weight masks in place),
-    which is returned; by default a new array.  The mask (read as bool,
-    of the weight's shape) is negated as int64 to 0 or all ones and
-    ANDed with the weight bits, MASK_BLOCK elements at a time (one row
-    at least), so the only temporary is one block's int64 buffer."""
+    which is returned; by default a new array.  The weight bits, read as
+    int64, are multiplied by the mask (read as bool, of the weight's
+    shape): times 1 a weight keeps its bits, times 0 they are +0.0.  numpy
+    casts the mask to int64 one np.getbufsize() buffer at a time, so that
+    buffer is the only temporary."""
     w = layer.weight
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != w.shape:
         raise DimensionError(f"mask shape {mask.shape} != weight shape {w.shape}")
     _check_out(w, out)
     out = np.empty(w.shape) if out is None else out
-    src, dst = w.view(np.int64), out.view(np.int64)
-    step = max(1, MASK_BLOCK // w.shape[1])
-    buf = np.empty((min(step, w.shape[0]), w.shape[1]), dtype=np.int64)
-    for r0 in range(0, w.shape[0], step):
-        keep = mask[r0 : r0 + step]
-        bits = buf[: len(keep)]
-        bits[...] = keep
-        np.negative(bits, out=bits)
-        np.bitwise_and(bits, src[r0 : r0 + step], out=dst[r0 : r0 + step])
+    np.multiply(w.view(np.int64), mask, out=out.view(np.int64))
     return out
 
 

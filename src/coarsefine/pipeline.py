@@ -45,16 +45,16 @@ A prune holds one model's weights: the fine pass prunes each layer in
 its own weight array, after the reconstruction GEMM has read the dense
 weight for the last time.  Sparsegpt eliminates in that array; wanda
 forms one block of rows of scores at a time, partitions it in place and
-forms it again for the comparisons, and its mask is ANDed in by row
-block, so past the model the fine pass holds the layer's mask, the
-sparsegpt inverse Hessian and its update buffer, and block-sized
-temporaries.  The calibration batch is held only stacked, converted
-from float32 once, and ``--samples`` takes a prefix of its rows without
-a copy.  The pruned model is saved one bounded float32 chunk at a time,
-and the pruned evaluation holds it or, under sparsegpt, its reload alone.
-Past the weights and the batch, a loss-only forward holds one layer's
-input and output at a time, because it applies bias, activation and
-loss in buffers it owns, and gelu adds one bounded block (see
+forms it again for the comparisons, and its mask is applied one numpy
+buffer at a time, so past the model the fine pass holds the layer's
+mask, the sparsegpt inverse Hessian and its update buffer, and
+block-sized temporaries.  The calibration batch is held only stacked,
+converted from float32 once, and ``--samples`` takes a prefix of its
+rows without a copy.  The pruned model is saved one float32 chunk at a
+time, and the pruned evaluation holds it or, under sparsegpt, its reload
+alone.  Past the weights and the batch, a loss-only forward holds one
+layer's input and output at a time, because it applies bias, activation
+and loss in buffers it owns, and gelu adds one bounded block (see
 :mod:`coarsefine.model`).  Zeroth-order scoring of a layer whose
 d_out*d_in weights outnumber 3*N*d_out + N^2 (N input rows; see
 :mod:`coarsefine.zograd`) holds those elements: its clean
@@ -409,9 +409,16 @@ def cmd_eval(
 
 def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
     """Merge prune reports into curve CSVs (metric vs sparsity, per-layer
-    sparsity table)."""
+    sparsity table).
+
+    Both CSVs of an earlier compare in out_dir are removed first; a failed
+    write removes what the run made, so a run leaves both or neither.
+    """
     if not report_paths:
         raise UsageError("compare needs at least one report")
+    out = Path(out_dir)
+    for name in ("comparison.csv", "per_layer_sparsity.csv"):  # stale
+        (out / name).unlink(missing_ok=True)
     curve_rows, layer_rows, fixtures = [], [], set()
     for p in report_paths:
         obj = cfio.read_json(p)
@@ -438,9 +445,9 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
     curve_rows.sort(key=lambda row: (row["sparsity"], row["method"], row["metric"]))
     layer_rows.sort(key=lambda row: (row["sparsity"], row["method"], row["layer"]))
 
-    out = Path(out_dir)
-    write_csv(curve_rows, out / "comparison.csv")
-    write_csv(layer_rows, out / "per_layer_sparsity.csv")
+    with cfio.removed_on_failure(*(() if out.exists() else (out,))):
+        write_csv(curve_rows, out / "comparison.csv")
+        write_csv(layer_rows, out / "per_layer_sparsity.csv")
     return {
         "comparison_csv": str(out / "comparison.csv"),
         "per_layer_csv": str(out / "per_layer_sparsity.csv"),

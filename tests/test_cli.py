@@ -484,6 +484,46 @@ class TestCmdCompare:
                   "achieved_global_sparsity": report.achieved["global_sparsity"]}
         assert rows[1:] == [f"magnitude-wanda,0.5,{m},{values[m]:.6g}" for m in metrics]
 
+    @pytest.mark.parametrize("failure", [
+        "directory in the way", "full disk, new --out", "full disk, earlier --out"])
+    def test_failed_compare_leaves_neither_csv(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, failure
+    ):
+        # a directory at per_layer_sparsity.csv, or a full disk on writing
+        # it, used to leave the run's new comparison.csv behind
+        import coarsefine.pipeline as pipeline
+
+        left = {"directory in the way": ["per_layer_sparsity.csv"],
+                "full disk, earlier --out": ["NOTES.txt"]}.get(failure)
+
+        report = tmp_path / "run" / "report.json"
+        cmd_prune(run_config(fixture_dir, tmp_path / "run", coarse="magnitude"))
+        cmp = tmp_path / "cmp"
+        if left:
+            cmp.mkdir()
+            (cmp / "comparison.csv").write_text("an earlier run's")
+        if failure == "directory in the way":
+            (cmp / "per_layer_sparsity.csv").mkdir()
+        elif left:
+            (cmp / "NOTES.txt").write_text("mine")
+        if failure.startswith("full disk"):
+            write_csv = pipeline.write_csv
+
+            def full_disk(rows, path):
+                if Path(path).name == "per_layer_sparsity.csv":
+                    assert (Path(path).parent / "comparison.csv").is_file()
+                    raise OSError(28, "No space left on device")
+                return write_csv(rows, path)
+
+            monkeypatch.setattr(pipeline, "write_csv", full_disk)
+        assert main(["compare", str(report), "--out", str(cmp)]) == 2
+        assert one_error_line(capsys)["error"] == (
+            "OSError" if failure.startswith("full disk") else "IsADirectoryError")
+        if left:
+            assert sorted(p.name for p in cmp.iterdir()) == left
+        else:
+            assert not cmp.exists()
+
     def test_incompatible_fixtures_rejected(self, fixture_dir, three_layer_dir, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -920,17 +960,18 @@ def _other_fixture(root):
     return root
 
 
-_STAGES = ["save_masks", "reload", "pruned evaluation"]
+_STAGES = ["save_masks", "reload", "pruned evaluation", "the last JSON write"]
 
 
 def _inject_failure(monkeypatch, stage) -> list[str]:
     """prune fails after save_masks has written, at the pruned model's
-    reload, or in the pruned evaluation of the fine pass's hand-over;
+    reload, in the pruned evaluation of the fine pass's hand-over, or on
+    a full disk at report.json, after scores, plan and timing are written;
     returns the flags that make the run reach that stage."""
     import coarsefine.io as cfio
     import coarsefine.pipeline as pipeline
 
-    save_masks, load_model = cfio.save_masks, cfio.load_model
+    save_masks, load_model, write_json = cfio.save_masks, cfio.load_model, cfio.write_json
     evaluate_on_batch = pipeline.evaluate_on_batch
 
     def failing_save_masks(masks, directory):
@@ -948,11 +989,20 @@ def _inject_failure(monkeypatch, stage) -> list[str]:
             raise ModelFormatError("injected failure")
         return evaluate_on_batch(model, batch, masks, **kwargs)
 
+    def full_disk(obj, path):
+        if Path(path).name == "report.json":
+            assert {"scores.json", "plan.json", "timing.json"} <= {
+                p.name for p in Path(path).parent.iterdir()}
+            raise OSError(28, "injected failure")
+        return write_json(obj, path)
+
     if stage == "save_masks":
         monkeypatch.setattr(cfio, "save_masks", failing_save_masks)
     elif stage == "reload":  # only sparsegpt's pruned evaluation reads the reload
         monkeypatch.setattr(cfio, "load_model", failing_reload)
         return ["--fine", "sparsegpt"]
+    elif stage == "the last JSON write":
+        monkeypatch.setattr(cfio, "write_json", full_disk)
     else:
         monkeypatch.setattr(pipeline, "evaluate_on_batch", failing_pruned_evaluation)
     return []
@@ -966,7 +1016,7 @@ class TestFailedRunCleanup:
     def test_new_out_is_removed(self, fixture_dir, tmp_path, capsys, monkeypatch, stage):
         flags = _inject_failure(monkeypatch, stage)
         assert main([*_prune_argv(fixture_dir, tmp_path / "out"), *flags]) == 2
-        assert one_error_line(capsys)["message"] == "injected failure"
+        assert one_error_line(capsys)["message"].endswith("injected failure")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stage", _STAGES)
@@ -979,7 +1029,7 @@ class TestFailedRunCleanup:
         flags = _inject_failure(monkeypatch, stage)
         capsys.readouterr()
         assert main([*_prune_argv(fixture_dir, out, "0.7"), *flags]) == 2
-        assert one_error_line(capsys)["message"] == "injected failure"
+        assert one_error_line(capsys)["message"].endswith("injected failure")
         assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
             "pruned_model", "pruned_model/NOTES.txt"]
         assert (out / "pruned_model" / "NOTES.txt").read_text() == "mine"

@@ -69,3 +69,28 @@ def test_against_names_every_moved_path(matrix_tool, shape):
     assert matrix_tool.moved_paths(change, parent) == [
         "runs/a/plan.json", "runs/b/<stdout>", "runs/c/<stdout>"]
     assert matrix_tool.moved_paths(parent, change) == matrix_tool.moved_paths(change, parent)
+
+
+@pytest.mark.parametrize("threads", [{"OPENBLAS_NUM_THREADS": "2"}, None],
+                         ids=["other threads", "threads unrecorded"])
+def test_against_refuses_other_thread_settings_before_running(
+    matrix_tool, tmp_path, capsys, monkeypatch, threads
+):
+    # a digest made at 2 threads would read as moved sparsegpt bits
+    theirs = {**matrix_tool.THREADS, **(threads or {})}
+    versions = {"numpy": "x", **({"threads": theirs} if threads else {})}
+    against = tmp_path / "against.json"
+    against.write_text(json.dumps({"versions": versions, "digests": {}}))
+    ran = []
+    monkeypatch.setattr(matrix_tool, "build_fixtures", lambda *a: ran.append(a) or {})
+    monkeypatch.chdir(tmp_path)
+    code = matrix_tool.main_matrix(["--work", str(tmp_path / "work"), "--golden",
+                                    "--digest", str(tmp_path / "d.json"),
+                                    "--against", str(against)])
+    if threads:
+        assert code == 2 and not ran and not (tmp_path / "work").exists()
+        err = capsys.readouterr().err
+        assert str(theirs) in err and str(matrix_tool.THREADS) in err
+    else:  # compared as before: nothing ran, so nothing moved
+        assert code == 0 and ran
+        assert json.loads(capsys.readouterr().out)["moved"] == []

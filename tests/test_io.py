@@ -10,6 +10,7 @@ from coarsefine.io import (
     F32_CHUNK,
     _create,
     _read_f32,
+    _write_f32,
     load_calibration,
     load_masks,
     load_model,
@@ -140,6 +141,18 @@ class TestModelRoundTrip:
         for layer in model.layers():
             data = (tmp_path / "m" / f"{layer.name}.bin").read_bytes()
             assert data == layer.weight.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12.0).reshape(3, 4).T,
+        np.arange(24, dtype=np.float32)[::2].reshape(3, 4),  # strided, no cast to buffer
+        np.arange(6),
+        np.zeros((0, 3)),
+        np.array(2.5),
+    ], ids=["transposed", "strided float32", "int", "empty", "0-d"])
+    def test_write_f32_is_the_row_major_float32_bytes(self, tmp_path, arr):
+        with open(tmp_path / "t.bin", "wb") as f:
+            _write_f32(f, arr)
+        assert (tmp_path / "t.bin").read_bytes() == np.ascontiguousarray(arr, "<f4").tobytes()
 
 
 class TestAliasedTensorFiles:

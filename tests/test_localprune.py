@@ -283,12 +283,11 @@ class TestTopKMask:
 
     def test_wanda_past_one_block(self):
         # 301 x 203: TOP_K_BLOCK holds 161 rows, so the 200 rows that keep
-        # 101 take a full block and a ragged one; MASK_BLOCK holds 40 rows,
-        # and 301 rows end in a ragged block of 21
+        # 101 take a full block and a ragged one
         rng = np.random.default_rng(18)
         layer = layer_of(rng.normal(size=(301, 203)))
         acts = rng.normal(size=(16, 203))
-        assert layer.size > localprune.TOP_K_BLOCK and 301 % (localprune.MASK_BLOCK // 203)
+        assert layer.size > localprune.TOP_K_BLOCK
         for keep in (301 * 100 + 200, 301 * 50):  # two row budgets, then one
             for e in (1, 2):
                 mask = wanda_prune_layer(layer, acts, keep, norm_exponent=e)
@@ -927,24 +926,37 @@ class TestOwnership:
         if keep == w.size:
             assert np.signbit(got[0, 0]) and np.signbit(got[2, 3])
 
-    @pytest.mark.parametrize("rows", [1, 5, 2 * 3 + 1])  # ragged last block of 3 rows
+    @pytest.mark.parametrize("rows", [1, 5, 2 * 3 + 1])
     def test_apply_mask_into_out_equals_the_default_call(self, rows):
         rng = np.random.default_rng(44)
         w = rng.normal(size=(rows, 4))
         w[:, 1] = -0.0
         mask = rng.random(w.shape) < 0.5
         mask[:, 1] = True  # -0.0 survivors
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(localprune, "MASK_BLOCK", 12)  # three rows a block
-            expected = localprune.apply_mask(layer_of(w), mask)
-            layer = layer_of(w.copy())
-            dense = layer.weight
-            assert localprune.apply_mask(layer, mask, out=dense) is dense
-            other = np.full(w.shape, np.nan)
-            assert localprune.apply_mask(layer_of(w), mask, out=other) is other
+        expected = localprune.apply_mask(layer_of(w), mask)
+        layer = layer_of(w.copy())
+        dense = layer.weight
+        assert localprune.apply_mask(layer, mask, out=dense) is dense
+        other = np.full(w.shape, np.nan)
+        assert localprune.apply_mask(layer_of(w), mask, out=other) is other
         assert expected.tobytes() == np.where(mask, w, 0.0).tobytes()
         assert dense.tobytes() == expected.tobytes() and other.tobytes() == expected.tobytes()
         assert np.signbit(dense[:, 1]).all()
+
+    @pytest.mark.parametrize("in_place", [True, False], ids=["in_place", "new_array"])
+    def test_apply_mask_holds_one_numpy_buffer(self, in_place):
+        # 512 x 512: numpy casts the bool mask to int64 one np.getbufsize()
+        # buffer at a time; a whole-layer int64 mask would take 2 MB
+        rng = np.random.default_rng(45)
+        w = rng.normal(size=(512, 512))
+        mask = rng.random(w.shape) < 0.5
+        layer = layer_of(w.copy())
+        out = layer.weight if in_place else np.empty(w.shape)
+        localprune.apply_mask(layer, mask, out=out)  # first-call allocations are not the mask's
+        layer.weight[...] = w
+        got, (_, peak) = traced(localprune.apply_mask, layer, mask, out=out)
+        assert got is out and got.tobytes() == np.where(mask, w, 0.0).tobytes()
+        assert peak < 8 * np.getbufsize() + 4096, peak
 
     @pytest.mark.parametrize("out", [np.empty((3, 2)), np.empty((2, 3), np.float32),
                                      np.empty((3, 2)).T], ids=["shape", "dtype", "order"])

@@ -23,7 +23,7 @@ byte-identical outputs::
     python tools/output_matrix.py --work /tmp/matrix --digest digest.json
 
 With ``--against DIGEST`` the tool compares its digest file, once
-written, with DIGEST (a digest file of either shape, ``--golden``'s
+written, with DIGEST (the flat path -> sha256 files of earlier runs
 included): it prints the paths whose digest moved, or that only one file
 holds, and exits 1 if any did or any run failed::
 
@@ -32,8 +32,9 @@ holds, and exits 1 if any did or any run failed::
 
 With ``--golden`` it runs only the 30 runs at sparsity 0.5 of three
 fixtures (``GOLDEN``: the 29k-weight MLP, ``char_lm`` and
-``two_tower_fusion``), and the digest file also records the numpy, scipy
-and BLAS versions.  ``tests/test_golden_digests.py`` runs that subset and
+``two_tower_fusion``).  Every digest file records, beside the digests,
+the numpy, scipy and BLAS versions and the BLAS thread settings.
+``tests/test_golden_digests.py`` runs that subset and
 compares it with ``tests/golden_digests.json``; a change that moves bits
 on purpose regenerates the file::
 
@@ -44,7 +45,10 @@ The sparsegpt outputs depend on the BLAS thread count (``np.linalg.inv``
 gives other bits at 1 and 2 OpenBLAS threads), so before numpy loads the
 tool sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 where the environment does not set them.  A
-digest file compares only with one made at the same thread count.
+digest file compares only with one made at the same thread count, so
+``--against`` refuses a DIGEST recorded under other thread settings
+before it runs anything, with exit code 2; a DIGEST without them is
+compared as it is.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # read once, when numpy loads BLAS
+THREADS = {var: os.environ.setdefault(var, "1")  # read once, when numpy loads BLAS
+           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 import numpy as np  # noqa: E402
 
@@ -193,19 +197,20 @@ def task_outputs() -> dict[str, str]:
     return digests
 
 
-def versions() -> dict[str, str]:
-    """The numpy, scipy (gelu's erf) and BLAS builds that made the bits."""
+def versions() -> dict:
+    """The numpy, scipy (gelu's erf) and BLAS builds that made the bits,
+    and the BLAS thread settings they were made under."""
     import scipy
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+            "blas": f"{blas['name']} {blas['version']}", "threads": THREADS}
 
 
 def moved_paths(record: dict, against: dict) -> list[str]:
     """The sorted paths whose digest differs between two digest records,
-    a path only one of them holds included.  A record is the flat
-    path -> sha256 map or ``--golden``'s {"versions", "digests"}."""
+    a path only one of them holds included.  A record is
+    {"versions", "digests"} or an earlier run's flat path -> sha256 map."""
     a, b = (r["digests"] if "versions" in r else r for r in (record, against))
     return sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
 
@@ -215,12 +220,17 @@ def main_matrix(argv: list[str] | None = None) -> int:
     parser.add_argument("--work", required=True, help="empty work directory to create")
     parser.add_argument("--digest", required=True, help="digest JSON to write")
     parser.add_argument("--golden", action="store_true",
-                        help="only the GOLDEN runs, with the library versions")
+                        help="only the GOLDEN runs")
     parser.add_argument("--against", metavar="DIGEST",
                         help="digest file to compare with; exit 1 if a digest moved")
     args = parser.parse_args(argv)
     digest_path = Path(args.digest).resolve()
     against = json.loads(Path(args.against).read_text()) if args.against else None
+    theirs = (against or {}).get("versions", {}).get("threads")
+    if theirs is not None and theirs != THREADS:
+        print(f"{args.against} was made under BLAS threads {theirs}, "
+              f"this run uses {THREADS}", file=sys.stderr)
+        return 2
     work = Path(args.work)
     work.mkdir(parents=True, exist_ok=False)
     os.chdir(work)
@@ -228,13 +238,12 @@ def main_matrix(argv: list[str] | None = None) -> int:
         fixtures = build_fixtures(Path("."), GOLDEN)
         digests, failed = run_matrix({name: (samples, SPARSITIES[:1])
                                       for name, (samples, _) in fixtures.items()})
-        record = {"versions": versions(), "digests": digests}
     else:
         fixtures = build_fixtures(Path("."))
         digests, failed = run_matrix(fixtures)
         digests.update(baseline_outputs(fixtures))
         digests.update(task_outputs())
-        record = digests
+    record = {"versions": versions(), "digests": digests}
     digest_path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     runs = sum(1 for k in digests if k.endswith("<stdout>"))
     summary = {"runs": runs, "failed": failed, "entries": len(digests)}
