@@ -115,6 +115,14 @@ def removed_on_failure(*directories: Path):
         _created = outer
 
 
+def clear_outputs(out: Path, names: tuple[str, ...]) -> tuple[Path, ...]:
+    """Unlink an earlier run's files names in out; called before a run writes
+    there, returns (out,) if out is absent, else (), for removed_on_failure."""
+    for name in names:
+        (out / name).unlink(missing_ok=True)
+    return () if out.exists() else (out,)
+
+
 def write_json(obj: dict, path: str | Path) -> Path:
     """Write obj as sorted-key, indent-2 JSON with a trailing newline.
 

@@ -268,8 +268,7 @@ def cmd_score(config: RunConfig) -> dict:
     """
     config.validate()
     out = Path(config.out_dir)
-    for name in ("score_summary.json", "scores.json"):  # stale
-        (out / name).unlink(missing_ok=True)
+    made = cfio.clear_outputs(out, ("score_summary.json", "scores.json"))
     model, batch = _load_inputs(config)
     scores, forwards = compute_scores(config, model, batch)
     summary = {
@@ -278,7 +277,7 @@ def cmd_score(config: RunConfig) -> dict:
         "layers_scored": len(scores.entries),
         "method": scores.method,
     }
-    with cfio.removed_on_failure(*(() if out.exists() else (out,))):
+    with cfio.removed_on_failure(*made):
         scores.save(out / "scores.json")
         cfio.write_json(summary, out / "score_summary.json")
     return summary
@@ -297,9 +296,8 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     config.validate()
     t0 = time.perf_counter()
     out = Path(config.out_dir)
-    for name in ("report.json", "timing.json", "score_summary.json", "plan.json",
-                 "scores.json"):  # stale
-        (out / name).unlink(missing_ok=True)
+    made = cfio.clear_outputs(out, ("report.json", "timing.json", "score_summary.json",
+                                    "plan.json", "scores.json"))
     for name in ("pruned_model", "masks"):
         if (out / name).is_symlink():  # the writes and the cleanup would go through it
             raise InputError(f"{out / name} is a symlink; prune writes a directory there")
@@ -339,9 +337,7 @@ def cmd_prune(config: RunConfig) -> PruneReport:
     )
     pruning_forwards = model.forward_count - before
 
-    # nothing is written before this point, so an --out missing here is the run's own
-    with cfio.removed_on_failure(out / "pruned_model", out / "masks",
-                                 *(() if out.exists() else (out,))):
+    with cfio.removed_on_failure(out / "pruned_model", out / "masks", *made):
         cfio.save_model(model, out / "pruned_model")
         cfio.save_masks(masks, out / "masks")
         if handoff:
@@ -409,16 +405,12 @@ def cmd_eval(
 
 def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
     """Merge prune reports into curve CSVs (metric vs sparsity, per-layer
-    sparsity table).
-
-    Both CSVs of an earlier compare in out_dir are removed first; a failed
-    write removes what the run made, so a run leaves both or neither.
-    """
+    sparsity table) in out_dir, after removing an earlier compare's CSVs;
+    a failed run removes what it made, so it leaves both CSVs or neither."""
     if not report_paths:
         raise UsageError("compare needs at least one report")
     out = Path(out_dir)
-    for name in ("comparison.csv", "per_layer_sparsity.csv"):  # stale
-        (out / name).unlink(missing_ok=True)
+    made = cfio.clear_outputs(out, ("comparison.csv", "per_layer_sparsity.csv"))
     curve_rows, layer_rows, fixtures = [], [], set()
     for p in report_paths:
         obj = cfio.read_json(p)
@@ -445,7 +437,7 @@ def cmd_compare(report_paths: list[str], out_dir: str) -> dict:
     curve_rows.sort(key=lambda row: (row["sparsity"], row["method"], row["metric"]))
     layer_rows.sort(key=lambda row: (row["sparsity"], row["method"], row["layer"]))
 
-    with cfio.removed_on_failure(*(() if out.exists() else (out,))):
+    with cfio.removed_on_failure(*made):
         write_csv(curve_rows, out / "comparison.csv")
         write_csv(layer_rows, out / "per_layer_sparsity.csv")
     return {

@@ -963,11 +963,12 @@ def _other_fixture(root):
 _STAGES = ["save_masks", "reload", "pruned evaluation", "the last JSON write"]
 
 
-def _inject_failure(monkeypatch, stage) -> list[str]:
+def _inject_failure(monkeypatch, stage) -> tuple[list[str], str]:
     """prune fails after save_masks has written, at the pruned model's
     reload, in the pruned evaluation of the fine pass's hand-over, or on
     a full disk at report.json, after scores, plan and timing are written;
-    returns the flags that make the run reach that stage."""
+    returns the flags that make the run reach that stage and the error
+    message the run reports."""
     import coarsefine.io as cfio
     import coarsefine.pipeline as pipeline
 
@@ -1000,12 +1001,13 @@ def _inject_failure(monkeypatch, stage) -> list[str]:
         monkeypatch.setattr(cfio, "save_masks", failing_save_masks)
     elif stage == "reload":  # only sparsegpt's pruned evaluation reads the reload
         monkeypatch.setattr(cfio, "load_model", failing_reload)
-        return ["--fine", "sparsegpt"]
+        return ["--fine", "sparsegpt"], "injected failure"
     elif stage == "the last JSON write":
         monkeypatch.setattr(cfio, "write_json", full_disk)
+        return [], "[Errno 28] injected failure"
     else:
         monkeypatch.setattr(pipeline, "evaluate_on_batch", failing_pruned_evaluation)
-    return []
+    return [], "injected failure"
 
 
 class TestFailedRunCleanup:
@@ -1014,9 +1016,9 @@ class TestFailedRunCleanup:
 
     @pytest.mark.parametrize("stage", _STAGES)
     def test_new_out_is_removed(self, fixture_dir, tmp_path, capsys, monkeypatch, stage):
-        flags = _inject_failure(monkeypatch, stage)
+        flags, message = _inject_failure(monkeypatch, stage)
         assert main([*_prune_argv(fixture_dir, tmp_path / "out"), *flags]) == 2
-        assert one_error_line(capsys)["message"].endswith("injected failure")
+        assert one_error_line(capsys)["message"] == message
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stage", _STAGES)
@@ -1026,10 +1028,10 @@ class TestFailedRunCleanup:
         out = tmp_path / "out"
         assert main(_prune_argv(fixture_dir, out, "0.5")) == 0
         (out / "pruned_model" / "NOTES.txt").write_text("mine")
-        flags = _inject_failure(monkeypatch, stage)
+        flags, message = _inject_failure(monkeypatch, stage)
         capsys.readouterr()
         assert main([*_prune_argv(fixture_dir, out, "0.7"), *flags]) == 2
-        assert one_error_line(capsys)["message"].endswith("injected failure")
+        assert one_error_line(capsys)["message"] == message
         assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
             "pruned_model", "pruned_model/NOTES.txt"]
         assert (out / "pruned_model" / "NOTES.txt").read_text() == "mine"
